@@ -2,7 +2,9 @@
 
 ``levysde run <config.yaml>`` dispatches the named experiment, writes its CSV
 results and summary record, and exits 0 iff all configured gates pass.
-``LEVYSDE_THREADS`` caps Monte Carlo batch parallelism.
+``LEVYSDE_THREADS`` (a positive integer, default 1) sets how many
+``terminal_samples`` batches run in parallel; other Monte Carlo loops are
+serial.  Any other value makes ``terminal_samples`` raise ``ConfigError``.
 """
 
 from __future__ import annotations

@@ -224,7 +224,3 @@ def build_scheme(scheme: dict) -> SimScheme:
 
 def build_contour_spec(contour: dict) -> ContourSpec:
     return ContourSpec.from_dict(contour)
-
-
-def contour_to_config(spec: ContourSpec) -> dict:
-    return spec.to_dict()

@@ -210,9 +210,8 @@ def run_invert(cfg: ExperimentConfig) -> ExperimentResult:
     )
     dense_rel = None
     if grid.n <= 256 and grid.dimension == 1:
-        split = cutoff_split(sym, R)
-        A_high = dense_symbol_matrix(split.p_high)
-        f_high = GridFunction.from_coeffs(grid, f.coeffs * (split.chi > 0))
+        A_high = dense_symbol_matrix(split0.p_high)
+        f_high = GridFunction.from_coeffs(grid, f.coeffs * (split0.chi > 0))
         u_dense, *_ = np.linalg.lstsq(A_high, f_high.values, rcond=None)
         dense_rel = float(
             np.linalg.norm(u.values - u_dense) / max(np.linalg.norm(u_dense), 1e-300)

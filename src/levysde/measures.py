@@ -44,6 +44,8 @@ __all__ = [
     "small_jump_variance",
     "compensator_drift",
     "sample_increment",
+    "jump_stream",
+    "path_sums",
     "small_jump_symbol_error",
     "bg_index",
 ]
@@ -578,6 +580,28 @@ def compensator_drift(spec, eps: float) -> np.ndarray:
     return spec.compensator_drift(eps)
 
 
+def jump_stream(rate: float, n: int, draw, rng):
+    """Jumps of ``n`` independent compound-Poisson paths.
+
+    Draws the per-path Poisson counts with mean ``rate`` first, then the
+    ``total`` jump sizes as ``draw(total)`` only when ``total > 0``.  Returns
+    ``(owner, sizes)``: the path index of every jump and the sizes (empty when
+    no path jumps).
+    """
+    counts = rng.poisson(rate, n)
+    total = int(counts.sum())
+    sizes = draw(total) if total > 0 else np.empty(0)
+    return np.repeat(np.arange(n), counts), sizes
+
+
+def path_sums(owner, sizes, n: int, d: int = 1) -> np.ndarray:
+    """Per-path sums of jump ``sizes`` owned by paths ``owner``; shape
+    ``(n,)`` for ``d=1`` and ``(n, d)`` otherwise, zeros for an empty stream."""
+    if d == 1:
+        return np.bincount(owner, weights=sizes, minlength=n)
+    return np.stack([path_sums(owner, c, n) for c in np.reshape(sizes, (owner.size, d)).T], axis=-1)
+
+
 def sample_increment(spec, tau: float, mode: str, rng, eps: float = None, size: int = None):
     """Draw increments of the driving noise over a time step ``tau``.
 
@@ -607,23 +631,10 @@ def sample_increment(spec, tau: float, mode: str, rng, eps: float = None, size: 
     elif mode in ("truncated", "truncated+gaussian"):
         if eps is None or not 0.0 < eps < 1.0:
             raise ValueError(f"truncated modes need 0 < eps < 1, got {eps}")
-        mass = spec.tail_mass(eps)
-        counts = rng.poisson(mass * tau, n)
-        total = int(counts.sum())
-        if d == 1:
-            sums = np.zeros(n)
-        else:
-            sums = np.zeros((n, d))
-        if total > 0:
-            jumps = spec.sample_tail(eps, total, rng)
-            idx = np.repeat(np.arange(n), counts)
-            if d == 1:
-                sums = np.bincount(idx, weights=jumps, minlength=n)
-            else:
-                for i in range(d):
-                    sums[:, i] = np.bincount(idx, weights=jumps[:, i], minlength=n)
-        z0 = spec.compensator_drift(eps)
-        out = sums - tau * (z0[0] if d == 1 else z0)
+        owner, sizes = jump_stream(
+            spec.tail_mass(eps) * tau, n, lambda k: spec.sample_tail(eps, k, rng), rng
+        )
+        out = path_sums(owner, sizes, n, d) - tau * spec.compensator_drift(eps)
         if mode == "truncated+gaussian":
             cov = spec.small_jump_variance(eps) * tau
             if d == 1:

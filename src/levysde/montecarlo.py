@@ -7,10 +7,12 @@ drift, the compensator, and the Gaussian compensation.  With x-independent
 coefficients a single step is distribution-exact, which isolates the
 truncation-level error from any time-step bias.
 
-Reproducibility: paths are simulated in fixed-size batches; the generator of
-batch ``i`` is seeded from ``(seed, stream, i)``, and batch reductions happen
-in index order, so results are bit-identical for a given scheme regardless of
-the thread count (``LEVYSDE_THREADS``).
+Reproducibility: ``_batches`` is the only seeding rule.  Paths are simulated
+in fixed-size batches; the generator of batch ``i`` is seeded from
+``(seed, stream, i)``, and batch reductions happen in index order, so results
+are bit-identical for a given scheme regardless of the thread count
+(``LEVYSDE_THREADS``, a positive integer; only ``terminal_samples`` batches run
+in parallel).
 """
 
 from __future__ import annotations
@@ -22,10 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .grids import GridFunction, TorusGrid
 from .measures import (
     compensator_drift,
+    jump_stream,
     levy_exponent,
+    path_sums,
     sample_increment,
     small_jump_variance,
     truncated_measure,
@@ -104,35 +109,57 @@ def _advance(model: SdeModel, X, dt: float, dL):
     return X + model.drift_at(X) * dt + np.einsum("nij,nj->ni", sig, dL)
 
 
-def simulate_path(model: SdeModel, x0, t: float, scheme: SimScheme, rng, mode: str = None):
-    """Terminal state of one explicit Euler path driven by the scheme's noise.
-
-    ``mode`` overrides the scheme-derived sampling mode (e.g. "exact-stable").
-    """
+def _evolve(model: SdeModel, X, t: float, scheme: SimScheme, mode: str, rng):
+    """Euler-advance the states ``X`` (one per path) from time 0 to ``t``."""
     if t <= 0:
         raise ValueError("horizon must be positive")
     mode = mode or scheme.mode
     n_steps = _euler_steps(t, scheme.tau)
     dt = t / n_steps
-    d = model.dimension
-    X = np.atleast_1d(np.asarray(x0, dtype=float)).reshape(1, -1) if d == 2 else np.array(
-        [float(x0)]
-    )
     for _ in range(n_steps):
-        dL = sample_increment(model.measure, dt, mode, rng, eps=scheme.eps, size=1)
+        dL = sample_increment(model.measure, dt, mode, rng, eps=scheme.eps, size=X.shape[0])
         X = _advance(model, X, dt, dL)
+    return X
+
+
+def simulate_path(model: SdeModel, x0, t: float, scheme: SimScheme, rng, mode: str = None):
+    """Terminal state of one explicit Euler path driven by the scheme's noise.
+
+    ``mode`` overrides the scheme-derived sampling mode (e.g. "exact-stable").
+    """
+    d = model.dimension
+    X = np.asarray(x0, dtype=float).reshape(1, -1) if d == 2 else np.array([float(x0)])
+    X = _evolve(model, X, t, scheme, mode, rng)
     return X[0] if d == 2 else float(X[0])
 
 
-def _batch_slices(n: int, batch: int = _BATCH):
-    return [(lo, min(lo + batch, n)) for lo in range(0, n, batch)]
+def _batches(n: int, seed: int, *streams):
+    """Yield ``(size, rng...)`` per batch of ``n`` paths, one generator per stream.
+
+    The generator of batch ``i`` in stream ``s`` is seeded from ``(seed, s, i)``.
+    """
+    for i, lo in enumerate(range(0, n, _BATCH)):
+        rngs = (np.random.default_rng(np.random.SeedSequence((seed, s, i))) for s in streams)
+        yield (min(_BATCH, n - lo), *rngs)
 
 
 def _thread_count() -> int:
+    raw = os.environ.get("LEVYSDE_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("LEVYSDE_THREADS", "1")))
+        threads = int(raw)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise ConfigError(
+            f"LEVYSDE_THREADS must be a positive integer, got {raw!r}", field="LEVYSDE_THREADS"
+        )
+    return threads
+
+
+def _mean_var(s1, s2, n: int):
+    """Mean and variance (clipped at zero) from sums of values and of squares."""
+    mean = s1 / n
+    return mean, np.maximum(s2 / n - mean**2, 0.0)
 
 
 def terminal_samples(
@@ -148,28 +175,16 @@ def terminal_samples(
     Batch ``i`` draws from a generator seeded by ``(seed, stream, i)``; the
     batches are concatenated in index order.
     """
-    if t <= 0:
-        raise ValueError("horizon must be positive")
-    mode = mode or scheme.mode
-    n_steps = _euler_steps(t, scheme.tau)
-    dt = t / n_steps
-    d = model.dimension
-    slices = _batch_slices(scheme.paths)
 
-    def run(i_lo_hi):
-        i, (lo, hi) = i_lo_hi
-        nb = hi - lo
-        rng = np.random.default_rng(np.random.SeedSequence((scheme.seed, stream, i)))
-        if d == 1:
+    def run(batch):
+        nb, rng = batch
+        if model.dimension == 1:
             X = np.full(nb, float(x0))
         else:
             X = np.tile(np.asarray(x0, dtype=float), (nb, 1))
-        for _ in range(n_steps):
-            dL = sample_increment(model.measure, dt, mode, rng, eps=scheme.eps, size=nb)
-            X = _advance(model, X, dt, dL)
-        return X
+        return _evolve(model, X, t, scheme, mode, rng)
 
-    jobs = list(enumerate(slices))
+    jobs = list(_batches(scheme.paths, scheme.seed, stream))
     threads = _thread_count()
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -292,36 +307,31 @@ def weak_error_table(
         and np.abs(np.asarray(model.drift(np.linspace(0, 6, 7))) - drf0).max() < 1e-12
     )
 
-    eps_min = eps_list[0]
-    trunc_min = truncated_measure(model.measure, eps_min)
-    sums = {e: 0.0 for e in eps_list}
-    sums2 = {e: 0.0 for e in eps_list}
+    trunc_min = truncated_measure(model.measure, eps_list[0])
+    sums = np.zeros(len(eps_list))
+    sums2 = np.zeros(len(eps_list))
     n_total = scheme_base.paths
 
     if constant_coeffs:
         # one master jump stream per batch, filtered per truncation level
-        for i, (lo, hi) in enumerate(_batch_slices(n_total)):
-            nb = hi - lo
-            rng = np.random.default_rng(np.random.SeedSequence((scheme_base.seed, 7, i)))
-            counts = rng.poisson(trunc_min.tail_mass() * t, nb)
-            total = int(counts.sum())
-            jumps = trunc_min.sample_tail(size=total, rng=rng) if total else np.empty(0)
-            idx = np.repeat(np.arange(nb), counts)
+        for nb, rng in _batches(n_total, scheme_base.seed, 7):
+            draw = lambda k: trunc_min.sample_tail(size=k, rng=rng)
+            owner, jumps = jump_stream(trunc_min.tail_mass() * t, nb, draw, rng)
             z = rng.standard_normal(nb)
-            for e in eps_list:
+            for k, e in enumerate(eps_list):
                 keep = np.abs(jumps) > e
-                jsum = np.bincount(idx[keep], weights=jumps[keep], minlength=nb)
                 z0 = compensator_drift(model.measure, e)[0]
-                dL = jsum - z0 * t
+                dL = path_sums(owner[keep], jumps[keep], nb) - z0 * t
                 if scheme_base.gaussian_compensation:
                     var = small_jump_variance(model.measure, e)[0, 0] * t
                     dL = dL + math.sqrt(var) * z
                 X = x0 + drf0 * t + sig0 * dL
                 vals = np.asarray(f(X), dtype=float)
-                sums[e] += float(vals.sum())
-                sums2[e] += float((vals**2).sum())
+                sums[k] += vals.sum()
+                sums2[k] += (vals**2).sum()
+            del owner, jumps  # free this batch's stream before drawing the next
     else:
-        for e in eps_list:
+        for k, e in enumerate(eps_list):
             scheme = SimScheme(
                 eps=e,
                 tau=scheme_base.tau,
@@ -331,15 +341,14 @@ def weak_error_table(
             )
             X = terminal_samples(model, x0, t, scheme, stream=7)
             vals = np.asarray(f(X), dtype=float)
-            sums[e] = float(vals.sum())
-            sums2[e] = float((vals**2).sum())
+            sums[k] = vals.sum()
+            sums2[k] = (vals**2).sum()
 
-    rows = []
-    for e in eps_list:
-        mean = sums[e] / n_total
-        var = max(sums2[e] / n_total - mean**2, 0.0)
-        se = math.sqrt(var / n_total)
-        rows.append((e, abs(mean - ref), se))
+    means, variances = _mean_var(sums, sums2, n_total)
+    rows = [
+        (e, float(abs(mean - ref)), math.sqrt(var / n_total))
+        for e, mean, var in zip(eps_list, means, variances)
+    ]
     noise = all(err <= 4.0 * se for _, err, se in rows)
     fit = None
     if not noise and len(rows) >= 4:
@@ -383,9 +392,7 @@ def strong_feller_profile(
     dt = t / n_steps
     hits = np.zeros(xs.size)
     n_total = scheme.paths
-    for i, (lo, hi) in enumerate(_batch_slices(n_total)):
-        nb = hi - lo
-        rng = np.random.default_rng(np.random.SeedSequence((scheme.seed, 11, i)))
+    for nb, rng in _batches(n_total, scheme.seed, 11):
         increments = [
             sample_increment(model.measure, dt, mode, rng, eps=scheme.eps, size=nb)
             for _ in range(n_steps)
@@ -475,8 +482,8 @@ def density_probe(
         ys = np.linspace(lo - 6 * h, hi + 6 * h, grid_points)
         dens = np.zeros(grid_points)
         slope = np.zeros(grid_points)
-        for blo, bhi in _batch_slices(X.size, 1 << 14):
-            z = (ys[:, None] - X[None, blo:bhi]) / h
+        for lo in range(0, X.size, 1 << 14):
+            z = (ys[:, None] - X[None, lo : lo + (1 << 14)]) / h
             k = np.exp(-0.5 * z**2) / math.sqrt(2 * math.pi)
             dens += k.sum(axis=1)
             slope += (-z * k).sum(axis=1)
@@ -540,69 +547,47 @@ def jump_split_check(
     measure = model.measure
     trunc = truncated_measure(measure, eps)
     mass_all = trunc.tail_mass()
-    mass_large = measure.tail_mass(1.0) if hasattr(measure, "tail_mass") else trunc.tail_mass(1.0)
+    mass_large = measure.tail_mass(1.0)
     z0 = compensator_drift(measure, eps)[0]
     payoffs = payoffs or _default_battery(2 * np.pi * 4.0)
 
-    sums_u = np.zeros(len(payoffs))
-    sums2_u = np.zeros(len(payoffs))
-    sums_s = np.zeros(len(payoffs))
-    sums2_s = np.zeros(len(payoffs))
+    # row 0: unsplit driver, row 1: split driver
+    sums = np.zeros((2, len(payoffs)))
+    sums2 = np.zeros((2, len(payoffs)))
     n_large_total = 0.0
 
-    for i, (lo, hi) in enumerate(_batch_slices(paths)):
-        nb = hi - lo
-        rng_u = np.random.default_rng(np.random.SeedSequence((seed, 0, i)))
-        rng_s = np.random.default_rng(np.random.SeedSequence((seed, 1, i)))
-
+    for nb, rng_u, rng_s in _batches(paths, seed, 0, 1):
         # unsplit: one compound Poisson stream from nu restricted to |z| > eps
-        counts = rng_u.poisson(mass_all * t, nb)
-        total = int(counts.sum())
-        jumps = trunc.sample_tail(size=total, rng=rng_u) if total else np.empty(0)
-        idx = np.repeat(np.arange(nb), counts)
-        dL_u = np.bincount(idx, weights=jumps, minlength=nb) - z0 * t
+        draw = lambda k: trunc.sample_tail(size=k, rng=rng_u)
+        owner_u, jumps = jump_stream(mass_all * t, nb, draw, rng_u)
+        dL_u = path_sums(owner_u, jumps, nb) - z0 * t
 
         # split: independent small-jump (eps < |z| <= 1, compensated) and
         # large-jump (|z| > 1, plain compound Poisson) drivers
-        mass_small = mass_all - mass_large
-        c_small = rng_s.poisson(mass_small * t, nb)
-        tot_small = int(c_small.sum())
-        small = np.empty(0)
-        if tot_small:
-            small = _sample_band(trunc, eps, 1.0, tot_small, rng_s)
-        dL_small = np.bincount(
-            np.repeat(np.arange(nb), c_small), weights=small, minlength=nb
-        ) - z0 * t
-        c_large = rng_s.poisson(mass_large * t, nb)
-        tot_large = int(c_large.sum())
-        large = trunc.sample_tail(eps=1.0, size=tot_large, rng=rng_s) if tot_large else np.empty(0)
-        dL_large = np.bincount(
-            np.repeat(np.arange(nb), c_large), weights=large, minlength=nb
-        )
-        n_large_total += float(c_large.sum())
-        dL_s = dL_small + dL_large
+        draw = lambda k: _sample_band(trunc, eps, 1.0, k, rng_s)
+        owner, small = jump_stream((mass_all - mass_large) * t, nb, draw, rng_s)
+        dL_s = path_sums(owner, small, nb) - z0 * t
+        draw = lambda k: trunc.sample_tail(eps=1.0, size=k, rng=rng_s)
+        owner, large = jump_stream(mass_large * t, nb, draw, rng_s)
+        n_large_total += float(owner.size)
+        dL_s = dL_s + path_sums(owner, large, nb)
 
         sig0 = model.sigma_at(np.full(nb, float(x0)))
         drf0 = model.drift_at(np.full(nb, float(x0)))
-        X_u = x0 + drf0 * t + sig0 * dL_u
-        X_s = x0 + drf0 * t + sig0 * dL_s
-        for j, fp in enumerate(payoffs):
-            vu = np.asarray(fp(X_u), dtype=float)
-            vs = np.asarray(fp(X_s), dtype=float)
-            sums_u[j] += vu.sum()
-            sums2_u[j] += (vu**2).sum()
-            sums_s[j] += vs.sum()
-            sums2_s[j] += (vs**2).sum()
+        for row, dL in enumerate((dL_u, dL_s)):
+            X = x0 + drf0 * t + sig0 * dL
+            for j, fp in enumerate(payoffs):
+                v = np.asarray(fp(X), dtype=float)
+                sums[row, j] += v.sum()
+                sums2[row, j] += (v**2).sum()
 
+    (mean_u, mean_s), (var_u, var_s) = _mean_var(sums, sums2, paths)
     rows = []
     failures = []
     ok = True
     for j in range(len(payoffs)):
-        mu = sums_u[j] / paths
-        ms = sums_s[j] / paths
-        vu = max(sums2_u[j] / paths - mu**2, 0.0)
-        vs = max(sums2_s[j] / paths - ms**2, 0.0)
-        se = math.sqrt((vu + vs) / paths)
+        mu, ms = mean_u[j], mean_s[j]
+        se = math.sqrt((var_u[j] + var_s[j]) / paths)
         diff = abs(mu - ms)
         rows.append((j, mu, ms, diff, se))
         if diff > 4.0 * se + 1e-15:

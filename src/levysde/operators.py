@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .besov import DyadicPartition
-from .errors import ContractionError, SpectralDistanceError
+from .errors import ContractionError, LevySdeError, SpectralDistanceError
 from .grids import GridFunction, TorusGrid
 from .ratefit import RateFit, fit_rate
 from .symbols import SymbolGrid, cutoff_split
@@ -171,7 +171,7 @@ def parametrix_probe_contraction(a: SymbolGrid, R: float, iters: int = 4) -> flo
     grid = a.grid
     try:
         split = cutoff_split(a, R)
-    except Exception:
+    except LevySdeError:
         return float("inf")
     mags = grid.xi_norm()
     plateau = (mags >= 4.0 * R) & (mags <= 0.85 * float(mags.max()))

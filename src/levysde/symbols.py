@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ContractionError, EllipticityError
 from .grids import GridFunction, TorusGrid
+from .measures import _FD_STENCILS
 from .models import SdeModel, state_symbol
 from .besov import raised_cosine_profile
 
@@ -63,11 +64,6 @@ class SymbolGrid:
     def shifted(self, lam: complex) -> "SymbolGrid":
         return SymbolGrid(self.grid, self.values + lam, self.order)
 
-    def xi_bracket(self) -> np.ndarray:
-        """<xi> on the frequency lattice, broadcast against the xi-axes."""
-        mags = self.grid.xi_norm()
-        return np.sqrt(1.0 + mags**2)
-
     def to_csv(self, path, header_comment: str = None):
         """Write (x-index, xi-index, Re, Im) rows with 17 significant digits."""
         flat = self.values.reshape(
@@ -114,14 +110,6 @@ def _declared_order(model: SdeModel) -> float:
 # finite differences on the product lattice
 # ---------------------------------------------------------------------------
 
-_STENCILS = {
-    0: (np.array([1.0]), 0),
-    1: (np.array([-0.5, 0.0, 0.5]), 1),
-    2: (np.array([1.0, -2.0, 1.0]), 1),
-    3: (np.array([-0.5, 1.0, 0.0, -1.0, 0.5]), 2),
-    4: (np.array([1.0, -4.0, 6.0, -4.0, 1.0]), 2),
-}
-
 MAX_FD_ORDER = 4  # higher-order centered differences drown in rounding noise
 
 
@@ -135,7 +123,7 @@ def _fd_axis(values: np.ndarray, axis: int, order: int, h: float, periodic: bool
         return values, 0
     if order > MAX_FD_ORDER:
         raise ValueError(f"finite differences are limited to order {MAX_FD_ORDER}")
-    coeffs, reach = _STENCILS[order]
+    coeffs, reach = _FD_STENCILS[order]
     out = np.zeros_like(values)
     for c, off in zip(coeffs, range(-reach, reach + 1)):
         if c != 0.0:

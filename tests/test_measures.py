@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 import levysde as lv
+from levysde.measures import jump_stream, path_sums
 
 
 def lk_integrand_oracle(atoms, xi):
@@ -218,6 +220,50 @@ class TestSampling:
         spec = lv.AtomicMeasure(atoms=(((0.5,), 2.0), ((2.0,), 1.0)))
         # only the atom in (eps, 1] contributes
         assert lv.compensator_drift(spec, 0.1)[0] == pytest.approx(1.0)
+
+
+class TestJumpStream:
+    @staticmethod
+    def draw_sizes(rng, d):
+        return lambda k: rng.standard_normal(k) if d == 1 else rng.standard_normal((k, d))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        rate=st.sampled_from([0.0, 1e-3, 0.5, 2.5]),
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([1, 2]),
+    )
+    def test_matches_per_path_loop(self, n, rate, seed, d):
+        rng = np.random.default_rng(seed)
+        owner, sizes = jump_stream(rate, n, self.draw_sizes(rng, d), rng)
+        sums = path_sums(owner, sizes, n, d)
+        # reference: counts first, then all sizes, then one plain loop per path
+        ref_rng = np.random.default_rng(seed)
+        counts = ref_rng.poisson(rate, n)
+        total = int(counts.sum())
+        ref_sizes = self.draw_sizes(ref_rng, d)(total) if total else np.empty((0, d))
+        expected = np.zeros((n, d))
+        start = 0
+        for p in range(n):
+            for jump in np.reshape(ref_sizes, (-1, d))[start : start + counts[p]]:
+                expected[p] += jump
+            start += counts[p]
+        assert sums.shape == ((n,) if d == 1 else (n, d))
+        assert np.array_equal(np.reshape(sums, (n, d)), expected)
+        assert np.array_equal(owner, np.repeat(np.arange(n), counts))
+        assert rng.random() == ref_rng.random()  # same number of draws consumed
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_empty_stream_gives_zeros_without_drawing(self, d):
+        def no_draw(k):
+            raise AssertionError("sizes drawn for an empty stream")
+
+        owner, sizes = jump_stream(0.0, 7, no_draw, np.random.default_rng(0))
+        sums = path_sums(owner, sizes, 7, d)
+        assert owner.size == 0
+        assert sums.shape == ((7,) if d == 1 else (7, d))
+        assert not sums.any()
 
 
 class TestBgIndex:

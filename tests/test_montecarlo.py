@@ -147,6 +147,18 @@ class TestMcSemigroup:
         b = lv.mc_semigroup(payoff, constant_model, 0.0, 1.0, scheme)
         assert a.mean == b.mean and a.stderr == b.stderr
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_invalid_thread_count_is_config_error(self, constant_model, monkeypatch, value):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr("levysde.montecarlo.ThreadPoolExecutor", no_pool)
+        monkeypatch.setenv("LEVYSDE_THREADS", value)
+        scheme = lv.SimScheme(eps=0.1, tau=1.0, gaussian_compensation=True, paths=100, seed=1)
+        with pytest.raises(lv.ConfigError, match="LEVYSDE_THREADS") as info:
+            lv.terminal_samples(constant_model, 0.0, 1.0, scheme)
+        assert info.value.field == "LEVYSDE_THREADS"
+
 
 class TestWeakError:
     def test_constant_payoff_all_zero(self, constant_model):

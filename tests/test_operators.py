@@ -103,6 +103,14 @@ class TestParametrixSolve:
         rate = parametrix_probe_contraction(symbol_var_256, 4.0)
         assert rate < 5.0 / 6.0
 
+    def test_probe_vanishing_symbol_is_inf_other_errors_propagate(self, symbol_var_256, grid256):
+        vals = symbol_var_256.values.copy()
+        vals[:, int(np.argmax(grid256.xi >= 16.0))] = 0.0  # inside the cutoff support of R=4
+        vanishing = lv.SymbolGrid(grid256, vals, symbol_var_256.order)
+        assert parametrix_probe_contraction(vanishing, 4.0) == math.inf
+        with pytest.raises(TypeError):
+            parametrix_probe_contraction(symbol_var_256, None)
+
     def test_divergence_advises_larger_radius(self, grid256):
         # strongly varying sigma at an undersized cutoff radius diverges
         wild = lv.SdeModel(
