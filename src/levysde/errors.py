@@ -6,14 +6,18 @@ class LevySdeError(Exception):
 
 
 class QuadratureError(LevySdeError):
-    """Adaptive quadrature failed to reach the requested tolerance.
+    """A quadrature rule failed its embedded error test.
 
-    Carries the residual estimate of the last attempt in ``residual``.
+    ``residual`` is the rule's error estimate and ``tolerance`` the bound it
+    exceeded; ``magnitude`` is the frequency ``|xi|`` that failed, when the
+    integral depends on one.
     """
 
-    def __init__(self, message, residual=None):
+    def __init__(self, message, residual=None, magnitude=None, tolerance=None):
         super().__init__(message)
         self.residual = residual
+        self.magnitude = magnitude
+        self.tolerance = tolerance
 
 
 class EllipticityError(LevySdeError):

@@ -61,6 +61,8 @@ __all__ = [
 ]
 
 _BATCH = 1 << 16
+# Samples per kernel-density block: three (grid points x block) arrays live at once.
+_KDE_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -482,8 +484,8 @@ def density_probe(
         ys = np.linspace(lo - 6 * h, hi + 6 * h, grid_points)
         dens = np.zeros(grid_points)
         slope = np.zeros(grid_points)
-        for lo in range(0, X.size, 1 << 14):
-            z = (ys[:, None] - X[None, lo : lo + (1 << 14)]) / h
+        for lo in range(0, X.size, _KDE_BLOCK):
+            z = (ys[:, None] - X[None, lo : lo + _KDE_BLOCK]) / h
             k = np.exp(-0.5 * z**2) / math.sqrt(2 * math.pi)
             dens += k.sum(axis=1)
             slope += (-z * k).sum(axis=1)
@@ -561,16 +563,19 @@ def jump_split_check(
         draw = lambda k: trunc.sample_tail(size=k, rng=rng_u)
         owner_u, jumps = jump_stream(mass_all * t, nb, draw, rng_u)
         dL_u = path_sums(owner_u, jumps, nb) - z0 * t
+        del owner_u, jumps  # free each stream before the next one draws
 
         # split: independent small-jump (eps < |z| <= 1, compensated) and
         # large-jump (|z| > 1, plain compound Poisson) drivers
         draw = lambda k: _sample_band(trunc, eps, 1.0, k, rng_s)
         owner, small = jump_stream((mass_all - mass_large) * t, nb, draw, rng_s)
         dL_s = path_sums(owner, small, nb) - z0 * t
+        del owner, small
         draw = lambda k: trunc.sample_tail(eps=1.0, size=k, rng=rng_s)
         owner, large = jump_stream(mass_large * t, nb, draw, rng_s)
         n_large_total += float(owner.size)
         dL_s = dL_s + path_sums(owner, large, nb)
+        del owner, large
 
         sig0 = model.sigma_at(np.full(nb, float(x0)))
         drf0 = model.drift_at(np.full(nb, float(x0)))

@@ -70,6 +70,92 @@ class TestLevyExponent:
         with pytest.raises(ValueError):
             lv.TabulatedMeasure(radii=tuple(r), density=tuple(r**-3.2))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_tabulated_samples_rejected(self, bad):
+        r = np.geomspace(1e-2, 10.0, 5)
+        with pytest.raises(ValueError):
+            lv.TabulatedMeasure(radii=tuple(r), density=(1.0, 1.0, bad, 1.0, 1.0))
+        with pytest.raises(ValueError):
+            lv.TabulatedMeasure(radii=(0.1, 1.0, bad), density=(1.0, 1.0, 1.0))
+
+
+def segmentwise_quad_exponent(radii, density, m):
+    """psi(m) = 2 int (1 - cos m r) g(r) dr for a 1-d tabulated density, by
+    QUADPACK on each log-log segment (the first segment's power law below the
+    first node, zero beyond the last), as ``TabulatedMeasure`` defines it."""
+    nodes = [0.0] + list(radii)
+    total = 0.0
+    for i in range(len(radii)):
+        j = max(i - 1, 0)
+        slope = math.log(density[j + 1] / density[j]) / math.log(radii[j + 1] / radii[j])
+
+        def f(x, g0=density[j], r0=radii[j], slope=slope):
+            return 4.0 * math.sin(0.5 * m * x) ** 2 * g0 * (x / r0) ** slope
+
+        total += integrate.quad(f, nodes[i], nodes[i + 1], limit=400, epsabs=0.0, epsrel=1e-12)[0]
+    return total
+
+
+class TestTabulatedExponent:
+    R25 = np.geomspace(0.01, 10.0, 30)
+
+    @pytest.mark.parametrize("m", [32.0, 64.0, 128.0])
+    def test_steep_density_converges_inside_default_lattice(self, m):
+        # r^-2.5: the r^{s+2} endpoint singularity of the innermost cell used
+        # to trip the embedded error test at these frequencies
+        tab = lv.TabulatedMeasure(radii=tuple(self.R25), density=tuple(self.R25**-2.5))
+        ref = segmentwise_quad_exponent(self.R25, self.R25**-2.5, m)
+        assert lv.levy_exponent(tab, m) == pytest.approx(ref, rel=1e-8)
+
+    def test_failure_names_magnitude_residual_and_tolerance(self):
+        # 4,096 cells per segment cannot resolve a quarter oscillation here
+        r = np.geomspace(0.5, 10.0, 5)
+        tab = lv.TabulatedMeasure(radii=tuple(r), density=tuple(r**-2.5))
+        with pytest.raises(lv.QuadratureError) as info:
+            tab.exponent(np.array([1.2e4, 1.0, 1e4]))
+        err = info.value
+        assert err.magnitude == 1e4  # the smallest failing magnitude of its band
+        assert err.residual > err.tolerance > 0.0
+        assert "|xi| = 10000" in str(err)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2]),
+        coords=st.lists(
+            st.sampled_from([0.0, 1.0, -1.0, 2.0, 7.5]) | st.floats(-40.0, 40.0),
+            min_size=2,
+            max_size=12,
+        ),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_batch_invariance(self, d, coords, order):
+        # a value depends on its own magnitude only: duplicates, zeros, order
+        # and batch-mates change no bit
+        r = np.geomspace(0.01, 10.0, 30)
+        tab = lv.TabulatedMeasure(radii=tuple(r), density=tuple(r**-2.2), dimension=d)
+        batch = np.array(coords[: len(coords) // d * d]).reshape((-1,) if d == 1 else (-1, 2))
+        perm = list(range(len(batch)))
+        order.shuffle(perm)
+        vals = tab.exponent(batch)
+        assert np.array_equal(tab.exponent(batch[perm]), vals[perm])
+        for point, val in zip(batch, vals):
+            assert tab.exponent(point).tobytes() == val.tobytes()
+
+    def test_radial_stable_in_two_dimensions(self):
+        # isotropic density c |z|^{-2-alpha}: psi = 2 pi c K_alpha |xi|^alpha
+        # with K_alpha = int_0^inf (1 - J0(u)) u^{-1-alpha} du in closed form
+        alpha, c = 1.5, 0.3
+        r = np.geomspace(1e-7, 400.0, 600)
+        tab = lv.TabulatedMeasure(
+            radii=tuple(r), density=tuple(c * r ** (-2 - alpha)), dimension=2
+        )
+        k_alpha = 2**-alpha * math.gamma(1 - alpha / 2) / (alpha * math.gamma(1 + alpha / 2))
+        xi = np.array([[0.5, 0.0], [1.2, -1.6], [0.0, 16.0]])
+        closed = 2 * math.pi * c * k_alpha * np.linalg.norm(xi, axis=-1) ** alpha
+        # missing tail mass beyond the tabulated support bounds the error
+        tail = 2 * math.pi * c * r[-1] ** (-alpha) / alpha
+        assert np.all(np.abs(tab.exponent(xi) - closed) <= 2 * tail + 1e-8 * closed)
+
 
 class TestExponentInvariants:
     LATTICE = np.linspace(-60.0, 60.0, 241)
