@@ -233,17 +233,27 @@ def mc_semigroup(
     return McEstimate(mean=mean, stderr=stderr, paths_used=int(vals.size))
 
 
+def _constant_coefficients(model: SdeModel, x):
+    """``(sigma, drift)`` at 0 when both coefficients of a 1-d model stay
+    within 1e-12 of it at every sample point ``x``, else None."""
+    sig = float(np.asarray(model.sigma(np.zeros(1)))[0])
+    drf = float(np.asarray(model.drift(np.zeros(1)))[0])
+    if (
+        np.abs(np.asarray(model.sigma(x)) - sig).max() > 1e-12
+        or np.abs(np.asarray(model.drift(x)) - drf).max() > 1e-12
+    ):
+        return None
+    return sig, drf
+
+
 def spectral_reference(model: SdeModel, f, x0, t: float, n: int = 4096, length_factor: float = 4.0):
     """Exact ``P_t f(x0)`` for x-independent coefficients via the Fourier
     multiplier ``exp(-t a(xi))`` of the periodized payoff."""
     grid = TorusGrid(n=n, dimension=1, length_factor=length_factor)
-    sig = float(np.asarray(model.sigma(np.zeros(1)))[0])
-    drf = float(np.asarray(model.drift(np.zeros(1)))[0])
-    if (
-        np.abs(np.asarray(model.sigma(grid.x)) - sig).max() > 1e-12
-        or np.abs(np.asarray(model.drift(grid.x)) - drf).max() > 1e-12
-    ):
+    coeffs = _constant_coefficients(model, grid.x)
+    if coeffs is None:
         raise ValueError("spectral reference requires x-independent coefficients")
+    sig, drf = coeffs
     gf = GridFunction(grid, f(grid.x))
     sym = levy_exponent(model.measure, sig * grid.xi) - 1j * drf * grid.xi
     coeffs = gf.coeffs * np.exp(-t * sym)
@@ -302,12 +312,8 @@ def weak_error_table(
     else:
         raise ValueError("reference must be 'spectral' or 'exact-stable'")
 
-    sig0 = float(np.asarray(model.sigma(np.zeros(1)))[0])
-    drf0 = float(np.asarray(model.drift(np.zeros(1)))[0])
-    constant_coeffs = (
-        np.abs(np.asarray(model.sigma(np.linspace(0, 6, 7))) - sig0).max() < 1e-12
-        and np.abs(np.asarray(model.drift(np.linspace(0, 6, 7))) - drf0).max() < 1e-12
-    )
+    # sampled where spectral_reference samples: one period of its default torus
+    constant_coeffs = _constant_coefficients(model, TorusGrid(n=4096, length_factor=4.0).x)
 
     trunc_min = truncated_measure(model.measure, eps_list[0])
     sums = np.zeros(len(eps_list))
@@ -315,6 +321,7 @@ def weak_error_table(
     n_total = scheme_base.paths
 
     if constant_coeffs:
+        sig0, drf0 = constant_coeffs
         # one master jump stream per batch, filtered per truncation level
         for nb, rng in _batches(n_total, scheme_base.seed, 7):
             draw = lambda k: trunc_min.sample_tail(size=k, rng=rng)

@@ -15,13 +15,14 @@ resolvent is ``R(lambda, A) = (lambda + a(x, D))^{-1}``, and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .besov import DyadicPartition
-from .errors import ContractionError, LevySdeError, SpectralDistanceError
+from .errors import ConfigError, ContractionError, LevySdeError, SpectralDistanceError
 from .grids import GridFunction, TorusGrid
 from .ratefit import RateFit, fit_rate
 from .symbols import SymbolGrid, cutoff_split
@@ -43,15 +44,13 @@ __all__ = [
     "write_gauge_csv",
 ]
 
-_PHASE_CACHE: dict = {}
 
-
-def _phase_matrix(grid: TorusGrid) -> np.ndarray:
-    """Per-axis synthesis phases exp(i x_i xi_k), cached per grid geometry."""
-    key = (grid.n, grid.length_factor)
-    if key not in _PHASE_CACHE:
-        _PHASE_CACHE[key] = np.exp(1j * np.outer(grid.x, grid.xi))
-    return _PHASE_CACHE[key]
+@functools.cache
+def _phases(grid: TorusGrid) -> np.ndarray:
+    """Synthesis phases ``exp(i <x_i, xi_k>)`` over the flattened lattice,
+    shape (M, M) with M = n^d: the Kronecker power of the axis table."""
+    axis = np.exp(1j * np.outer(grid.x, grid.xi))
+    return functools.reduce(np.kron, [axis] * grid.dimension)
 
 
 def apply_symbol(s: SymbolGrid, u: GridFunction) -> GridFunction:
@@ -59,42 +58,23 @@ def apply_symbol(s: SymbolGrid, u: GridFunction) -> GridFunction:
     grid = s.grid
     if u.grid != grid:
         raise ValueError("grid mismatch between symbol and function")
-    P = _phase_matrix(grid)
-    if grid.dimension == 1:
-        out = np.einsum("ik,ik,k->i", P, s.values, u.coeffs)
-    else:
-        out = np.einsum("ak,bl,abkl,kl->ab", P, P, s.values, u.coeffs, optimize=True)
-    return GridFunction(grid, out)
-
-
-def _is_x_independent(s: SymbolGrid, rtol: float = 1e-13) -> bool:
-    ref = s.values[(0,) * s.grid.dimension]
-    scale = max(float(np.abs(s.values).max()), 1e-300)
-    return bool(np.abs(s.values - ref).max() <= rtol * scale)
+    M = math.prod(grid.shape)
+    out = np.einsum("ik,ik,k->i", _phases(grid), s.values.reshape(M, M), u.coeffs.ravel())
+    return GridFunction(grid, out.reshape(grid.shape))
 
 
 def dense_symbol_matrix(s: SymbolGrid) -> np.ndarray:
-    """Dense matrix of ``s(x, D)`` acting on value vectors (test oracle only).
+    """Dense matrix of ``s(x, D)`` acting on flattened value vectors (test
+    oracle only): ``(P * S) @ P^H / M`` with ``P`` the phase table.
 
     Cost and memory are quadratic in the total grid size; intended for
     cross-checks at N <= 256 in one dimension.
     """
-    grid = s.grid
-    n_total = int(np.prod(grid.shape))
-    if n_total > 4096:
+    M = math.prod(s.grid.shape)
+    if M > 4096:
         raise ValueError("dense operator matrices are a small-grid test oracle")
-    P = _phase_matrix(grid)
-    if grid.dimension == 1:
-        forward = np.exp(-1j * np.outer(grid.xi, grid.x)) / grid.n
-        return (P * s.values) @ forward
-    pp = np.einsum("ak,bl->abkl", P, P).reshape(n_total, n_total)
-    svals = s.values.reshape(n_total, n_total)
-    x1 = np.repeat(grid.x, grid.n)
-    x2 = np.tile(grid.x, grid.n)
-    k1 = np.repeat(grid.xi, grid.n)
-    k2 = np.tile(grid.xi, grid.n)
-    forward = np.exp(-1j * (np.outer(k1, x1) + np.outer(k2, x2))) / n_total
-    return (pp * svals) @ forward
+    P = _phases(s.grid)
+    return (P * s.values.reshape(M, M)) @ P.conj().T / M
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +87,17 @@ class SolveReport:
     iterations: int
     residual_history: tuple
     contraction_estimate: float
+
+
+def _parametrix_iterates(split, f_high: GridFunction):
+    """Iterates ``(u, r)`` of ``u <- u + q(x, D) r``, ``r = f_high - p(x, D) u``,
+    starting from ``(0, f_high)``; each later iterate applies ``q`` and ``p`` once."""
+    u = GridFunction(f_high.grid, np.zeros(f_high.grid.shape, dtype=complex))
+    residual = f_high
+    while True:
+        yield u, residual
+        u = u + apply_symbol(split.q, residual)
+        residual = f_high - apply_symbol(split.p_high, u)
 
 
 def parametrix_solve(
@@ -135,19 +126,13 @@ def parametrix_solve(
     f_high = GridFunction.from_coeffs(grid, f.coeffs * (split.chi > 0.0))
     f_scale = max(f.norm_l2(), 1e-300)
 
-    u = GridFunction(grid, np.zeros(grid.shape, dtype=complex))
-    residual = f_high
-    history = [residual.norm_l2()]
-    ratios = []
-    if history[0] <= tol * f_scale:
-        return u, SolveReport(0, tuple(history), 0.0)
-    for it in range(1, maxit + 1):
-        u = u + apply_symbol(split.q, residual)
-        residual = f_high - apply_symbol(split.p_high, u)
+    history, ratios = [], []
+    for it, (u, residual) in zip(range(maxit + 1), _parametrix_iterates(split, f_high)):
         history.append(residual.norm_l2())
-        ratios.append(history[-1] / max(history[-2], 1e-300))
+        if it:
+            ratios.append(history[-1] / max(history[-2], 1e-300))
         if history[-1] <= tol * f_scale:
-            return u, SolveReport(it, tuple(history), max(ratios))
+            return u, SolveReport(it, tuple(history), max(ratios, default=0.0))
         if it >= 5 and min(ratios[-3:]) >= 1.0:
             raise ContractionError(
                 "parametrix iteration is not contracting; increase the cutoff "
@@ -185,14 +170,10 @@ def parametrix_probe_contraction(a: SymbolGrid, R: float, iters: int = 4) -> flo
     w = GridFunction.from_coeffs(grid, coeffs)
     f_full = apply_symbol(split.p_high, w)
     f_high = GridFunction.from_coeffs(grid, f_full.coeffs * (split.chi > 0.0))
-    u = GridFunction(grid, np.zeros(grid.shape, dtype=complex))
-    residual = f_high
-    norms = [residual.norm_l2()]
-    for _ in range(iters):
-        u = u + apply_symbol(split.q, residual)
-        residual = f_high - apply_symbol(split.p_high, u)
+    norms = []
+    for it, (_, residual) in zip(range(iters + 1), _parametrix_iterates(split, f_high)):
         norms.append(residual.norm_l2())
-        if norms[-1] <= 1e-14 * norms[0]:
+        if it and norms[-1] <= 1e-14 * norms[0]:
             break
     ratios = [norms[i + 1] / max(norms[i], 1e-300) for i in range(len(norms) - 1)]
     return max(ratios[1:]) if len(ratios) > 1 else ratios[0]
@@ -222,19 +203,18 @@ def resolvent_apply(
     grid = a.grid
     if v.grid != grid:
         raise ValueError("grid mismatch")
-    shifted = a.values + lam
-    dist = np.abs(shifted)
+    s_shift = a.shifted(lam)
+    dist = np.abs(s_shift.values)
     if dist.min() < min_distance:
         flat = int(np.argmin(dist))
         raise SpectralDistanceError(
             f"shift {lam} is within {dist.min():.2e} of the symbol range",
             point=np.unravel_index(flat, dist.shape),
         )
-    q = SymbolGrid(grid, 1.0 / shifted, -a.order)
-    s_shift = SymbolGrid(grid, shifted, a.order)
+    q = SymbolGrid(grid, 1.0 / s_shift.values, -a.order)
 
     u = apply_symbol(q, v)
-    if _is_x_independent(a):
+    if a.x_independent:
         return u
     v_scale = max(v.norm_l2(), 1e-300)
     res_prev = None
@@ -387,9 +367,11 @@ def semigroup_apply(
     """Evaluate ``P_t u`` by contour quadrature of the resolvent.
 
     ``P_t u = (1/2 pi i) int_Gamma e^{lambda t} (lambda + a(x,D))^{-1} u dlambda``
-    over the sector contour.  The ray truncation and node counts rescale with
-    ``t`` so the discarded tail is below 1e-12; sectoriality of the symbol is
-    required (negative real parts are rejected).
+    over the sector contour, by default ``contour_for_time(t, theta')``.  A
+    caller's contour must meet the same truncation ``M >= 40 / (t sin theta')``
+    and scale ``|rho0 t - 1| <= 10``, else :class:`ConfigError` names
+    ``contour.M`` or ``contour.rho0``.  Sectoriality of the symbol is required
+    (negative real parts are rejected).
     """
     if t <= 0:
         raise ValueError("time must be positive")
@@ -399,11 +381,22 @@ def semigroup_apply(
     if contour is None:
         contour = contour_for_time(t, _default_theta_prime(a))
     else:
+        fix = f"use contour_for_time({float(t)!r}, {contour.theta_prime!r})"
         needed_M = 40.0 / (t * math.sin(contour.theta_prime))
-        if contour.M < 0.99 * needed_M or abs(contour.rho0 * t - 1.0) > 10.0:
-            contour = contour_for_time(t, contour.theta_prime)
+        if contour.M < 0.99 * needed_M:
+            raise ConfigError(
+                f"contour truncation M={contour.M:.4g} is below {needed_M:.4g}, "
+                f"the ray length needed at t={t:g}; {fix}",
+                field="contour.M",
+            )
+        if abs(contour.rho0 * t - 1.0) > 10.0:
+            raise ConfigError(
+                f"contour arc radius rho0={contour.rho0:.4g} is off scale at t={t:g} "
+                f"(need |rho0 t - 1| <= 10); {fix}",
+                field="contour.rho0",
+            )
 
-    if _is_x_independent(a):
+    if a.x_independent:
         # diagonal fast path: exact multiplier on each lattice mode
         sym = a.values[(0,) * a.grid.dimension]
         mult = np.zeros_like(sym)

@@ -9,6 +9,7 @@ bracket ``sqrt(1 + |xi|^2)`` throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +36,8 @@ __all__ = [
     "DefectReport",
 ]
 
+X_INDEPENDENT_RTOL = 1e-13
+
 
 @dataclass(frozen=True)
 class SymbolGrid:
@@ -60,6 +63,14 @@ class SymbolGrid:
     @property
     def dimension(self) -> int:
         return self.grid.dimension
+
+    @functools.cached_property
+    def x_independent(self) -> bool:
+        """True when every x-row equals the first to ``X_INDEPENDENT_RTOL`` of
+        the largest magnitude: ``s(x, D)`` is then a Fourier multiplier."""
+        ref = self.values[(0,) * self.dimension]
+        scale = max(float(np.abs(self.values).max()), 1e-300)
+        return bool(np.abs(self.values - ref).max() <= X_INDEPENDENT_RTOL * scale)
 
     def shifted(self, lam: complex) -> "SymbolGrid":
         return SymbolGrid(self.grid, self.values + lam, self.order)
@@ -131,22 +142,45 @@ def _fd_axis(values: np.ndarray, axis: int, order: int, h: float, periodic: bool
     return out / h**order, (0 if periodic else reach)
 
 
-def _mixed_derivative(sym: SymbolGrid, alpha: tuple, beta: tuple, sorted_vals=None):
-    """FD derivative d_xi^alpha d_x^beta of the symbol, xi-axes pre-sorted.
+def _permute_xi(values: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """A symbol table with every xi-axis (the second half) permuted by ``order``."""
+    d = values.ndim // 2
+    for ax in range(d, 2 * d):
+        values = np.take(values, order, axis=ax)
+    return values
+
+
+def _seminorm_table(sym: SymbolGrid, spec):
+    """The table a seminorm differentiates, xi-axes sorted ascending.
+
+    For :class:`AClass` the symbol itself; for :class:`HypClass` its
+    reciprocal, NaN where ``|s| < spec.floor``.  Returns (table, sub-floor
+    mask or None).
+    """
+    base = _permute_xi(sym.values, np.argsort(sym.grid.xi))
+    if not isinstance(spec, HypClass):
+        return base, None
+    low = np.abs(base) < spec.floor
+    table = 1.0 / np.where(low, 1.0, base)
+    table[low] = np.nan
+    return table, low
+
+
+def _weight_exponent(spec, n_alpha: int) -> float:
+    """Power of ``<xi>`` weighting a derivative of total xi-order ``n_alpha``."""
+    m = spec.m if isinstance(spec, HypClass) else -spec.m
+    return spec.rho * n_alpha + m
+
+
+def _mixed_derivative(grid: TorusGrid, table: np.ndarray, alpha: tuple, beta: tuple):
+    """FD derivative d_xi^alpha d_x^beta of a table with xi-axes sorted ascending.
 
     Returns (derivative array in xi-sorted order, validity mask over xi-axes).
     """
-    grid = sym.grid
     d = grid.dimension
-    order_xi = np.argsort(grid.xi)
-    vals = sorted_vals
-    if vals is None:
-        vals = sym.values
-        for ax in range(d, 2 * d):
-            vals = np.take(vals, order_xi, axis=ax)
     hx = grid.period / grid.n
     hxi = 1.0 / grid.length_factor
-    out = vals
+    out = table
     edge = [0] * d
     for ax in range(d):
         out, _ = _fd_axis(out, ax, beta[ax], hx, periodic=True)
@@ -242,43 +276,26 @@ def seminorm(sym: SymbolGrid, spec) -> SeminormReport:
         raise ValueError("x-weights (delta != 0) are not meaningful on the torus")
 
     order_xi = np.argsort(grid.xi)
-    if isinstance(spec, HypClass):
-        region, bracket = _hyp_region(grid, order_xi, spec.radius)
-        base = sym.values
-        for ax in range(d, 2 * d):
-            base = np.take(base, order_xi, axis=ax)
-        low = np.abs(base) < spec.floor
-        if np.any(low & region):
-            flat = int(np.argmax((low & region).ravel()))
-            raise EllipticityError(
-                "symbol magnitude below floor inside the hypoelliptic region: "
-                "ellipticity violated",
-                point=np.unravel_index(flat, base.shape),
-            )
-        work = 1.0 / np.where(low, 1.0, base)
-        work[low] = np.nan  # sub-floor points (outside the region) stay masked
-        k1, k2 = spec.k1, spec.k2
-        weight_exp = lambda na: spec.m + spec.rho * na
-        sup_mask = region
-        alphas = [a for a in _multi_indices(k1, d) if sum(a) >= spec.min_alpha]
-    else:
-        region, bracket = _hyp_region(grid, order_xi, 0.0)
-        work = sym.values
-        for ax in range(d, 2 * d):
-            work = np.take(work, order_xi, axis=ax)
-        k1, k2 = spec.k1, spec.k2
-        weight_exp = lambda na: spec.rho * na - spec.m
-        sup_mask = np.ones(grid.shape, dtype=bool)
-        alphas = [a for a in _multi_indices(k1, d) if sum(a) >= spec.min_alpha]
+    work, low = _seminorm_table(sym, spec)
+    radius = spec.radius if isinstance(spec, HypClass) else 0.0
+    region, bracket = _hyp_region(grid, order_xi, radius)
+    if low is not None and np.any(low & region):
+        flat = int(np.argmax((low & region).ravel()))
+        raise EllipticityError(
+            "symbol magnitude below floor inside the hypoelliptic region: "
+            "ellipticity violated",
+            point=np.unravel_index(flat, low.shape),
+        )
+    alphas = [a for a in _multi_indices(spec.k1, d) if sum(a) >= spec.min_alpha]
 
     best = -1.0
     best_witness = None
     for alpha in alphas:
-        for beta in _multi_indices(k2, d):
-            deriv, valid = _mixed_derivative(sym, alpha, beta, sorted_vals=work)
-            w = bracket ** weight_exp(sum(alpha))
+        for beta in _multi_indices(spec.k2, d):
+            deriv, valid = _mixed_derivative(grid, work, alpha, beta)
+            w = bracket ** _weight_exponent(spec, sum(alpha))
             field = np.abs(deriv) * w
-            field = np.where(sup_mask & valid & np.isfinite(field), field, -np.inf)
+            field = np.where(region & valid & np.isfinite(field), field, -np.inf)
             val = float(field.ravel()[np.argmax(field)])
             if val > best:
                 best = val
@@ -310,22 +327,9 @@ def recompute_witness(sym: SymbolGrid, report: SeminormReport) -> float:
     spec = report.spec
     grid = sym.grid
     d = grid.dimension
-    order_xi = np.argsort(grid.xi)
-    inv_order = np.argsort(order_xi)
-    if isinstance(spec, HypClass):
-        base = sym.values
-        for ax in range(d, 2 * d):
-            base = np.take(base, order_xi, axis=ax)
-        low = np.abs(base) < spec.floor
-        base = 1.0 / np.where(low, 1.0, base)
-        base[low] = np.nan
-        weight_exp = spec.m + spec.rho * sum(alpha)
-    else:
-        base = sym.values
-        for ax in range(d, 2 * d):
-            base = np.take(base, order_xi, axis=ax)
-        weight_exp = spec.rho * sum(alpha) - spec.m
-    deriv, _ = _mixed_derivative(sym, alpha, beta, sorted_vals=base)
+    inv_order = np.argsort(np.argsort(grid.xi))
+    weight_exp = _weight_exponent(spec, sum(alpha))
+    deriv, _ = _mixed_derivative(grid, _seminorm_table(sym, spec)[0], alpha, beta)
     xi_idx_sorted = tuple(int(inv_order[i]) for i in xi_idx)
     loc = tuple(x_idx) + xi_idx_sorted
     if d == 1:
@@ -502,16 +506,11 @@ def _xi_fd_derivative(sym_vals: np.ndarray, grid: TorusGrid, alpha: tuple):
     """Centered FD d_xi^alpha of a symbol table along the xi-axes (FFT order)."""
     d = grid.dimension
     order_xi = np.argsort(grid.xi)
-    inv = np.argsort(order_xi)
-    out = sym_vals
-    for ax in range(d, 2 * d):
-        out = np.take(out, order_xi, axis=ax)
+    out = _permute_xi(sym_vals, order_xi)
     h = 1.0 / grid.length_factor
     for ax in range(d):
         out, _ = _fd_axis(out, d + ax, alpha[ax], h, periodic=False)
-    for ax in range(d, 2 * d):
-        out = np.take(out, inv, axis=ax)
-    return out
+    return _permute_xi(out, np.argsort(order_xi))
 
 
 def composition_defect(a1: SymbolGrid, a2: SymbolGrid, u: GridFunction, order: int):

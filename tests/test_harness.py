@@ -268,6 +268,20 @@ class TestRemainingExperiments:
         assert result.ok
         assert result.summary["worst_rel_error"] <= 1e-6
 
+    def test_semigroup_rejects_x_dependent_sigma(self, tmp_path):
+        tree = {
+            "experiment": "semigroup",
+            "output": str(tmp_path / "out"),
+            "model": base_model(
+                sigma_expr={"preset": "2+sin", "offset": 2.0, "amplitude": 0.2},
+                sigma_lower_bound=1.5,
+            ),
+            "grid": {"n": 64, "length_factor": 4},
+        }
+        with pytest.raises(ConfigError) as err:
+            run_experiment(validate_config(tree))
+        assert err.value.field == "model.sigma_expr"
+
     def test_analyticity(self, tmp_path):
         tree = {
             "experiment": "analyticity",

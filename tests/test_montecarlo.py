@@ -234,6 +234,28 @@ class TestWeakError:
         assert len(table.rows) == 2
         assert all(np.isfinite(err) for _, err, _ in table.rows)
 
+    def test_coefficients_sampled_over_the_torus(self, monkeypatch):
+        # sin(pi x) vanishes at the integers but not on the torus: the table
+        # must step the SDE per level, not reuse the constant-sigma coupling
+        model = lv.SdeModel(
+            sigma=lv.coefficient_preset("2+sin", offset=2.0, amplitude=0.2, frequency=math.pi),
+            drift=lv.coefficient_preset("constant", value=0.0),
+            measure=lv.StableMeasure.normalized(1.5),
+            sigma_lower_bound=1.5,
+        )
+        streams = []
+        real = lv.montecarlo.terminal_samples
+
+        def spy(*args, **kwargs):
+            streams.append(kwargs.get("stream"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lv.montecarlo, "terminal_samples", spy)
+        payoff = lv.bump_payoff(center=0.0, width=2.0, period=PERIOD)
+        scheme = lv.SimScheme(eps=0.4, tau=1.0, gaussian_compensation=True, paths=2000, seed=3)
+        lv.weak_error_table(model, payoff, 0.0, 1.0, [0.4, 0.2], scheme, reference="exact-stable")
+        assert streams.count(7) == 2  # one stepped run per truncation level
+
     def test_compensated_smooth_payoff_noise_dominated(self, constant_model):
         # Gaussian compensation wipes out the smooth-payoff truncation bias;
         # the table must flag itself rather than fit a spurious rate

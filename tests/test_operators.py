@@ -1,9 +1,11 @@
 """Quantization, parametrix inversion, resolvent, contour semigroup, gauges."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 import levysde as lv
@@ -13,12 +15,21 @@ from conftest import make_mode
 
 
 def direct_quantization_oracle(sym, u, nodes):
-    """Literal Kohn-Nirenberg sum at a few sample nodes (test oracle)."""
+    """Literal Kohn-Nirenberg sum at a few x-nodes (test oracle).
+
+    ``(s(x, D) u)(x_i) = sum_k e^{i <x_i, xi_k>} s(x_i, xi_k) u_hat[k]``, one
+    explicit term per frequency multi-index ``k``; ``nodes`` holds x-indices
+    (integers in 1-d, pairs in 2-d).
+    """
     grid = sym.grid
-    coeffs = u.coeffs
     out = []
-    for i in nodes:
-        out.append(np.sum(np.exp(1j * grid.x[i] * grid.xi) * sym.values[i] * coeffs))
+    for node in nodes:
+        node = tuple(int(i) for i in np.atleast_1d(node))
+        total = 0j
+        for k in itertools.product(range(grid.n), repeat=grid.dimension):
+            phase = sum(grid.x[i] * grid.xi[j] for i, j in zip(node, k))
+            total += np.exp(1j * phase) * sym.values[node + k] * u.coeffs[k]
+        out.append(total)
     return np.array(out)
 
 
@@ -47,6 +58,27 @@ class TestApplySymbol:
         # pointwise closed form: i 5 sigma(x) e^{i 5 x}
         expected = 5j * sig[:, 0] * np.exp(5j * grid256.x)
         assert np.abs(out.values - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    @settings(max_examples=16, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2]),
+        n=st.sampled_from([16, 32]),
+        L=st.sampled_from([1.0, 4.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_x_dependent_symbol_against_literal_sum(self, d, n, L, seed):
+        # a random table is x-dependent on every row; the literal sum shares
+        # no phase table, reshape or einsum with apply_symbol
+        grid = lv.TorusGrid(n=n, dimension=d, length_factor=L)
+        rng = np.random.default_rng(seed)
+        shape = grid.shape + grid.shape
+        s = lv.SymbolGrid(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape), 0.0)
+        u = lv.GridFunction(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+        nodes = rng.integers(0, n, size=(3, d))
+        oracle = direct_quantization_oracle(s, u, nodes)
+        out = lv.apply_symbol(s, u).values
+        got = np.array([out[tuple(node)] for node in nodes])
+        assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     def test_grid_mismatch(self, grid256, grid1024, symbol_const_256):
         u = lv.GridFunction(grid1024, np.zeros(1024, dtype=complex))
@@ -274,6 +306,20 @@ class TestSemigroup:
             for t in (0.05, 0.5, 2.0):
                 pt = lv.semigroup_apply(t, sym, u)
                 assert np.abs(pt.values.real).max() <= 1.0 + 1e-4
+
+    def test_off_scale_contour_rejected(self, symbol_var_256):
+        # a caller's contour that cannot resolve t is refused, never replaced
+        u = lv.random_rough_function(symbol_var_256.grid, 0.51, seed=5)
+        t, theta = 0.1, 0.5
+        needed_M = 40.0 / (t * math.sin(theta))
+        short = build_contour(theta, 1.0 / t, 0.5 * needed_M, t_check=t)
+        with pytest.raises(lv.ConfigError, match=r"contour_for_time\(0\.1, 0\.5\)") as err:
+            lv.semigroup_apply(t, symbol_var_256, u, contour=short)
+        assert err.value.field == "contour.M"
+        wide = build_contour(theta, 12.0, 100.0)  # rho0 t = 12 at t = 1
+        with pytest.raises(lv.ConfigError, match=r"contour_for_time\(1\.0, 0\.5\)") as err:
+            lv.semigroup_apply(1.0, symbol_var_256, u, contour=wide)
+        assert err.value.field == "contour.rho0"
 
     def test_negative_time_rejected(self, symbol_const_256):
         u = lv.GridFunction(symbol_const_256.grid, np.ones(256, dtype=complex))

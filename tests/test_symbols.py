@@ -17,6 +17,15 @@ class TestTabulate:
         assert np.abs(vals - vals[0]).max() <= 1e-12 * np.abs(vals).max()
         assert np.allclose(vals[0], np.abs(grid256.xi) ** 1.5, atol=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_x_independent_exact_rows_only(self, d):
+        grid = lv.TorusGrid(n=16, dimension=d, length_factor=1.0)
+        row = (1.0 + grid.xi_norm() ** 2) ** 0.75 + 0.5j
+        vals = np.broadcast_to(row, grid.shape + grid.shape).copy()
+        assert lv.SymbolGrid(grid, vals, 1.5).x_independent
+        vals[(3,) * d] *= 1.0 + 1e-10  # one x-row off by 1e-10 relative
+        assert not lv.SymbolGrid(grid, vals, 1.5).x_independent
+
     def test_shift_by_one(self, constant_model, grid256, symbol_const_256):
         shifted = lv.tabulate(constant_model, grid256, shift=1.0)
         assert np.allclose(shifted.values, symbol_const_256.values + 1.0, atol=0.0)
