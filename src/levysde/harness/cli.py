@@ -13,8 +13,8 @@ import argparse
 import sys
 
 from ..errors import ConfigError, LevySdeError
-from .config import EXPERIMENT_NAMES, load_config, validate_config
-from .experiments import run_experiment
+from .config import load_config, validate_config
+from .experiments import EXPERIMENTS, run_experiment
 
 
 def main(argv=None) -> int:
@@ -31,7 +31,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "list-experiments":
-        for name in EXPERIMENT_NAMES:
+        for name in EXPERIMENTS:
             print(name)
         return 0
 

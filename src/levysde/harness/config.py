@@ -1,10 +1,12 @@
 """Experiment configuration: YAML loading, validation, and builders.
 
-A configuration is a key-value tree with sections ``experiment``, ``model``,
-``grid``, ``scheme``, optional ``contour``, ``params``, ``gates``, and
-``output``.  Model coefficients are chosen from a closed set of named presets
-(no expression parsing); measures are described by ``kind``/``alpha``/
-``scale``/``atoms``/``dimension`` keys.
+A configuration is a key-value tree with the sections ``experiment``,
+``model``, ``grid``, ``scheme``, ``params``, ``gates``, and ``output``; any
+other section is refused.  Which experiments exist, the section each needs,
+the gate keys it accepts and whether it runs in d = 2 come from
+``experiments.EXPERIMENTS``.  Model coefficients are chosen from a closed set
+of named presets (no expression parsing); measures are described by
+``kind``/``alpha``/``scale``/``atoms``/``dimension`` keys.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from ..grids import TorusGrid
 from ..measures import AtomicMeasure, StableMeasure, TabulatedMeasure, stable_normalizer
 from ..models import PRESET_NAMES, SdeModel, coefficient_preset
 from ..montecarlo import SimScheme
-from ..operators import ContourSpec
 
 __all__ = [
     "ExperimentConfig",
@@ -32,36 +33,9 @@ __all__ = [
     "build_model",
     "build_grid",
     "build_scheme",
-    "build_contour_spec",
 ]
 
-EXPERIMENT_NAMES = (
-    "symbol",
-    "bgindex",
-    "sector",
-    "invert",
-    "resolvent",
-    "semigroup",
-    "smoothing",
-    "analyticity",
-    "weak-error",
-    "strong-feller",
-    "density",
-    "jump-split",
-    "composition",
-)
-
-_NEEDS_SCHEME = {"weak-error", "strong-feller", "density", "jump-split"}
-_NEEDS_GRID = {
-    "symbol",
-    "sector",
-    "invert",
-    "resolvent",
-    "semigroup",
-    "smoothing",
-    "analyticity",
-    "composition",
-}
+SECTIONS = ("experiment", "model", "grid", "scheme", "params", "gates", "output")
 
 
 @dataclass(frozen=True)
@@ -70,12 +44,10 @@ class ExperimentConfig:
     model: dict
     grid: dict
     scheme: dict
-    contour: dict
     params: dict
     gates: dict
     output: str
     digest: str
-    raw: dict
 
 
 def load_config(path) -> dict:
@@ -106,29 +78,58 @@ def _require(section: dict, key: str, where: str):
 
 def validate_config(cfg: dict) -> ExperimentConfig:
     """Check structure and referenced sections; returns the typed config."""
+    from .experiments import EXPERIMENTS  # experiments imports this module's builders
+
+    for section in cfg:
+        if section not in SECTIONS:
+            raise ConfigError(
+                f"unknown config section {section!r}; allowed sections are {SECTIONS}",
+                field=str(section),
+            )
     experiment = _require(cfg, "experiment", "config")
-    if experiment not in EXPERIMENT_NAMES:
+    if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
         raise ConfigError(
-            f"unknown experiment {experiment!r}; choose from {EXPERIMENT_NAMES}",
+            f"unknown experiment {experiment!r}; choose from {tuple(EXPERIMENTS)}",
             field="experiment",
         )
+    entry = EXPERIMENTS[experiment]
     model = _require(cfg, "model", "config")
     build_measure(model)  # raises with the offending field
     _validate_coefficient(model, "sigma_expr")
     _validate_coefficient(model, "drift_expr")
+    dimension = int(model.get("dimension", 1))
+    if dimension != 1 and not entry.two_d:
+        raise ConfigError(
+            f"experiment {experiment!r} runs in d = 1 only (the coefficient presets "
+            f"are scalar), got model.dimension = {dimension}",
+            field="model.dimension",
+        )
     grid = cfg.get("grid", {})
-    if experiment in _NEEDS_GRID:
+    if entry.needs == "grid":
         if not grid:
             raise ConfigError(f"experiment {experiment!r} requires a grid section", field="grid")
-        build_grid(grid)
+        if build_grid(grid).dimension != dimension:
+            raise ConfigError(
+                f"grid.dimension must equal model.dimension = {dimension}",
+                field="grid.dimension",
+            )
     scheme = cfg.get("scheme", {})
-    if experiment in _NEEDS_SCHEME:
+    if entry.needs == "scheme":
         if not scheme:
             raise ConfigError(
                 f"experiment {experiment!r} requires a scheme section", field="scheme"
             )
         build_scheme(scheme)
-    contour = cfg.get("contour", {})
+    gates = cfg.get("gates") or {}
+    if not isinstance(gates, dict):
+        raise ConfigError("gates must be a mapping of gate names to values", field="gates")
+    for key in gates:
+        if key not in entry.gates:
+            raise ConfigError(
+                f"unknown gate {key!r} for experiment {experiment!r}; "
+                f"its gates are {tuple(entry.gates)}",
+                field=f"gates.{key}",
+            )
     output = cfg.get("output", "results")
     out_dir = Path(output)
     try:
@@ -143,12 +144,10 @@ def validate_config(cfg: dict) -> ExperimentConfig:
         model=model,
         grid=grid,
         scheme=scheme,
-        contour=contour,
         params=cfg.get("params", {}),
-        gates=cfg.get("gates", {}),
+        gates=gates,
         output=output,
         digest=config_hash(cfg),
-        raw=cfg,
     )
 
 
@@ -220,7 +219,3 @@ def build_scheme(scheme: dict) -> SimScheme:
         paths=int(_require(scheme, "paths", "scheme")),
         seed=int(scheme.get("seed", 0)),
     )
-
-
-def build_contour_spec(contour: dict) -> ContourSpec:
-    return ContourSpec.from_dict(contour)

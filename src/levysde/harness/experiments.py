@@ -1,16 +1,22 @@
-"""Experiment implementations and result emission.
+"""The experiment table, the experiment implementations, and result emission.
 
-Every experiment writes CSV result files whose first line is a comment
-recording the experiment, the full scheme parameters, and the content hash of
-the config, plus a ``summary.json`` with estimates, fits, and pass/fail gates.
-An experiment passes (exit status 0) iff all of its gates hold.
+``EXPERIMENTS`` declares each experiment once: its runner, its default gates
+(the only gate keys a config may set), the config section it needs, whether
+it runs in d = 2, and its result CSV.  A runner returns ``(ok, summary,
+rows)``; :func:`run_experiment` writes the rows as a CSV whose first line is a
+comment recording the experiment, the full scheme parameters, and the content
+hash of the config, then a ``summary.json`` with estimates, fits, and
+pass/fail gates.  An experiment passes (exit status 0) iff all of its gates
+hold.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -48,15 +54,9 @@ from ..symbols import (
     seminorm,
     tabulate,
 )
-from .config import (
-    ExperimentConfig,
-    build_contour_spec,
-    build_grid,
-    build_model,
-    build_scheme,
-)
+from .config import ExperimentConfig, build_grid, build_model, build_scheme
 
-__all__ = ["EXPERIMENTS", "DEFAULT_GATES", "ExperimentResult", "run_experiment"]
+__all__ = ["EXPERIMENTS", "Experiment", "ExperimentResult", "run_experiment"]
 
 
 class ExperimentResult:
@@ -66,28 +66,26 @@ class ExperimentResult:
         self.files = files
 
 
-DEFAULT_GATES = {
-    "symbol": {},
-    "bgindex": {"tolerance": 0.05},
-    "sector": {"expect_sectorial": True},
-    "invert": {"contraction_max": 5.0 / 6.0, "residual_rel": 1e-8, "max_iterations": 40,
-               "dense_rel": 1e-6},
-    "resolvent": {"variation_max": 2.0},
-    "semigroup": {"rel_error_max": 1e-6},
-    "smoothing": {"slope_range": [-1.0, -0.7], "doubled_slope_range": [-2.0, -1.4]},
-    "analyticity": {"max_over_min": 10.0},
-    "weak-error": {"slope_range": [0.25, 0.75], "monotone": True},
-    "strong-feller": {"max_jump_ratio": 10.0},
-    "density": {"integral_tol": 0.01, "growth_exponent_max": None},  # default 2/alpha + 0.5
-    "jump-split": {},
-    "composition": {"zero_tol": 1e-10, "slope_range": [-1.3, -0.7]},
-}
+@dataclass(frozen=True)
+class Experiment:
+    """One harness experiment.
 
+    ``run(cfg, gates)`` returns ``(ok, summary, rows)``; it is passed the
+    default ``gates`` updated by the config's ``gates`` section.
+    ``needs`` names the config section the experiment requires (``"grid"``,
+    ``"scheme"`` or None); ``two_d`` says it runs at ``model.dimension: 2``.
+    ``rows`` go to ``csv`` under ``columns``; without a ``csv`` only
+    ``summary.json`` is written.  ``records`` are JSON files the runner writes
+    itself.
+    """
 
-def _gates(cfg: ExperimentConfig) -> dict:
-    merged = dict(DEFAULT_GATES.get(cfg.experiment, {}))
-    merged.update(cfg.gates or {})
-    return merged
+    run: Callable
+    gates: dict
+    needs: str = None
+    two_d: bool = False
+    csv: str = None
+    columns: tuple = ()
+    records: tuple = ()
 
 
 def _header(cfg: ExperimentConfig) -> str:
@@ -96,12 +94,14 @@ def _header(cfg: ExperimentConfig) -> str:
 
 
 def _emit_summary(cfg: ExperimentConfig, ok: bool, payload: dict, files: list) -> ExperimentResult:
-    out = Path(cfg.output)
-    out.mkdir(parents=True, exist_ok=True)
     payload = {"experiment": cfg.experiment, "config_hash": cfg.digest, "pass": ok, **payload}
-    summary_path = out / "summary.json"
-    summary_path.write_text(json.dumps(payload, indent=2, default=_jsonable) + "\n")
+    summary_path = Path(cfg.output) / "summary.json"
+    _write_json(summary_path, payload)
     return ExperimentResult(ok, payload, files + [str(summary_path)])
+
+
+def _write_json(path: Path, payload: dict):
+    path.write_text(json.dumps(payload, indent=2, default=_jsonable) + "\n")
 
 
 def _jsonable(x):
@@ -112,33 +112,20 @@ def _jsonable(x):
     return str(x)
 
 
-def _default_contour(cfg: ExperimentConfig):
-    return build_contour_spec(cfg.contour) if cfg.contour else None
-
-
 # ---------------------------------------------------------------------------
 
 
-def run_symbol(cfg: ExperimentConfig) -> ExperimentResult:
+def run_symbol(cfg: ExperimentConfig, gates: dict):
     model = build_model(cfg.model)
     grid = build_grid(cfg.grid)
     lam = complex(cfg.params.get("shift", 0.0))
     sym = tabulate(model, grid, shift=lam)
-    out_dir = Path(cfg.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / "symbol.csv"
-    sym.to_csv(out, header_comment=_header(cfg))
     # growth and hypoellipticity seminorms with their witness coordinates
     rep_a = seminorm(sym, AClass(m=sym.order, k1=1, k2=1))
     rep_h = seminorm(sym, HypClass(m=sym.order, k1=1, k2=0))
-    sem_path = out_dir / "seminorms.json"
-    sem_path.write_text(
-        json.dumps(
-            {"config_hash": cfg.digest, "growth": rep_a.to_dict(), "hyp": rep_h.to_dict()},
-            indent=2,
-            default=_jsonable,
-        )
-        + "\n"
+    _write_json(
+        Path(cfg.output) / "seminorms.json",
+        {"config_hash": cfg.digest, "growth": rep_a.to_dict(), "hyp": rep_h.to_dict()},
     )
     summary = {
         "max_abs": float(np.abs(sym.values).max()),
@@ -147,12 +134,11 @@ def run_symbol(cfg: ExperimentConfig) -> ExperimentResult:
         "growth_seminorm": rep_a.value,
         "hyp_seminorm": rep_h.value,
     }
-    return _emit_summary(cfg, True, summary, [str(out), str(sem_path)])
+    return True, summary, sym.csv_rows()
 
 
-def run_bgindex(cfg: ExperimentConfig) -> ExperimentResult:
+def run_bgindex(cfg: ExperimentConfig, gates: dict):
     model = build_model(cfg.model)
-    gates = _gates(cfg)
     k = int(cfg.params.get("k", 2 if cfg.model.get("kind") == "stable" else 0))
     window = cfg.params.get("fit_range", [2.0, 512.0])
     est = bg_index(model.measure, k, fit_range=tuple(window))
@@ -160,15 +146,12 @@ def run_bgindex(cfg: ExperimentConfig) -> ExperimentResult:
     if expected is None:
         expected = float(cfg.model["alpha"]) if cfg.model.get("kind") == "stable" else 0.0
     ok = abs(est - expected) <= gates["tolerance"]
-    return _emit_summary(
-        cfg, ok, {"estimate": est, "expected": expected, "k": k}, []
-    )
+    return ok, {"estimate": est, "expected": expected, "k": k}, None
 
 
-def run_sector(cfg: ExperimentConfig) -> ExperimentResult:
+def run_sector(cfg: ExperimentConfig, gates: dict):
     model = build_model(cfg.model)
     grid = build_grid(cfg.grid)
-    gates = _gates(cfg)
     lattice = grid.xi[grid.xi != 0.0]
     rep = sector_report(model, lattice)
     ok = rep.is_sectorial == bool(gates["expect_sectorial"])
@@ -179,13 +162,12 @@ def run_sector(cfg: ExperimentConfig) -> ExperimentResult:
         "theta": rep.theta,
         "witness": list(rep.witness),
     }
-    return _emit_summary(cfg, ok, summary, [])
+    return ok, summary, None
 
 
-def run_invert(cfg: ExperimentConfig) -> ExperimentResult:
+def run_invert(cfg: ExperimentConfig, gates: dict):
     model = build_model(cfg.model)
     grid = build_grid(cfg.grid)
-    gates = _gates(cfg)
     kappa = float(cfg.params.get("kappa", cfg.model.get("alpha", 1.5)))
     sym = tabulate(model, grid)
     R = choose_R(sym, kappa)
@@ -209,7 +191,7 @@ def run_invert(cfg: ExperimentConfig) -> ExperimentResult:
         and report.iterations <= gates["max_iterations"]
     )
     dense_rel = None
-    if grid.n <= 256 and grid.dimension == 1:
+    if grid.n <= 256:
         A_high = dense_symbol_matrix(split0.p_high)
         f_high = GridFunction.from_coeffs(grid, f.coeffs * (split0.chi > 0))
         u_dense, *_ = np.linalg.lstsq(A_high, f_high.values, rcond=None)
@@ -217,14 +199,7 @@ def run_invert(cfg: ExperimentConfig) -> ExperimentResult:
             np.linalg.norm(u.values - u_dense) / max(np.linalg.norm(u_dense), 1e-300)
         )
         ok = ok and dense_rel <= gates["dense_rel"]
-    out = Path(cfg.output) / "invert.csv"
-    Path(cfg.output).mkdir(parents=True, exist_ok=True)
-    write_gauge_csv(
-        out,
-        [(float(i), r, r / f.norm_l2()) for i, r in enumerate(report.residual_history)],
-        header_comment=_header(cfg),
-        columns=("iteration", "residual", "residual_rel"),
-    )
+    rows = [(float(i), r, r / f.norm_l2()) for i, r in enumerate(report.residual_history)]
     summary = {
         "R": R,
         "iterations": report.iterations,
@@ -232,13 +207,12 @@ def run_invert(cfg: ExperimentConfig) -> ExperimentResult:
         "residual_rel": residual_rel,
         "dense_rel": dense_rel,
     }
-    return _emit_summary(cfg, ok, summary, [str(out)])
+    return ok, summary, rows
 
 
-def run_resolvent(cfg: ExperimentConfig) -> ExperimentResult:
+def run_resolvent(cfg: ExperimentConfig, gates: dict):
     model = build_model(cfg.model)
     grid = build_grid(cfg.grid)
-    gates = _gates(cfg)
     sym = tabulate(model, grid)
     rep = sector_report(model, grid.xi[grid.xi != 0.0])
     theta_p = float(cfg.params.get("theta_prime", 0.5 * rep.theta))
@@ -252,16 +226,12 @@ def run_resolvent(cfg: ExperimentConfig) -> ExperimentResult:
     products = [r[1] for r in rows]
     variation = max(products) / max(min(products), 1e-300)
     ok = variation <= gates["variation_max"]
-    out = Path(cfg.output) / "resolvent.csv"
-    Path(cfg.output).mkdir(parents=True, exist_ok=True)
-    write_gauge_csv(out, rows, header_comment=_header(cfg), columns=("magnitude", "product", "residual"))
-    return _emit_summary(cfg, ok, {"products": products, "variation": variation}, [str(out)])
+    return ok, {"products": products, "variation": variation}, rows
 
 
-def run_semigroup(cfg: ExperimentConfig) -> ExperimentResult:
+def run_semigroup(cfg: ExperimentConfig, gates: dict):
     model = build_model(cfg.model)
     grid = build_grid(cfg.grid)
-    gates = _gates(cfg)
     sym = tabulate(model, grid)
     if not sym.x_independent:
         raise ConfigError(
@@ -271,27 +241,22 @@ def run_semigroup(cfg: ExperimentConfig) -> ExperimentResult:
         )
     times = cfg.params.get("times", [0.1, 1.0])
     u = random_rough_function(grid, 0.51, seed=int(cfg.params.get("seed", 3)))
-    contour = _default_contour(cfg)
     rows = []
     worst = 0.0
     for t in times:
-        pt = semigroup_apply(float(t), sym, u, contour=contour)
+        pt = semigroup_apply(float(t), sym, u)
         sym_row = sym.values[(0,) * grid.dimension]
         exact = GridFunction.from_coeffs(grid, np.exp(-float(t) * sym_row) * u.coeffs)
         rel = (pt - exact).norm_l2() / max(exact.norm_l2(), 1e-300)
         rows.append((float(t), rel, rel))
         worst = max(worst, rel)
     ok = worst <= gates["rel_error_max"]
-    out = Path(cfg.output) / "semigroup.csv"
-    Path(cfg.output).mkdir(parents=True, exist_ok=True)
-    write_gauge_csv(out, rows, header_comment=_header(cfg), columns=("t", "rel_error", "residual"))
-    return _emit_summary(cfg, ok, {"worst_rel_error": worst}, [str(out)])
+    return ok, {"worst_rel_error": worst}, rows
 
 
-def run_smoothing(cfg: ExperimentConfig) -> ExperimentResult:
+def run_smoothing(cfg: ExperimentConfig, gates: dict):
     model = build_model(cfg.model)
     grid = build_grid(cfg.grid)
-    gates = _gates(cfg)
     gamma = float(cfg.params.get("gamma", 1.5))
     delta = float(cfg.params.get("delta", 1.5))
     p = float(cfg.params.get("p", 2.0))
@@ -307,44 +272,31 @@ def run_smoothing(cfg: ExperimentConfig) -> ExperimentResult:
     lo, hi = gates["slope_range"]
     dlo, dhi = gates["doubled_slope_range"]
     ok = lo <= rep.slope <= hi and dlo <= doubled.slope <= dhi
-    out = Path(cfg.output) / "smoothing.csv"
-    Path(cfg.output).mkdir(parents=True, exist_ok=True)
-    write_gauge_csv(
-        out,
-        list(zip(rep.times, rep.norms, doubled.norms)),
-        header_comment=_header(cfg),
-        columns=("t", "besov_gamma", "besov_gamma_plus_delta"),
-    )
     summary = {
         "slope": rep.slope,
         "c_fit": rep.c_fit,
         "doubled_slope": doubled.slope,
         "doubled_c_fit": doubled.c_fit,
     }
-    return _emit_summary(cfg, ok, summary, [str(out)])
+    return ok, summary, list(zip(rep.times, rep.norms, doubled.norms))
 
 
-def run_analyticity(cfg: ExperimentConfig) -> ExperimentResult:
+def run_analyticity(cfg: ExperimentConfig, gates: dict):
     model = build_model(cfg.model)
     grid = build_grid(cfg.grid)
-    gates = _gates(cfg)
     times = cfg.params.get("times", [2.0**-k for k in range(0, 11)])
     sym = tabulate(model, grid)
     u = random_rough_function(grid, 0.5, seed=int(cfg.params.get("seed", 4)))
-    rows = analyticity_gauge(sym, u, times, contour=_default_contour(cfg))
+    rows = analyticity_gauge(sym, u, times)
     vals = [v for _, v in rows]
     ratio = max(vals) / max(min(vals), 1e-300)
     ok = ratio <= gates["max_over_min"]
-    out = Path(cfg.output) / "analyticity.csv"
-    Path(cfg.output).mkdir(parents=True, exist_ok=True)
-    write_gauge_csv(out, [(t, v, 0.0) for t, v in rows], header_comment=_header(cfg))
-    return _emit_summary(cfg, ok, {"gauge": rows, "max_over_min": ratio}, [str(out)])
+    return ok, {"gauge": rows, "max_over_min": ratio}, [(t, v, 0.0) for t, v in rows]
 
 
-def run_weak_error(cfg: ExperimentConfig) -> ExperimentResult:
+def run_weak_error(cfg: ExperimentConfig, gates: dict):
     model = build_model(cfg.model)
     scheme = build_scheme(cfg.scheme)
-    gates = _gates(cfg)
     t = float(cfg.params.get("t", 1.0))
     x0 = float(cfg.params.get("x0", 0.0))
     eps_list = cfg.params.get("eps_list", [0.4, 0.2, 0.1, 0.05])
@@ -355,14 +307,8 @@ def run_weak_error(cfg: ExperimentConfig) -> ExperimentResult:
         reference=cfg.params.get("reference", "spectral"),
     )
     rows = [(e, err, se) for e, err, se in table.rows]
-    out = Path(cfg.output) / "weak_error.csv"
-    Path(cfg.output).mkdir(parents=True, exist_ok=True)
-    write_gauge_csv(out, rows, header_comment=_header(cfg), columns=("eps", "error", "stderr"))
     if table.noise_dominated:
-        return _emit_summary(
-            cfg, False, {"noise_dominated": True, "rows": rows, "reference": table.reference},
-            [str(out)],
-        )
+        return False, {"noise_dominated": True, "rows": rows, "reference": table.reference}, rows
     lo, hi = gates["slope_range"]
     errors = [err for _, err, _ in sorted(rows)]
     stderrs = [se for _, _, se in sorted(rows)]
@@ -379,13 +325,12 @@ def run_weak_error(cfg: ExperimentConfig) -> ExperimentResult:
         "monotone": monotone,
         "noise_dominated": False,
     }
-    return _emit_summary(cfg, ok, summary, [str(out)])
+    return ok, summary, rows
 
 
-def run_strong_feller(cfg: ExperimentConfig) -> ExperimentResult:
+def run_strong_feller(cfg: ExperimentConfig, gates: dict):
     model = build_model(cfg.model)
     scheme = build_scheme(cfg.scheme)
-    gates = _gates(cfg)
     t = float(cfg.params.get("t", 1.0))
     a = float(cfg.params.get("threshold", 0.0))
     span = float(cfg.params.get("span", 4.0))
@@ -393,22 +338,13 @@ def run_strong_feller(cfg: ExperimentConfig) -> ExperimentResult:
     xs = np.linspace(a - span, a + span, n_x)
     prof = strong_feller_profile(model, t, a, xs, scheme)
     ok = math.isfinite(prof.lipschitz) and prof.max_jump_ratio <= gates["max_jump_ratio"]
-    out = Path(cfg.output) / "strong_feller.csv"
-    Path(cfg.output).mkdir(parents=True, exist_ok=True)
-    write_gauge_csv(
-        out,
-        list(zip(prof.x_grid, prof.profile, prof.stderr)),
-        header_comment=_header(cfg),
-        columns=("x", "probability", "stderr"),
-    )
     summary = {"lipschitz": prof.lipschitz, "max_jump_ratio": prof.max_jump_ratio}
-    return _emit_summary(cfg, ok, summary, [str(out)])
+    return ok, summary, list(zip(prof.x_grid, prof.profile, prof.stderr))
 
 
-def run_density(cfg: ExperimentConfig) -> ExperimentResult:
+def run_density(cfg: ExperimentConfig, gates: dict):
     model = build_model(cfg.model)
     scheme = build_scheme(cfg.scheme)
-    gates = _gates(cfg)
     times = cfg.params.get("times", [1.0, 0.5, 0.25, 0.125, 0.0625])
     x0 = float(cfg.params.get("x0", 0.0))
     rep = density_probe(model, x0, times, paths=scheme.paths, scheme=scheme,
@@ -417,19 +353,11 @@ def run_density(cfg: ExperimentConfig) -> ExperimentResult:
     cap = gates["growth_exponent_max"] or (2.0 / alpha + 0.5)
     integrals_ok = all(abs(row[3] - 1.0) <= gates["integral_tol"] for row in rep.rows)
     ok = integrals_ok and rep.growth_exponent <= cap
-    out = Path(cfg.output) / "density.csv"
-    Path(cfg.output).mkdir(parents=True, exist_ok=True)
-    write_gauge_csv(
-        out,
-        [(r[0], r[2], r[1]) for r in rep.rows],
-        header_comment=_header(cfg),
-        columns=("t", "sup_density_slope", "bandwidth"),
-    )
     summary = {"growth_exponent": rep.growth_exponent, "rows": [list(r) for r in rep.rows]}
-    return _emit_summary(cfg, ok, summary, [str(out)])
+    return ok, summary, [(r[0], r[2], r[1]) for r in rep.rows]
 
 
-def run_jump_split(cfg: ExperimentConfig) -> ExperimentResult:
+def run_jump_split(cfg: ExperimentConfig, gates: dict):
     model = build_model(cfg.model)
     scheme = build_scheme(cfg.scheme)
     t = float(cfg.params.get("t", 1.0))
@@ -439,29 +367,18 @@ def run_jump_split(cfg: ExperimentConfig) -> ExperimentResult:
         abs(rep.mean_large_jumps - rep.expected_large_jumps) <= 4.0 * rep.large_jump_se
     )
     ok = rep.all_within_4se and count_ok and not rep.failures
-    out = Path(cfg.output) / "jump_split.csv"
-    Path(cfg.output).mkdir(parents=True, exist_ok=True)
-    write_gauge_csv(
-        out,
-        [(float(j), d, se) for j, _, _, d, se in rep.payoff_rows],
-        header_comment=_header(cfg),
-        columns=("payoff", "abs_difference", "stderr"),
-    )
     summary = {
         "all_within_4se": rep.all_within_4se,
         "failures": list(rep.failures),
         "mean_large_jumps": rep.mean_large_jumps,
         "expected_large_jumps": rep.expected_large_jumps,
     }
-    return _emit_summary(cfg, ok, summary, [str(out)])
+    return ok, summary, [(float(j), d, se) for j, _, _, d, se in rep.payoff_rows]
 
 
-def run_composition(cfg: ExperimentConfig) -> ExperimentResult:
+def run_composition(cfg: ExperimentConfig, gates: dict):
     model = build_model(cfg.model)
     grid = build_grid(cfg.grid)
-    gates = _gates(cfg)
-    if grid.dimension != 1:
-        raise NotImplementedError("the composition experiment is 1-d")
     sym = tabulate(model, grid)
     # differential sanity case: a1 = i xi, a2 = sigma(x) i xi is exact at order 1
     xi_row = grid.xi[None, :]
@@ -488,12 +405,8 @@ def run_composition(cfg: ExperimentConfig) -> ExperimentResult:
     slope = fit.slope if fit else _two_point_slope(ratios)
     lo, hi = gates["slope_range"]
     ok = zero_ok and lo <= slope <= hi
-    out = Path(cfg.output) / "composition.csv"
-    Path(cfg.output).mkdir(parents=True, exist_ok=True)
-    write_gauge_csv(out, [(k, r, 0.0) for k, r in ratios], header_comment=_header(cfg),
-                    columns=("frequency", "defect_ratio", "residual"))
     summary = {"zero_case_relative": exact_rep.relative, "slope": slope, "ratios": ratios}
-    return _emit_summary(cfg, ok, summary, [str(out)])
+    return ok, summary, [(k, r, 0.0) for k, r in ratios]
 
 
 def _two_point_slope(rows):
@@ -502,21 +415,68 @@ def _two_point_slope(rows):
 
 
 EXPERIMENTS = {
-    "symbol": run_symbol,
-    "bgindex": run_bgindex,
-    "sector": run_sector,
-    "invert": run_invert,
-    "resolvent": run_resolvent,
-    "semigroup": run_semigroup,
-    "smoothing": run_smoothing,
-    "analyticity": run_analyticity,
-    "weak-error": run_weak_error,
-    "strong-feller": run_strong_feller,
-    "density": run_density,
-    "jump-split": run_jump_split,
-    "composition": run_composition,
+    "symbol": Experiment(
+        run_symbol, {}, "grid", csv="symbol.csv", columns=SymbolGrid.CSV_COLUMNS,
+        records=("seminorms.json",),
+    ),
+    "bgindex": Experiment(run_bgindex, {"tolerance": 0.05}, two_d=True),
+    "sector": Experiment(run_sector, {"expect_sectorial": True}, "grid"),
+    "invert": Experiment(
+        run_invert,
+        {"contraction_max": 5.0 / 6.0, "residual_rel": 1e-8, "max_iterations": 40,
+         "dense_rel": 1e-6},
+        "grid", csv="invert.csv", columns=("iteration", "residual", "residual_rel"),
+    ),
+    "resolvent": Experiment(
+        run_resolvent, {"variation_max": 2.0}, "grid",
+        csv="resolvent.csv", columns=("magnitude", "product", "residual"),
+    ),
+    "semigroup": Experiment(
+        run_semigroup, {"rel_error_max": 1e-6}, "grid",
+        csv="semigroup.csv", columns=("t", "rel_error", "residual"),
+    ),
+    "smoothing": Experiment(
+        run_smoothing, {"slope_range": [-1.0, -0.7], "doubled_slope_range": [-2.0, -1.4]},
+        "grid", csv="smoothing.csv", columns=("t", "besov_gamma", "besov_gamma_plus_delta"),
+    ),
+    "analyticity": Experiment(
+        run_analyticity, {"max_over_min": 10.0}, "grid",
+        csv="analyticity.csv", columns=("t", "value", "residual"),
+    ),
+    "weak-error": Experiment(
+        run_weak_error, {"slope_range": [0.25, 0.75], "monotone": True}, "scheme",
+        csv="weak_error.csv", columns=("eps", "error", "stderr"),
+    ),
+    "strong-feller": Experiment(
+        run_strong_feller, {"max_jump_ratio": 10.0}, "scheme",
+        csv="strong_feller.csv", columns=("x", "probability", "stderr"),
+    ),
+    "density": Experiment(
+        run_density,
+        {"integral_tol": 0.01, "growth_exponent_max": None},  # None: 2/alpha + 0.5
+        "scheme", csv="density.csv", columns=("t", "sup_density_slope", "bandwidth"),
+    ),
+    "jump-split": Experiment(
+        run_jump_split, {}, "scheme",
+        csv="jump_split.csv", columns=("payoff", "abs_difference", "stderr"),
+    ),
+    "composition": Experiment(
+        run_composition, {"zero_tol": 1e-10, "slope_range": [-1.3, -0.7]}, "grid",
+        csv="composition.csv", columns=("frequency", "defect_ratio", "residual"),
+    ),
 }
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    return EXPERIMENTS[cfg.experiment](cfg)
+    """Run ``cfg``'s experiment and write its result files."""
+    entry = EXPERIMENTS[cfg.experiment]
+    out = Path(cfg.output)
+    out.mkdir(parents=True, exist_ok=True)
+    ok, summary, rows = entry.run(cfg, {**entry.gates, **cfg.gates})
+    files = []
+    if entry.csv:
+        path = out / entry.csv
+        write_gauge_csv(path, rows, header_comment=_header(cfg), columns=entry.columns)
+        files.append(str(path))
+    files += [str(out / name) for name in entry.records]
+    return _emit_summary(cfg, ok, summary, files)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -301,13 +301,7 @@ def weak_error_table(
     if reference == "spectral":
         ref = spectral_reference(model, f, x0, t)
     elif reference == "exact-stable":
-        ref_scheme = SimScheme(
-            eps=scheme_base.eps,
-            tau=scheme_base.tau,
-            gaussian_compensation=False,
-            paths=scheme_base.paths,
-            seed=scheme_base.seed,
-        )
+        ref_scheme = replace(scheme_base, gaussian_compensation=False)
         ref = mc_semigroup(f, model, x0, t, ref_scheme, mode="exact-stable", stream=999).mean
     else:
         raise ValueError("reference must be 'spectral' or 'exact-stable'")
@@ -341,13 +335,7 @@ def weak_error_table(
             del owner, jumps  # free this batch's stream before drawing the next
     else:
         for k, e in enumerate(eps_list):
-            scheme = SimScheme(
-                eps=e,
-                tau=scheme_base.tau,
-                gaussian_compensation=scheme_base.gaussian_compensation,
-                paths=scheme_base.paths,
-                seed=scheme_base.seed,
-            )
+            scheme = replace(scheme_base, eps=e)
             X = terminal_samples(model, x0, t, scheme, stream=7)
             vals = np.asarray(f(X), dtype=float)
             sums[k] = vals.sum()
@@ -472,15 +460,9 @@ def density_probe(
     if model.dimension != 1:
         raise NotImplementedError("density derivative estimates are 1-d")
     base = scheme or SimScheme(eps=0.1, tau=1.0, gaussian_compensation=True, paths=paths, seed=1234)
+    run = replace(base, paths=paths)
     rows = []
     for t in t_list:
-        run = SimScheme(
-            eps=base.eps,
-            tau=base.tau,
-            gaussian_compensation=base.gaussian_compensation,
-            paths=paths,
-            seed=base.seed,
-        )
         X = terminal_samples(model, x0, float(t), run, mode=mode, stream=13)
         q1, q3 = np.quantile(X, [0.25, 0.75])
         iqr = q3 - q1

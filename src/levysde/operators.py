@@ -270,25 +270,6 @@ class ContourSpec:
         """Sum ``weights * integrand(nodes)`` (integrand vectorized over nodes)."""
         return complex(np.sum(self.weights * integrand(self.nodes)))
 
-    def to_dict(self) -> dict:
-        return {
-            "theta_prime": self.theta_prime,
-            "rho0": self.rho0,
-            "M": self.M,
-            "n_ray": self.n_ray,
-            "n_arc": self.n_arc,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ContourSpec":
-        return build_contour(
-            theta_prime=float(data["theta_prime"]),
-            rho0=float(data["rho0"]),
-            M=float(data["M"]),
-            n_ray=int(data.get("n_ray", 48)),
-            n_arc=int(data.get("n_arc", 48)),
-        )
-
 
 def _contour_nodes(theta_prime: float, rho0: float, M: float, n_ray: int, n_arc: int):
     phi = math.pi / 2.0 + theta_prime
@@ -419,7 +400,7 @@ def semigroup_apply(
 # ---------------------------------------------------------------------------
 
 
-def analyticity_gauge(a: SymbolGrid, u: GridFunction, t_list, contour: ContourSpec = None):
+def analyticity_gauge(a: SymbolGrid, u: GridFunction, t_list):
     """Gauge sequence ``(t, |t A P_t u|_2 / |u|_2)`` with ``A = -a(x, D)``.
 
     Uniform boundedness of the gauge over decades of ``t`` is the working
@@ -428,7 +409,7 @@ def analyticity_gauge(a: SymbolGrid, u: GridFunction, t_list, contour: ContourSp
     u_scale = max(u.norm_l2(), 1e-300)
     rows = []
     for t in t_list:
-        pt = semigroup_apply(t, a, u, contour=contour)
+        pt = semigroup_apply(t, a, u)
         apu = apply_symbol(a, pt)
         rows.append((float(t), float(t) * apu.norm_l2() / u_scale))
     return rows
@@ -451,7 +432,6 @@ def smoothing_gauge(
     t_list,
     p: float = 2.0,
     q: float = 2.0,
-    contour: ContourSpec = None,
     partition: DyadicPartition = None,
 ) -> SmoothingReport:
     """Fitted decay rate of ``|P_t u|_{B^gamma_{p,q}}`` against ``t``.
@@ -466,7 +446,7 @@ def smoothing_gauge(
     part = partition if partition is not None else DyadicPartition(u.grid)
     times, norms = [], []
     for t in t_list:
-        pt = semigroup_apply(t, a, u, contour=contour)
+        pt = semigroup_apply(t, a, u)
         times.append(float(t))
         norms.append(part.besov_norm(pt, gamma, p, q))
     fit = fit_rate(list(zip(times, norms)))
@@ -480,7 +460,9 @@ def smoothing_gauge(
 
 
 def write_gauge_csv(path, rows, header_comment: str = None, columns=("t", "value", "residual")):
-    """Emit (t or lambda, value, residual) rows as CSV."""
+    """Write ``rows`` under ``columns`` as CSV: floats with 17 significant
+    digits, short rows padded with empty cells.  Every harness CSV goes
+    through here."""
     with open(path, "w") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")

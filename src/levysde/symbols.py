@@ -10,6 +10,7 @@ bracket ``sqrt(1 + |xi|^2)`` throughout.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -51,6 +52,8 @@ class SymbolGrid:
     values: np.ndarray
     order: float
 
+    CSV_COLUMNS = ("x_index", "xi_index", "re", "im")
+
     def __post_init__(self):
         expected = self.grid.shape + self.grid.shape
         vals = np.asarray(self.values, dtype=complex)
@@ -75,19 +78,17 @@ class SymbolGrid:
     def shifted(self, lam: complex) -> "SymbolGrid":
         return SymbolGrid(self.grid, self.values + lam, self.order)
 
+    def csv_rows(self):
+        """(x-index, xi-index, Re, Im) rows over the flattened lattice."""
+        m = int(np.prod(self.grid.shape))
+        for i, row in enumerate(self.values.reshape(m, m)):
+            yield from zip(itertools.repeat(i), range(m), row.real.tolist(), row.imag.tolist())
+
     def to_csv(self, path, header_comment: str = None):
-        """Write (x-index, xi-index, Re, Im) rows with 17 significant digits."""
-        flat = self.values.reshape(
-            int(np.prod(self.grid.shape)), int(np.prod(self.grid.shape))
-        )
-        with open(path, "w") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            fh.write("x_index,xi_index,re,im\n")
-            for i in range(flat.shape[0]):
-                for k in range(flat.shape[1]):
-                    v = flat[i, k]
-                    fh.write(f"{i},{k},{v.real:.17g},{v.imag:.17g}\n")
+        """Write :meth:`csv_rows` under ``CSV_COLUMNS`` with 17 significant digits."""
+        from .operators import write_gauge_csv  # operators imports this module
+
+        write_gauge_csv(path, self.csv_rows(), header_comment, self.CSV_COLUMNS)
 
 
 def tabulate(model: SdeModel, grid: TorusGrid, shift: complex = 0.0) -> SymbolGrid:

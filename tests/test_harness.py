@@ -1,6 +1,8 @@
 """Config handling, rate fitting, experiment orchestration, and the CLI."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,9 @@ import levysde as lv
 from levysde.errors import ConfigError
 from levysde.harness import config_hash, load_config, run_experiment, validate_config
 from levysde.harness.cli import main as cli_main
+from levysde.harness.experiments import EXPERIMENTS
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, name, tree):
@@ -92,6 +97,21 @@ class TestConfig:
         a = {"experiment": "sector", "model": {"kind": "stable", "alpha": 1.5}}
         b = {"model": {"alpha": 1.5, "kind": "stable"}, "experiment": "sector"}
         assert config_hash(a) == config_hash(b)
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.yaml")), ids=lambda p: p.name)
+    def test_shipped_configs_validate(self, path, tmp_path):
+        tree = {**load_config(path), "output": str(tmp_path / "out")}
+        assert validate_config(tree).experiment == tree["experiment"]
+
+    def test_csv_schema_doc_matches_experiment_table(self):
+        text = (ROOT / "docs" / "csv_schemas.md").read_text()
+        documented = {
+            name: (csv, tuple(columns.split(", ")))
+            for name, csv, columns in re.findall(r"^\| (\S+) +\| `(\S+)` *\| `([^`]+)` *\|$",
+                                                 text, flags=re.MULTILINE)
+        }
+        declared = {name: (e.csv, e.columns) for name, e in EXPERIMENTS.items() if e.csv}
+        assert documented == declared
 
     def test_measure_and_model_builders(self):
         from levysde.harness.config import build_measure, build_model
@@ -374,6 +394,36 @@ class TestCli:
         path = write_config(tmp_path, "bad.yaml", cfg)
         assert cli_main(["run", str(path)]) == 2
         assert "sigma_expr" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            pytest.param({"gate": {"expect_sectorial": True}}, "gate", id="typo-section"),
+            pytest.param({"gates": {"slope_rnge": [-1.0, -0.7]}}, "gates.slope_rnge",
+                         id="unknown-gate"),
+            pytest.param({"contour": {"theta_prime": 0.5, "rho0": 1.0, "M": 80.0}}, "contour",
+                         id="contour-section"),
+            pytest.param({"experiment": "composition", "model": base_model(dimension=2),
+                          "grid": {"n": 16, "dimension": 2}}, "model.dimension",
+                         id="composition-2d"),
+            pytest.param({"experiment": "weak-error", "model": base_model(dimension=2),
+                          "scheme": {"eps": 0.4, "tau": 1.0, "paths": 1000}}, "model.dimension",
+                         id="weak-error-2d"),
+            pytest.param({"grid": {"n": 16, "dimension": 2}}, "grid.dimension",
+                         id="grid-dimension"),
+        ],
+    )
+    def test_refused_config_names_field(self, tmp_path, capsys, change, field):
+        cfg = {
+            "experiment": "sector",
+            "output": str(tmp_path / "out"),
+            "model": base_model(),
+            "grid": {"n": 64, "length_factor": 4},
+            **change,
+        }
+        path = write_config(tmp_path, "refused.yaml", cfg)
+        assert cli_main(["run", str(path)]) == 2
+        assert f"[{field}]" in capsys.readouterr().err
 
     def test_failing_gate_exit_code(self, tmp_path):
         cfg = {

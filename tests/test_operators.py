@@ -223,13 +223,6 @@ class TestContour:
         val = spec.quadrature(lambda lam: np.exp(lam * 0.5) / (lam + 7.0))
         assert abs(val - math.exp(-3.5)) <= 1e-8
 
-    def test_config_round_trip(self):
-        spec = build_contour(theta_prime=0.5, rho0=1.0, M=80.0)
-        again = lv.ContourSpec.from_dict(spec.to_dict())
-        assert again.theta_prime == spec.theta_prime
-        assert again.rho0 == spec.rho0
-        assert np.array_equal(again.nodes, spec.nodes)
-
     def test_bad_angles(self):
         with pytest.raises(ValueError):
             build_contour(theta_prime=2.0, rho0=1.0, M=10.0)
