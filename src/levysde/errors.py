@@ -51,10 +51,12 @@ class SpectralDistanceError(LevySdeError):
         self.point = point
 
 
-class ConfigError(LevySdeError):
-    """An experiment configuration failed validation.
+class ConfigError(LevySdeError, ValueError):
+    """A setting was refused: an experiment configuration field, a constructor
+    argument or an environment variable.
 
-    ``field`` names the offending configuration key when known.
+    ``field`` names the offending setting when known: the configuration key,
+    or the argument name when a constructor refuses it.
     """
 
     def __init__(self, message, field=None):

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = ["TorusGrid", "GridFunction", "random_rough_function", "transform"]
 
 
@@ -33,11 +35,12 @@ class TorusGrid:
 
     def __post_init__(self):
         if self.dimension not in (1, 2):
-            raise ValueError("dimension must be 1 or 2")
+            raise ConfigError("dimension must be 1 or 2", field="dimension")
         if self.n < 16 or (self.n & (self.n - 1)) != 0:
-            raise ValueError(f"points per axis must be a power of two >= 16, got {self.n}")
+            raise ConfigError(f"points per axis must be a power of two >= 16, got {self.n}",
+                              field="n")
         if self.length_factor <= 0:
-            raise ValueError("period factor must be positive")
+            raise ConfigError("period factor must be positive", field="length_factor")
 
     @property
     def period(self) -> float:

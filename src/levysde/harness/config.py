@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import yaml
 
 from ..errors import ConfigError
 from ..grids import TorusGrid
-from ..measures import AtomicMeasure, StableMeasure, TabulatedMeasure, stable_normalizer
+from ..measures import AtomicMeasure, StableMeasure, TabulatedMeasure
 from ..models import PRESET_NAMES, SdeModel, coefficient_preset
 from ..montecarlo import SimScheme
 
@@ -71,9 +72,35 @@ def config_hash(cfg: dict) -> str:
 
 
 def _require(section: dict, key: str, where: str):
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a mapping, got {section!r}", field=where)
     if key not in section:
         raise ConfigError(f"missing required field {where}.{key}", field=f"{where}.{key}")
     return section[key]
+
+
+_REQUIRED = object()
+
+
+def _value(section: dict, key: str, where: str, kind, default=_REQUIRED):
+    """``kind`` applied to the field ``where.key``; a malformed value is refused
+    with a ``ConfigError`` naming the field."""
+    value = _require(section, key, where) if default is _REQUIRED else section.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, LookupError) as exc:
+        raise ConfigError(f"malformed {where}.{key} = {value!r}: {exc}",
+                          field=f"{where}.{key}") from None
+
+
+def _build(cls, where: str, renamed=(), **kwargs):
+    """``cls(**kwargs)``; a refused argument becomes a ``ConfigError`` naming its
+    field ``where.<argument>`` (``renamed`` maps argument names to config keys)."""
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        field = f"{where}.{dict(renamed).get(exc.field, exc.field)}"
+        raise ConfigError(f"{field}: {exc}", field=field) from None
 
 
 def validate_config(cfg: dict) -> ExperimentConfig:
@@ -94,10 +121,10 @@ def validate_config(cfg: dict) -> ExperimentConfig:
         )
     entry = EXPERIMENTS[experiment]
     model = _require(cfg, "model", "config")
-    build_measure(model)  # raises with the offending field
     _validate_coefficient(model, "sigma_expr")
     _validate_coefficient(model, "drift_expr")
-    dimension = int(model.get("dimension", 1))
+    build_model(model)  # raises with the offending field
+    dimension = _value(model, "dimension", "model", _int, 1)
     if dimension != 1 and not entry.two_d:
         raise ConfigError(
             f"experiment {experiment!r} runs in d = 1 only (the coefficient presets "
@@ -131,14 +158,15 @@ def validate_config(cfg: dict) -> ExperimentConfig:
                 field=f"gates.{key}",
             )
     output = cfg.get("output", "results")
-    out_dir = Path(output)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        probe = out_dir / ".writable"
-        probe.write_text("")
-        probe.unlink()
-    except OSError as exc:
-        raise ConfigError(f"output path {output!r} is not writable: {exc}", field="output")
+    # run_experiment creates the directory; validation leaves the filesystem as it is
+    existing = Path(output).absolute()
+    while not existing.exists():
+        existing = existing.parent
+    if not existing.is_dir() or not os.access(existing, os.W_OK | os.X_OK):
+        raise ConfigError(
+            f"output path {output!r} is not writable: {existing} is not a writable directory",
+            field="output",
+        )
     return ExperimentConfig(
         experiment=experiment,
         model=model,
@@ -167,22 +195,26 @@ def _validate_coefficient(model: dict, key: str):
 
 def build_measure(model: dict):
     kind = _require(model, "kind", "model")
-    dimension = int(model.get("dimension", 1))
+    dimension = _value(model, "dimension", "model", _int, 1)
     if kind == "stable":
-        alpha = float(_require(model, "alpha", "model"))
         scale = model.get("scale", "normalized")
-        c = stable_normalizer(alpha) if scale == "normalized" else float(scale)
-        return StableMeasure(alpha=alpha, c=c, dimension=dimension)
+        return _build(
+            StableMeasure, "model", renamed={"c": "scale"},
+            alpha=_value(model, "alpha", "model", float),
+            c=None if scale == "normalized" else _value(model, "scale", "model", float),
+            dimension=dimension,
+        )
     if kind == "atomic":
-        atoms = _require(model, "atoms", "model")
-        parsed = tuple((a[0] if dimension == 1 else tuple(a[0]), float(a[1])) for a in atoms)
-        return AtomicMeasure(atoms=parsed, dimension=dimension)
+        def atoms(rows):
+            return tuple((a[0] if dimension == 1 else tuple(a[0]), float(a[1])) for a in rows)
+
+        return _build(AtomicMeasure, "model", atoms=_value(model, "atoms", "model", atoms),
+                      dimension=dimension)
     if kind == "tabulated":
-        radii = _require(model, "radii", "model")
-        density = _require(model, "density", "model")
-        return TabulatedMeasure(
-            radii=tuple(float(r) for r in radii),
-            density=tuple(float(g) for g in density),
+        return _build(
+            TabulatedMeasure, "model",
+            radii=_value(model, "radii", "model", _floats),
+            density=_value(model, "density", "model", _floats),
             dimension=dimension,
         )
     raise ConfigError(f"unknown measure kind {kind!r}", field="model.kind")
@@ -190,32 +222,46 @@ def build_measure(model: dict):
 
 def build_model(model: dict) -> SdeModel:
     measure = build_measure(model)
-    sig_expr = dict(_require(model, "sigma_expr", "model"))
-    drf_expr = dict(_require(model, "drift_expr", "model"))
-    sigma = coefficient_preset(sig_expr.pop("preset"), **sig_expr)
-    drift = coefficient_preset(drf_expr.pop("preset"), **drf_expr)
-    return SdeModel(
-        sigma=sigma,
-        drift=drift,
+    return _build(
+        SdeModel, "model",
+        sigma=_value(model, "sigma_expr", "model", _preset),
+        drift=_value(model, "drift_expr", "model", _preset),
         measure=measure,
-        sigma_lower_bound=float(model.get("sigma_lower_bound", 1e-3)),
-        dimension=int(model.get("dimension", 1)),
+        sigma_lower_bound=_value(model, "sigma_lower_bound", "model", float, 1e-3),
+        dimension=_value(model, "dimension", "model", _int, 1),
     )
 
 
+def _int(value) -> int:
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("not an integer")
+    return int(value)
+
+
+def _floats(values) -> tuple:
+    return tuple(float(v) for v in values)
+
+
+def _preset(expr: dict):
+    params = dict(expr)
+    return coefficient_preset(params.pop("preset"), **params)
+
+
 def build_grid(grid: dict) -> TorusGrid:
-    return TorusGrid(
-        n=int(_require(grid, "n", "grid")),
-        dimension=int(grid.get("dimension", 1)),
-        length_factor=float(grid.get("length_factor", 4.0)),
+    return _build(
+        TorusGrid, "grid",
+        n=_value(grid, "n", "grid", _int),
+        dimension=_value(grid, "dimension", "grid", _int, 1),
+        length_factor=_value(grid, "length_factor", "grid", float, 4.0),
     )
 
 
 def build_scheme(scheme: dict) -> SimScheme:
-    return SimScheme(
-        eps=float(_require(scheme, "eps", "scheme")),
-        tau=float(_require(scheme, "tau", "scheme")),
+    return _build(
+        SimScheme, "scheme",
+        eps=_value(scheme, "eps", "scheme", float),
+        tau=_value(scheme, "tau", "scheme", float),
         gaussian_compensation=bool(scheme.get("gaussian_compensation", True)),
-        paths=int(_require(scheme, "paths", "scheme")),
-        seed=int(scheme.get("seed", 0)),
+        paths=_value(scheme, "paths", "scheme", _int),
+        seed=_value(scheme, "seed", "scheme", _int, 0),
     )

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as gamma_fn, j0
 
-from .errors import QuadratureError
+from .errors import ConfigError, QuadratureError
 
 __all__ = [
     "StableMeasure",
@@ -135,13 +135,14 @@ class StableMeasure:
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 2.0:
-            raise ValueError(f"stability index must lie in (0,2), got {self.alpha}")
+            raise ConfigError(f"stability index must lie in (0,2), got {self.alpha}",
+                              field="alpha")
         if self.dimension not in (1, 2):
-            raise ValueError("dimension must be 1 or 2")
+            raise ConfigError("dimension must be 1 or 2", field="dimension")
         if self.c is None:
             object.__setattr__(self, "c", stable_normalizer(self.alpha))
         if self.c <= 0:
-            raise ValueError("density coefficient must be positive")
+            raise ConfigError("density coefficient must be positive", field="c")
         if self.dimension == 2:
             coeffs = self.axis_coeffs if self.axis_coeffs is not None else (self.c, self.c)
             coeffs = tuple(float(w) for w in coeffs)
@@ -232,12 +233,12 @@ class AtomicMeasure:
         norm = []
         for z, r in self.atoms:
             if r <= 0:
-                raise ValueError(f"atom rate must be positive, got {r}")
+                raise ConfigError(f"atom rate must be positive, got {r}", field="atoms")
             zv = np.atleast_1d(np.asarray(z, dtype=float))
             if zv.size != self.dimension:
-                raise ValueError("atom location dimension mismatch")
+                raise ConfigError("atom location dimension mismatch", field="atoms")
             if not np.all(np.isfinite(zv)) or np.all(zv == 0):
-                raise ValueError("atom locations must be finite and nonzero")
+                raise ConfigError("atom locations must be finite and nonzero", field="atoms")
             norm.append((tuple(zv), float(r)))
         object.__setattr__(self, "atoms", tuple(norm))
 
@@ -332,15 +333,17 @@ class TabulatedMeasure:
         g = np.asarray(self.density, dtype=float)
         increasing = r.ndim == 1 and r.size >= 2 and np.all(np.diff(r) > 0)
         if not increasing or not 0 < r[0] < r[-1] < np.inf:
-            raise ValueError("radii must be a strictly increasing positive finite sequence")
+            raise ConfigError("radii must be a strictly increasing positive finite sequence",
+                              field="radii")
         if not np.all((g > 0) & np.isfinite(g)):
-            raise ValueError("density samples must be positive and finite")
+            raise ConfigError("density samples must be positive and finite", field="density")
         object.__setattr__(self, "radii", tuple(r))
         object.__setattr__(self, "density", tuple(g))
         interp, slope0 = _loglog_density(r, g)
         if self.support_min <= 0.0 and slope0 <= -(2.0 + self.dimension):
-            raise ValueError(
-                "density grows too fast at zero: integral of min(1,|z|^2) diverges"
+            raise ConfigError(
+                "density grows too fast at zero: integral of min(1,|z|^2) diverges",
+                field="density",
             )
         if self.support_min > 0.0:
             cut = self.support_min

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .measures import levy_exponent
 
 __all__ = [
@@ -82,9 +83,9 @@ class SdeModel:
         # zero is allowed for degenerate (pure-drift) simulation models; the
         # symbol-calculus ellipticity gates require a strictly positive bound
         if self.sigma_lower_bound < 0:
-            raise ValueError("sigma_lower_bound must be nonnegative")
+            raise ConfigError("sigma_lower_bound must be nonnegative", field="sigma_lower_bound")
         if self.dimension not in (1, 2):
-            raise ValueError("dimension must be 1 or 2")
+            raise ConfigError("dimension must be 1 or 2", field="dimension")
         if getattr(self.measure, "dimension", 1) != self.dimension:
             raise ValueError("measure dimension does not match model dimension")
 

@@ -113,6 +113,12 @@ class TestConfig:
         declared = {name: (e.csv, e.columns) for name, e in EXPERIMENTS.items() if e.csv}
         assert documented == declared
 
+    def test_constructor_refusal_names_argument(self):
+        with pytest.raises(ConfigError) as err:
+            lv.TorusGrid(n=60)
+        assert err.value.field == "n"
+        assert isinstance(err.value, ValueError)  # callers catching ValueError still do
+
     def test_measure_and_model_builders(self):
         from levysde.harness.config import build_measure, build_model
 
@@ -424,6 +430,64 @@ class TestCli:
         path = write_config(tmp_path, "refused.yaml", cfg)
         assert cli_main(["run", str(path)]) == 2
         assert f"[{field}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            pytest.param({"grid": {"n": "sixty"}}, "grid.n", id="grid-n-word"),
+            pytest.param({"grid": {"n": 60}}, "grid.n", id="grid-n-not-power-of-two"),
+            pytest.param({"grid": {"n": 64.5}}, "grid.n", id="grid-n-fraction"),
+            pytest.param({"grid": 64}, "grid", id="grid-not-a-mapping"),
+            pytest.param({"model": base_model(alpha=2.5)}, "model.alpha", id="alpha-2.5"),
+            pytest.param({"model": base_model(sigma_lower_bound="half")},
+                         "model.sigma_lower_bound", id="lower-bound-word"),
+            pytest.param({"model": base_model(sigma_expr={"preset": "constant", "value": "one"})},
+                         "model.sigma_expr", id="preset-parameter-word"),
+            pytest.param({"experiment": "weak-error",
+                          "scheme": {"eps": 1.5, "tau": 1.0, "paths": 1000}}, "scheme.eps",
+                         id="eps-1.5"),
+            pytest.param({"experiment": "weak-error",
+                          "scheme": {"eps": 0.4, "tau": 1.0, "paths": "many"}}, "scheme.paths",
+                         id="paths-word"),
+        ],
+    )
+    def test_malformed_value_names_field(self, tmp_path, capsys, change, field):
+        cfg = {
+            "experiment": "sector",
+            "output": str(tmp_path / "out"),
+            "model": base_model(),
+            "grid": {"n": 64, "length_factor": 4},
+            **change,
+        }
+        path = write_config(tmp_path, "malformed.yaml", cfg)
+        assert cli_main(["validate", str(path)]) == 2
+        assert f"[{field}]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_validate_creates_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = {
+            "experiment": "sector",
+            "output": "out_probe/deep",
+            "model": base_model(),
+            "grid": {"n": 64, "length_factor": 4},
+        }
+        path = write_config(tmp_path, "ok.yaml", cfg)
+        assert cli_main(["validate", str(path)]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["ok.yaml"]
+        assert cli_main(["run", str(path)]) == 0
+        assert (tmp_path / "out_probe" / "deep" / "summary.json").is_file()
+
+    def test_output_below_a_file_refused(self, tmp_path, capsys):
+        cfg = {
+            "experiment": "sector",
+            "output": str(tmp_path / "ok.yaml" / "out"),
+            "model": base_model(),
+            "grid": {"n": 64, "length_factor": 4},
+        }
+        path = write_config(tmp_path, "ok.yaml", cfg)
+        assert cli_main(["validate", str(path)]) == 2
+        assert "[output]" in capsys.readouterr().err
 
     def test_failing_gate_exit_code(self, tmp_path):
         cfg = {

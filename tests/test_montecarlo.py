@@ -2,12 +2,16 @@
 strong-Feller and density probes, and the jump-split cross-check."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import levysde as lv
+from levysde import montecarlo
+from levysde.montecarlo import _kde
 
 PERIOD = 8 * np.pi
 
@@ -342,6 +346,39 @@ class TestDensityProbe:
     def test_bandwidth_flagging(self, constant_model):
         rep = lv.density_probe(constant_model, 0.0, [1.0], paths=40)
         assert rep.rows[0][-1]  # under-resolved: flagged
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 5000),
+        df=st.sampled_from([0.7, 1.0, 1.5, 3.0]),
+        copies=st.integers(1, 6),
+        far=st.integers(0, 4),
+        log_h=st.floats(-2.0, 2.0),
+        grid_points=st.integers(1, 41),
+        pairs=st.sampled_from([1, 1000, 1 << 18]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_windowed_sum_matches_full_sum(self, n, df, copies, far, log_h, grid_points, pairs,
+                                           seed):
+        rng = np.random.default_rng(seed)
+        # heavy-tailed Student-t samples, each repeated `copies` times, plus a few far outliers
+        X = np.repeat(rng.standard_t(df, size=-(-n // copies)), copies)[:n]
+        far = min(far, n)
+        X[:far] = rng.choice([-1.0, 1.0], far) * 10.0 ** rng.uniform(3.0, 8.0, far)
+        rng.shuffle(X)
+        h = 10.0**log_h
+        lo, hi = np.quantile(X, [0.001, 0.999])
+        ys = np.linspace(lo - 6 * h, hi + 6 * h, grid_points)
+        with mock.patch.object(montecarlo, "_KDE_PAIRS", pairs):  # also gather in several runs
+            dens, slope = _kde(X, ys, h)
+        z = (ys[:, None] - X[None, :]) / h
+        k = np.exp(-0.5 * z**2) / math.sqrt(2 * math.pi)
+        full_dens = k.sum(axis=1) / (n * h)
+        full_slope = (-z * k).sum(axis=1) / (n * h * h)
+        # relative to the largest value an estimate with bandwidth h can take:
+        # K(0)/h for the density and |K'(1)|/h^2 for its slope
+        assert np.abs(dens - full_dens).max() <= 1e-13 * stats.norm.pdf(0.0) / h
+        assert np.abs(slope - full_slope).max() <= 1e-13 * stats.norm.pdf(1.0) / h**2
 
 
 class TestJumpSplit:
