@@ -85,11 +85,17 @@ class TorusGrid:
     def cell_volume(self) -> float:
         return (self.period / self.n) ** self.dimension
 
+    # transforms over the last ``dimension`` axes (leading axes are a batch);
+    # the 1-d transform is the same pocketfft pass without fftn's axis set-up
     def fft(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.fftn(values, axes=tuple(range(-self.dimension, 0)))
+        if self.dimension == 1:
+            return np.fft.fft(values)
+        return np.fft.fft2(values)
 
     def ifft(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(values, axes=tuple(range(-self.dimension, 0)))
+        if self.dimension == 1:
+            return np.fft.ifft(values)
+        return np.fft.ifft2(values)
 
 
 class GridFunction:

@@ -17,6 +17,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from ..errors import ConfigError
@@ -24,6 +25,7 @@ from ..grids import TorusGrid
 from ..measures import AtomicMeasure, StableMeasure, TabulatedMeasure
 from ..models import PRESET_NAMES, SdeModel, coefficient_preset
 from ..montecarlo import SimScheme
+from ..symbols import X_INDEPENDENT_RTOL
 
 __all__ = [
     "ExperimentConfig",
@@ -123,7 +125,7 @@ def validate_config(cfg: dict) -> ExperimentConfig:
     model = _require(cfg, "model", "config")
     _validate_coefficient(model, "sigma_expr")
     _validate_coefficient(model, "drift_expr")
-    build_model(model)  # raises with the offending field
+    built = build_model(model)  # raises with the offending field
     dimension = _value(model, "dimension", "model", _int, 1)
     if dimension != 1 and not entry.two_d:
         raise ConfigError(
@@ -135,11 +137,14 @@ def validate_config(cfg: dict) -> ExperimentConfig:
     if entry.needs == "grid":
         if not grid:
             raise ConfigError(f"experiment {experiment!r} requires a grid section", field="grid")
-        if build_grid(grid).dimension != dimension:
+        torus = build_grid(grid)
+        if torus.dimension != dimension:
             raise ConfigError(
                 f"grid.dimension must equal model.dimension = {dimension}",
                 field="grid.dimension",
             )
+        if entry.constant_coefficients:
+            _require_constant(built, torus, experiment)
     scheme = cfg.get("scheme", {})
     if entry.needs == "scheme":
         if not scheme:
@@ -157,6 +162,7 @@ def validate_config(cfg: dict) -> ExperimentConfig:
                 f"its gates are {tuple(entry.gates)}",
                 field=f"gates.{key}",
             )
+    gates = {key: _value(gates, key, "gates", _gate_kind(entry.gates[key])) for key in gates}
     output = cfg.get("output", "results")
     # run_experiment creates the directory; validation leaves the filesystem as it is
     existing = Path(output).absolute()
@@ -177,6 +183,31 @@ def validate_config(cfg: dict) -> ExperimentConfig:
         output=output,
         digest=config_hash(cfg),
     )
+
+
+def _require_constant(model: SdeModel, grid: TorusGrid, experiment: str):
+    """Refuse sigma or b varying over the grid's points (to ``X_INDEPENDENT_RTOL``
+    of their magnitude), as the tabulated symbol would then depend on x."""
+    for key, coefficient in (("sigma_expr", model.sigma), ("drift_expr", model.drift)):
+        samples = np.asarray(coefficient(grid.x))
+        if np.abs(samples - samples[0]).max() > X_INDEPENDENT_RTOL * np.abs(samples).max():
+            raise ConfigError(
+                f"experiment {experiment!r} checks the exact-multiplier oracle and needs "
+                f"x-independent coefficients, but model.{key} varies over the grid; "
+                "use constant presets",
+                field=f"model.{key}",
+            )
+
+
+def _gate_kind(default):
+    """Parser of a gate value, chosen by the type of the gate's default."""
+    if isinstance(default, bool):
+        return _bool
+    if isinstance(default, int):
+        return _count
+    if isinstance(default, list):
+        return _pair
+    return float if default is not None else _optional_float
 
 
 def _validate_coefficient(model: dict, key: str):
@@ -236,6 +267,28 @@ def _int(value) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise ValueError("not an integer")
     return int(value)
+
+
+def _count(value) -> int:
+    value = _int(value)
+    if value < 1:
+        raise ValueError("must be a positive integer")
+    return value
+
+
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError("must be true or false")
+    return value
+
+
+def _pair(values) -> tuple:
+    lo, hi = _floats(values)
+    return lo, hi
+
+
+def _optional_float(value):
+    return None if value is None else float(value)
 
 
 def _floats(values) -> tuple:

@@ -54,12 +54,25 @@ def _phases(grid: TorusGrid) -> np.ndarray:
 
 
 def apply_symbol(s: SymbolGrid, u: GridFunction) -> GridFunction:
-    """Apply the Kohn-Nirenberg quantization of ``s`` to ``u``."""
+    """Apply the Kohn-Nirenberg quantization of ``s`` to ``u``.
+
+    Through the table's low-rank factors ``s ~ sum_r f_r(x) g_r(xi)``
+    (:attr:`SymbolGrid.factors`, whose recorded ``error`` bounds every entry
+    of the dropped remainder by 1e-13 of max|s|) the sum is
+    ``sum_r f_r * IFFT(g_r u_hat)``: r inverse FFTs.  A table that does not
+    compress below the break-even rank is summed densely over the phase
+    table instead.
+    """
     grid = s.grid
     if u.grid != grid:
         raise ValueError("grid mismatch between symbol and function")
     M = math.prod(grid.shape)
-    out = np.einsum("ik,ik,k->i", _phases(grid), s.values.reshape(M, M), u.coeffs.ravel())
+    lr = s.factors
+    if lr is None:
+        out = np.einsum("ik,ik,k->i", _phases(grid), s.values.reshape(M, M), u.coeffs.ravel())
+    else:
+        spectra = (lr.g * u.coeffs.ravel()).reshape((lr.rank,) + grid.shape)
+        out = M * np.einsum("rk,rk->k", lr.f, grid.ifft(spectra).reshape(lr.rank, M))
     return GridFunction(grid, out.reshape(grid.shape))
 
 
@@ -117,11 +130,13 @@ def parametrix_solve(
 
     Returns ``(u, SolveReport)``; raises :class:`ContractionError` when the
     measured ratio of successive residuals stays >= 1 after 5 iterations
-    (choose a larger cutoff radius).
+    (choose a larger cutoff radius), and :class:`ConfigError` naming ``maxit``
+    when the cap is below one.
     """
     grid = a.grid
     if f.grid != grid:
         raise ValueError("grid mismatch")
+    _check_cap(maxit)
     split = cutoff_split(a, R)
     f_high = GridFunction.from_coeffs(grid, f.coeffs * (split.chi > 0.0))
     f_scale = max(f.norm_l2(), 1e-300)
@@ -184,6 +199,11 @@ def parametrix_probe_contraction(a: SymbolGrid, R: float, iters: int = 4) -> flo
 # ---------------------------------------------------------------------------
 
 
+def _check_cap(maxit: int):
+    if maxit < 1:
+        raise ConfigError(f"iteration cap maxit={maxit} must be at least 1", field="maxit")
+
+
 def resolvent_apply(
     lam: complex,
     a: SymbolGrid,
@@ -194,51 +214,66 @@ def resolvent_apply(
 ) -> GridFunction:
     """Apply ``(lambda + a(x, D))^{-1}`` by a preconditioned fixed point.
 
-    The preconditioner is the pointwise reciprocal symbol
-    ``q_lambda = 1 / (lambda + a(x, xi))`` (no cutoff: the shifted symbol is
-    bounded away from zero).  A one-term Anderson mixing accelerates the
-    plain iteration when it stagnates.  Exact in one step for
-    x-independent symbols.
+    The preconditioner is the frozen-coefficient Fourier multiplier
+    ``(lambda + a_bar(xi))^{-1}``, ``a_bar`` the x-mean of the table
+    (:attr:`SymbolGrid.x_mean`).  The iteration runs on the synthesis
+    coefficients: ``u_hat <- u_hat + r_hat / (lambda + a_bar)`` with the
+    residual ``r = v - (lambda + a(x, D)) u`` (one :func:`apply_symbol`), and a
+    one-term Anderson mixing of the last two updates accelerates it.  The
+    multiplier is exact for an x-independent symbol, so there the first
+    residual check returns.  Stops at relative residual ``tol``.
+
+    Raises :class:`SpectralDistanceError` carrying the lattice point when
+    ``-lambda`` lies within ``min_distance`` of a table entry (or of
+    ``a_bar``), :class:`ContractionError` when ``maxit`` steps do not reach
+    ``tol``, and :class:`ConfigError` naming ``maxit`` when it is below one.
     """
     grid = a.grid
     if v.grid != grid:
         raise ValueError("grid mismatch")
-    s_shift = a.shifted(lam)
-    dist = np.abs(s_shift.values)
-    if dist.min() < min_distance:
-        flat = int(np.argmin(dist))
-        raise SpectralDistanceError(
-            f"shift {lam} is within {dist.min():.2e} of the symbol range",
-            point=np.unravel_index(flat, dist.shape),
-        )
-    q = SymbolGrid(grid, 1.0 / s_shift.values, -a.order)
+    _check_cap(maxit)
+    # a -lambda farther than min_distance from the range box along one axis is
+    # that far from every entry: the exact pass over the table can be skipped
+    lam = complex(lam)
+    lo, hi = a.range_box
+    gap = max(lo.real + lam.real, -lam.real - hi.real, lo.imag + lam.imag, -lam.imag - hi.imag)
+    for table in (a.values, a.x_mean) if gap < min_distance else (a.x_mean,):
+        dist = np.abs(table + lam)
+        if dist.min() < min_distance:
+            raise SpectralDistanceError(
+                f"shift {lam} is within {dist.min():.2e} of the symbol range",
+                point=np.unravel_index(int(np.argmin(dist)), dist.shape),
+            )
+    mult = 1.0 / (lam + a.x_mean)
 
-    u = apply_symbol(q, v)
-    if a.x_independent:
-        return u
-    v_scale = max(v.norm_l2(), 1e-300)
-    res_prev = None
-    plain_prev = None
+    # relative residuals in coefficient space equal those of the values (Parseval)
+    v_hat = v.coeffs
+    v_norm = max(float(np.linalg.norm(v_hat)), 1e-300)
+    u_hat = mult * v_hat
+    res_prev = plain_prev = None
     for _ in range(maxit):
-        residual = v - apply_symbol(s_shift, u)
-        rnorm = residual.norm_l2()
-        if rnorm <= tol * v_scale:
+        u = GridFunction.from_coeffs(grid, u_hat)
+        r_hat = v_hat - lam * u_hat - apply_symbol(a, u).coeffs
+        rel = float(np.linalg.norm(r_hat)) / v_norm
+        if rel <= tol:
             return u
-        plain = u + apply_symbol(q, residual)
+        if not math.isfinite(rel):
+            break  # diverged: the preconditioner does not contract here
+        plain = u_hat + mult * r_hat
         u_next = plain
         if res_prev is not None:
             # Anderson(1): mix the last two plain updates to shrink the residual
-            dr = residual.values - res_prev.values
+            dr = r_hat - res_prev
             denom = float(np.vdot(dr, dr).real)
             if denom > 0:
-                theta = complex(np.vdot(dr, residual.values)) / denom
-                u_next = GridFunction(
-                    grid, (1 - theta) * plain.values + theta * plain_prev.values
-                )
-        res_prev, plain_prev, u = residual, plain, u_next
+                theta = complex(np.vdot(dr, r_hat)) / denom
+                u_next = (1 - theta) * plain + theta * plain_prev
+        res_prev, plain_prev, u_hat = r_hat, plain, u_next
     raise ContractionError(
         f"resolvent iteration did not reach tol={tol} within {maxit} iterations "
-        f"(relative residual {rnorm / v_scale:.2e} at lambda={lam})"
+        f"(relative residual {rel:.2e} at lambda={lam}); the frozen-coefficient "
+        "preconditioner contracts only while the symbol's x-variation stays below "
+        "|lambda + its x-mean|: raise maxit or move lambda away from the symbol range"
     )
 
 

@@ -24,6 +24,7 @@ from .besov import raised_cosine_profile
 
 __all__ = [
     "SymbolGrid",
+    "LowRank",
     "tabulate",
     "AClass",
     "HypClass",
@@ -38,6 +39,61 @@ __all__ = [
 ]
 
 X_INDEPENDENT_RTOL = 1e-13
+FACTOR_RTOL = 1e-13  # max-norm truncation error of SymbolGrid.factors, relative to max|a|
+_FACTOR_BLOCK = 1 << 16  # table entries per block of a residual pass (1 MB of complex)
+
+
+@dataclass(frozen=True)
+class LowRank:
+    """Factors ``a(x, xi) ~ sum_r f[r](x) g[r](xi)`` over the flattened lattice
+    (``f`` and ``g`` of shape (rank, M), M = n^d), with ``error`` the largest
+    entry of ``|a - sum_r f[r] g[r]|`` over the whole table, relative to max|a|."""
+
+    f: np.ndarray
+    g: np.ndarray
+    error: float
+
+    @property
+    def rank(self) -> int:
+        return len(self.f)
+
+
+def _cross_factors(table: np.ndarray, max_rank: int):
+    """Adaptive cross approximation of an (M, M) table with full pivoting.
+
+    Each step scans the whole residual ``table - F G`` for its largest entry,
+    so the stopping test ``max|residual| <= FACTOR_RTOL * max|a|`` is exact,
+    not sampled.  The residual is formed a block of rows at a time and never
+    stored, so no table-sized array is allocated.  Returns a
+    :class:`LowRank`, or None when ``max_rank`` crosses do not reach the
+    tolerance.
+    """
+    M = len(table)
+    rows = max(1, _FACTOR_BLOCK // M)
+    f = np.zeros((0, M), dtype=complex)  # x-factors, one row per cross
+    g = np.zeros((0, M), dtype=complex)  # xi-factors
+    while True:
+        peak, at = -1.0, (0, 0)
+        for lo in range(0, M, rows):
+            block = table[lo:lo + rows]
+            if len(f):
+                block = block - f[:, lo:lo + rows].T @ g
+            mag = block.real**2 + block.imag**2
+            k = int(np.argmax(mag))
+            if mag.flat[k] > peak:
+                peak, at = float(mag.flat[k]), (lo + k // M, k % M)
+        err = math.sqrt(peak)
+        if not len(f):
+            scale = err
+        if err <= FACTOR_RTOL * scale:
+            return LowRank(f, g, err / scale if scale else 0.0)
+        if len(f) == max_rank:
+            return None
+        i, j = at
+        row = table[i] - f[:, i] @ g
+        col = table[:, j] - f.T @ g[:, j]
+        f = np.vstack([f, col / row[j]])
+        g = np.vstack([g, row])
 
 
 @dataclass(frozen=True)
@@ -46,6 +102,8 @@ class SymbolGrid:
 
     ``values`` has shape ``grid.shape + grid.shape`` (x-axes first), with
     xi-axes in FFT order.  ``order`` is the declared growth exponent.
+    ``x_independent``, ``factors``, ``x_mean`` and ``range_box`` are derived
+    from ``values`` on first use and cached.
     """
 
     grid: TorusGrid
@@ -74,6 +132,30 @@ class SymbolGrid:
         ref = self.values[(0,) * self.dimension]
         scale = max(float(np.abs(self.values).max()), 1e-300)
         return bool(np.abs(self.values - ref).max() <= X_INDEPENDENT_RTOL * scale)
+
+    @functools.cached_property
+    def factors(self):
+        """Low-rank factors of the table (:class:`LowRank`, built on first use
+        by :func:`_cross_factors`), or None when the table does not compress
+        to ``FACTOR_RTOL`` below the break-even rank ``M / (2 log2 M)``, where
+        r inverse FFTs of size M cost about one dense (M x M) apply.
+
+        A derived view: ``values`` stays the table every other reader uses.
+        """
+        M = math.prod(self.grid.shape)
+        return _cross_factors(self.values.reshape(M, M), int(M / (2 * math.log2(M))))
+
+    @functools.cached_property
+    def x_mean(self) -> np.ndarray:
+        """The frozen-coefficient symbol: the table's mean over x, shape ``grid.shape``."""
+        return self.values.mean(axis=tuple(range(self.dimension)))
+
+    @functools.cached_property
+    def range_box(self) -> tuple:
+        """Corners ``(lo, hi)`` of the smallest axis-parallel rectangle of the
+        complex plane holding every table entry."""
+        re, im = self.values.real, self.values.imag
+        return complex(re.min(), im.min()), complex(re.max(), im.max())
 
     def shifted(self, lam: complex) -> "SymbolGrid":
         return SymbolGrid(self.grid, self.values + lam, self.order)
@@ -137,10 +219,16 @@ def _fd_axis(values: np.ndarray, axis: int, order: int, h: float, periodic: bool
         raise ValueError(f"finite differences are limited to order {MAX_FD_ORDER}")
     coeffs, reach = _FD_STENCILS[order]
     out = np.zeros_like(values)
+    src, dst = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
+    n = len(src)
     for c, off in zip(coeffs, range(-reach, reach + 1)):
         if c != 0.0:
-            out += c * np.roll(values, -off, axis=axis)
-    return out / h**order, (0 if periodic else reach)
+            # dst[i] += c * src[(i + off) % n], in two slices instead of a rolled copy
+            k = off % n
+            dst[: n - k] += c * src[k:]
+            dst[n - k:] += c * src[:k]
+    out /= h**order
+    return out, (0 if periodic else reach)
 
 
 def _permute_xi(values: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -505,6 +593,8 @@ def _x_spectral_derivative(sym_vals: np.ndarray, grid: TorusGrid, beta: tuple):
 
 def _xi_fd_derivative(sym_vals: np.ndarray, grid: TorusGrid, alpha: tuple):
     """Centered FD d_xi^alpha of a symbol table along the xi-axes (FFT order)."""
+    if not any(alpha):
+        return sym_vals
     d = grid.dimension
     order_xi = np.argsort(grid.xi)
     out = _permute_xi(sym_vals, order_xi)
@@ -535,12 +625,16 @@ def composition_defect(a1: SymbolGrid, a2: SymbolGrid, u: GridFunction, order: i
 
     lhs = apply_symbol(a1, apply_symbol(a2, u))
     d = grid.dimension
-    comp = np.zeros_like(a1.values)
+    comp = None
     for alpha in _multi_indices(order, d):
-        fact = math.prod(math.factorial(o) for o in alpha)
-        da1 = _xi_fd_derivative(a1.values, grid, alpha)
-        da2 = _x_spectral_derivative(a2.values, grid, alpha)
-        comp = comp + da1 * da2 / fact
+        term = _xi_fd_derivative(a1.values, grid, alpha) * _x_spectral_derivative(
+            a2.values, grid, alpha
+        )
+        term /= math.prod(math.factorial(o) for o in alpha)
+        if comp is None:
+            comp = term
+        else:
+            comp += term
     rhs = apply_symbol(SymbolGrid(grid, comp, a1.order + a2.order), u)
     defect = lhs - rhs
 

@@ -294,19 +294,22 @@ class TestRemainingExperiments:
         assert result.ok
         assert result.summary["worst_rel_error"] <= 1e-6
 
-    def test_semigroup_rejects_x_dependent_sigma(self, tmp_path):
-        tree = {
-            "experiment": "semigroup",
-            "output": str(tmp_path / "out"),
-            "model": base_model(
-                sigma_expr={"preset": "2+sin", "offset": 2.0, "amplitude": 0.2},
-                sigma_lower_bound=1.5,
-            ),
-            "grid": {"n": 64, "length_factor": 4},
-        }
-        with pytest.raises(ConfigError) as err:
-            run_experiment(validate_config(tree))
-        assert err.value.field == "model.sigma_expr"
+    def test_semigroup_rejects_x_dependent_sigma(self, tmp_path, capsys):
+        # decided at validation: the coefficients are sampled on the grid
+        for key, preset in (
+            ("sigma_expr", {"preset": "2+sin", "offset": 2.0, "amplitude": 0.2}),
+            ("drift_expr", {"preset": "2+sin", "offset": 0.0, "amplitude": 0.5}),
+        ):
+            tree = {
+                "experiment": "semigroup",
+                "output": str(tmp_path / "out"),
+                "model": base_model(**{key: preset}, sigma_lower_bound=0.5),
+                "grid": {"n": 64, "length_factor": 4},
+            }
+            path = write_config(tmp_path, "semigroup.yaml", tree)
+            assert cli_main(["validate", str(path)]) == 2
+            assert f"[model.{key}]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_analyticity(self, tmp_path):
         tree = {
@@ -449,6 +452,12 @@ class TestCli:
             pytest.param({"experiment": "weak-error",
                           "scheme": {"eps": 0.4, "tau": 1.0, "paths": "many"}}, "scheme.paths",
                          id="paths-word"),
+            pytest.param({"experiment": "invert", "gates": {"max_iterations": 0}},
+                         "gates.max_iterations", id="zero-iteration-cap"),
+            pytest.param({"experiment": "invert", "gates": {"max_iterations": 2.5}},
+                         "gates.max_iterations", id="fractional-iteration-cap"),
+            pytest.param({"experiment": "smoothing", "gates": {"slope_range": [-1.0]}},
+                         "gates.slope_range", id="one-sided-range"),
         ],
     )
     def test_malformed_value_names_field(self, tmp_path, capsys, change, field):

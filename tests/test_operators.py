@@ -9,9 +9,59 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 import levysde as lv
-from levysde.operators import build_contour, contour_for_time, parametrix_probe_contraction
+from levysde.operators import (
+    _default_theta_prime,
+    build_contour,
+    contour_for_time,
+    parametrix_probe_contraction,
+)
 
 from conftest import make_mode
+
+
+def swept_model(d, alpha, amp, drift):
+    """sigma = 2 + amp sin(x_1) (times the identity in d = 2) and a drift of
+    size ``drift``, driven by the normalized alpha-stable measure."""
+    measure = lv.StableMeasure.normalized(alpha, dimension=d)
+    if d == 1:
+        return lv.SdeModel(
+            sigma=lv.coefficient_preset("2+sin", offset=2.0, amplitude=amp),
+            drift=lv.coefficient_preset("1+0.5cos", offset=0.0, amplitude=drift),
+            measure=measure,
+            sigma_lower_bound=2.0 - amp,
+        )
+
+    def sigma(x):
+        x = np.asarray(x, dtype=float)
+        return (2.0 + amp * np.sin(x[..., 0]))[..., None, None] * np.eye(2)
+
+    def b(x):
+        x = np.asarray(x, dtype=float)
+        return drift * np.stack([np.cos(x[..., 1]), np.ones(x.shape[:-1])], axis=-1)
+
+    return lv.SdeModel(sigma=sigma, drift=b, measure=measure, sigma_lower_bound=2.0 - amp,
+                       dimension=2)
+
+
+def swept_symbols(alpha=(0.3, 1.9), amp=(0.0, 1.5), drift=(-3.0, 3.0)):
+    """Tabulated ``swept_model`` symbols: d = 1 with N <= 256, d = 2 with N <= 32."""
+    one = st.tuples(st.just(1), st.sampled_from([16, 32, 64, 128, 256]))
+    two = st.tuples(st.just(2), st.sampled_from([16, 32]))
+    return st.builds(
+        lambda dn, L, a, s, b: lv.tabulate(
+            swept_model(dn[0], a, s, b), lv.TorusGrid(n=dn[1], dimension=dn[0], length_factor=L)
+        ),
+        dn=one | two,
+        L=st.sampled_from([1.0, 2.0, 4.0]),
+        a=st.floats(*alpha),
+        s=st.floats(*amp),
+        b=st.floats(*drift),
+    )
+
+
+def random_function(grid, seed):
+    rng = np.random.default_rng(seed)
+    return lv.GridFunction(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
 
 
 def direct_quantization_oracle(sym, u, nodes):
@@ -80,6 +130,31 @@ class TestApplySymbol:
         got = np.array([out[tuple(node)] for node in nodes])
         assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
+    @settings(max_examples=20, deadline=None)
+    @given(s=swept_symbols(), seed=st.integers(0, 2**32 - 1))
+    def test_factored_apply_against_dense_matrix(self, s, seed):
+        # state symbols compress (rank 1 without drift, one more per drift
+        # component), so apply_symbol takes the factored path; the dense
+        # matrix is built from the phase table and the stored values
+        lr = s.factors
+        assert lr is not None and lr.error <= 1e-13
+        u = random_function(s.grid, seed)
+        got = lv.apply_symbol(s, u).values.ravel()
+        want = lv.dense_symbol_matrix(s) @ u.values.ravel()
+        # an entrywise table error e moves each output by at most e * sum|u_hat|;
+        # the same again is left for the oracle's own rounding
+        bound = 2e-13 * np.abs(s.values).max() * np.abs(u.coeffs).sum()
+        assert np.abs(got - want).max() <= bound
+
+    def test_incompressible_table_keeps_dense_sum(self, grid256):
+        rng = np.random.default_rng(4)
+        shape = grid256.shape * 2
+        s = lv.SymbolGrid(grid256, rng.standard_normal(shape) + 1j * rng.standard_normal(shape), 0.0)
+        assert s.factors is None
+        u = random_function(grid256, 5)
+        want = lv.dense_symbol_matrix(s) @ u.values
+        assert np.abs(lv.apply_symbol(s, u).values - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_grid_mismatch(self, grid256, grid1024, symbol_const_256):
         u = lv.GridFunction(grid1024, np.zeros(1024, dtype=complex))
         with pytest.raises(ValueError):
@@ -142,6 +217,12 @@ class TestParametrixSolve:
         assert parametrix_probe_contraction(vanishing, 4.0) == math.inf
         with pytest.raises(TypeError):
             parametrix_probe_contraction(symbol_var_256, None)
+
+    def test_zero_iteration_cap_refused(self, symbol_var_256, grid256):
+        f = make_mode(grid256, 20.0)
+        with pytest.raises(lv.ConfigError) as err:
+            lv.parametrix_solve(symbol_var_256, f, 4.0, maxit=0)
+        assert err.value.field == "maxit"
 
     def test_divergence_advises_larger_radius(self, grid256):
         # strongly varying sigma at an undersized cutoff radius diverges
@@ -210,6 +291,74 @@ class TestResolvent:
         with pytest.raises(lv.SpectralDistanceError) as err:
             lv.resolvent_apply(0.0, symbol_const_256, v)  # 0 is in the range closure
         assert err.value.point is not None
+
+    def test_zero_iteration_cap_refused(self, symbol_var_256, grid256):
+        v = make_mode(grid256, 3.0)
+        with pytest.raises(lv.ConfigError) as err:
+            lv.resolvent_apply(1.0 + 1.0j, symbol_var_256, v, maxit=0)
+        assert err.value.field == "maxit"
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        s=swept_symbols(alpha=(1.2, 1.9), amp=(0.0, 0.8)),
+        seed=st.integers(0, 2**32 - 1),
+        magnitude=st.floats(0.1, 1e4),
+        side=st.sampled_from([1.0, -1.0]),
+    )
+    def test_against_dense_solve(self, s, seed, magnitude, side):
+        # lambda on a ray of the default contour: angle pi/2 + theta' off the
+        # sector of the symbol, as semigroup_apply places its nodes.  The sweep
+        # keeps the jump part dominant (alpha > 1.2, sigma varying by at most a
+        # factor 3.5): where the x-variation dominates, the frozen-coefficient
+        # preconditioner need not contract and the solve raises ContractionError
+        lam = magnitude * np.exp(1j * side * (np.pi / 2.0 + _default_theta_prime(s)))
+        v = random_function(s.grid, seed)
+        u = lv.resolvent_apply(lam, s, v).values.ravel()
+        shifted = lam * np.eye(v.values.size) + lv.dense_symbol_matrix(s)
+        rhs = v.values.ravel()
+        residual = np.linalg.norm(shifted @ u - rhs) / np.linalg.norm(rhs)
+        assert residual <= 1.01e-10  # the stopping test, up to the oracle's rounding
+        exact = np.linalg.solve(shifted, rhs)
+        error = np.linalg.norm(u - exact) / np.linalg.norm(exact)
+        assert error <= np.linalg.cond(shifted) * 1.01e-10
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        alpha=st.floats(0.3, 1.9),
+        sigma=st.floats(0.5, 3.0),
+        drift=st.floats(-3.0, 3.0),
+        lam=st.complex_numbers(max_magnitude=1e3).filter(lambda z: z.real > 0.1),
+    )
+    def test_x_independent_returns_after_one_check(self, alpha, sigma, drift, lam):
+        model = lv.SdeModel(
+            sigma=lv.coefficient_preset("constant", value=sigma),
+            drift=lv.coefficient_preset("constant", value=drift),
+            measure=lv.StableMeasure.normalized(alpha),
+            sigma_lower_bound=0.5 * sigma,
+        )
+        grid = lv.TorusGrid(n=64, dimension=1, length_factor=4.0)
+        s = lv.tabulate(model, grid)
+        v = random_function(grid, 6)
+        applies = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lv.operators, "apply_symbol",
+                       lambda a, w: applies.append(a) or lv.apply_symbol(a, w))
+            u = lv.resolvent_apply(lam, s, v)
+        assert len(applies) == 1  # the multiplier is exact: one residual check
+        expected = lv.GridFunction.from_coeffs(grid, v.coeffs / (lam + s.values[0]))
+        assert (u - expected).norm_l2() <= 1e-12 * expected.norm_l2()
+
+    @settings(max_examples=15, deadline=None)
+    @given(s=swept_symbols(), where=st.floats(0.0, 1.0, exclude_max=True))
+    def test_shift_on_symbol_range_names_point(self, s, where):
+        flat = s.values.ravel()
+        k = int(where * flat.size)
+        v = random_function(s.grid, 7)
+        with pytest.raises(lv.SpectralDistanceError) as err:
+            lv.resolvent_apply(-flat[k], s, v)
+        point = err.value.point
+        assert len(point) == 2 * s.dimension
+        assert abs(s.values[tuple(point)] - flat[k]) < 1e-8
 
 
 class TestContour:
