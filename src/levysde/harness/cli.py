@@ -2,9 +2,11 @@
 
 ``levysde run <config.yaml>`` dispatches the named experiment, writes its CSV
 results and summary record, and exits 0 iff all configured gates pass.
-``LEVYSDE_THREADS`` (a positive integer, default 1) sets how many
-``terminal_samples`` batches run in parallel; other Monte Carlo loops are
-serial.  Any other value makes ``terminal_samples`` raise ``ConfigError``.
+``LEVYSDE_THREADS`` (a positive integer, default 1) sets how many path
+batches run in parallel in ``terminal_samples`` and in the constant-coefficient
+weak-error table; ``jump_split_check`` and ``strong_feller_profile`` stay serial
+(see ``levysde.montecarlo``).  Any other value makes those loops raise
+``ConfigError``.
 """
 
 from __future__ import annotations

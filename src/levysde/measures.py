@@ -192,10 +192,13 @@ class StableMeasure:
     def sample_tail(self, eps: float, size: int, rng) -> np.ndarray:
         """Draw ``size`` jumps from nu restricted to |z| > eps, normalized."""
         if self.dimension == 1:
-            u = rng.random(size)
-            mag = eps * (1.0 - u) ** (-1.0 / self.alpha)
-            signs = rng.integers(0, 2, size) * 2 - 1
-            return mag * signs
+            # eps (1 - u)^(-1/alpha) (2 s - 1), computed in place in the output
+            out = rng.random(size)
+            np.subtract(1.0, out, out=out)
+            out **= -1.0 / self.alpha
+            out *= eps
+            signs = rng.integers(0, 2, size)
+            return np.negative(out, out=out, where=signs == 0)
         masses = np.array([2.0 * w * eps ** (-self.alpha) / self.alpha for w in self.axis_coeffs])
         axis = rng.random(size) < masses[0] / masses.sum()
         u = rng.random(size)

@@ -11,8 +11,11 @@ Reproducibility: ``_batches`` is the only seeding rule.  Paths are simulated
 in fixed-size batches; the generator of batch ``i`` is seeded from
 ``(seed, stream, i)``, and batch reductions happen in index order, so results
 are bit-identical for a given scheme regardless of the thread count
-(``LEVYSDE_THREADS``, a positive integer; only ``terminal_samples`` batches run
-in parallel).
+(``LEVYSDE_THREADS``, a positive integer).  ``_map_batches`` runs the batches
+of ``terminal_samples`` and of the constant-coefficient ``weak_error_table`` on
+that many threads; ``jump_split_check`` (see its docstring) and
+``strong_feller_profile`` (one cheap Euler step in the shipped profiles, each
+batch holding every step's increments) stay serial.
 """
 
 from __future__ import annotations
@@ -150,6 +153,20 @@ def _batches(n: int, seed: int, *streams):
         yield (min(_BATCH, n - lo), *rngs)
 
 
+def _map_batches(fn, n: int, seed: int, *streams) -> list:
+    """``fn(size, rng...)`` for every ``_batches`` batch, in batch order.
+
+    The batches run on ``LEVYSDE_THREADS`` threads; a single batch runs on the
+    calling thread.
+    """
+    jobs = list(_batches(n, seed, *streams))
+    threads = _thread_count()
+    if threads == 1 or len(jobs) == 1:
+        return [fn(*job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(lambda job: fn(*job), jobs))
+
+
 def _thread_count() -> int:
     raw = os.environ.get("LEVYSDE_THREADS", "1")
     try:
@@ -183,22 +200,14 @@ def terminal_samples(
     batches are concatenated in index order.
     """
 
-    def run(batch):
-        nb, rng = batch
+    def run(nb, rng):
         if model.dimension == 1:
             X = np.full(nb, float(x0))
         else:
             X = np.tile(np.asarray(x0, dtype=float), (nb, 1))
         return _evolve(model, X, t, scheme, mode, rng)
 
-    jobs = list(_batches(scheme.paths, scheme.seed, stream))
-    threads = _thread_count()
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, jobs))
-    else:
-        parts = [run(j) for j in jobs]
-    return np.concatenate(parts)
+    return np.concatenate(_map_batches(run, scheme.paths, scheme.seed, stream))
 
 
 def payoff_from_grid(gf: GridFunction):
@@ -314,32 +323,47 @@ def weak_error_table(
     # sampled where spectral_reference samples: one period of its default torus
     constant_coeffs = _constant_coefficients(model, TorusGrid(n=4096, length_factor=4.0).x)
 
-    trunc_min = truncated_measure(model.measure, eps_list[0])
-    sums = np.zeros(len(eps_list))
-    sums2 = np.zeros(len(eps_list))
     n_total = scheme_base.paths
-
     if constant_coeffs:
         sig0, drf0 = constant_coeffs
-        # one master jump stream per batch, filtered per truncation level
-        for nb, rng in _batches(n_total, scheme_base.seed, 7):
+        n_levels = len(eps_list)
+        trunc_min = truncated_measure(model.measure, eps_list[0])
+        rate = trunc_min.tail_mass() * t
+        shifts = [compensator_drift(model.measure, e)[0] * t for e in eps_list]
+        scales = None
+        if scheme_base.gaussian_compensation:
+            scales = [math.sqrt(small_jump_variance(model.measure, e)[0, 0] * t) for e in eps_list]
+
+        def batch(nb, rng):
+            """Payoff sums and sums of squares, shape ``(2, levels)``."""
             draw = lambda k: trunc_min.sample_tail(size=k, rng=rng)
-            owner, jumps = jump_stream(trunc_min.tail_mass() * t, nb, draw, rng)
+            key, jumps = jump_stream(rate, nb, draw, rng)
             z = rng.standard_normal(nb)
-            mags = np.abs(jumps)
-            for k, e in enumerate(eps_list):
-                z0 = compensator_drift(model.measure, e)[0]
-                # a dropped jump adds +0.0 to its path's sum, which leaves the sum as it is
-                dL = path_sums(owner, np.where(mags > e, jumps, 0.0), nb) - z0 * t
-                if scheme_base.gaussian_compensation:
-                    var = small_jump_variance(model.measure, e)[0, 0] * t
-                    dL = dL + math.sqrt(var) * z
+            # a jump's band counts the higher levels it clears, so level k
+            # keeps exactly the bands >= k
+            band = np.zeros(jumps.size, dtype=np.int8)
+            for e in eps_list[1:]:
+                band += (jumps > e) | (jumps < -e)
+            key *= n_levels
+            key += band
+            del band
+            per_band = np.bincount(key, weights=jumps, minlength=nb * n_levels)
+            del key, jumps
+            levels = per_band.reshape(nb, n_levels)[:, ::-1].cumsum(axis=1)[:, ::-1]
+            out = np.empty((2, n_levels))
+            for k in range(n_levels):
+                dL = levels[:, k] - shifts[k]
+                if scales:
+                    dL = dL + scales[k] * z
                 X = x0 + drf0 * t + sig0 * dL
                 vals = np.asarray(f(X), dtype=float)
-                sums[k] += vals.sum()
-                sums2[k] += (vals**2).sum()
-            del owner, jumps, mags  # free this batch's stream before drawing the next
+                out[:, k] = vals.sum(), (vals**2).sum()
+            return out
+
+        sums, sums2 = sum(_map_batches(batch, n_total, scheme_base.seed, 7))
     else:
+        sums = np.zeros(len(eps_list))
+        sums2 = np.zeros(len(eps_list))
         for k, e in enumerate(eps_list):
             scheme = replace(scheme_base, eps=e)
             X = terminal_samples(model, x0, t, scheme, stream=7)
@@ -560,6 +584,9 @@ def jump_split_check(
     The split is at ``|z| = 1``: jumps in ``(eps, 1]`` stay compensated, jumps
     beyond one are a plain compound Poisson.  Also verifies the expected
     number of large jumps ``E N(t) = nu(|z| > 1) t``.
+
+    The batches run serially: on threads the check ran slower, and the
+    threads' malloc arenas raised the process's peak memory.
     """
     if model.dimension != 1:
         raise NotImplementedError("the split check is 1-d")
@@ -568,6 +595,7 @@ def jump_split_check(
     trunc = truncated_measure(measure, eps)
     mass_all = trunc.tail_mass()
     mass_large = measure.tail_mass(1.0)
+    keep_rate = (mass_all - mass_large) / mass_all  # share of the jumps in (eps, 1]
     z0 = compensator_drift(measure, eps)[0]
     payoffs = payoffs or _default_battery(2 * np.pi * 4.0)
 
@@ -585,7 +613,7 @@ def jump_split_check(
 
         # split: independent small-jump (eps < |z| <= 1, compensated) and
         # large-jump (|z| > 1, plain compound Poisson) drivers
-        draw = lambda k: _sample_band(trunc, eps, 1.0, k, rng_s)
+        draw = lambda k: _sample_band(trunc, eps, 1.0, k, rng_s, keep_rate)
         owner, small = jump_stream((mass_all - mass_large) * t, nb, draw, rng_s)
         dL_s = path_sums(owner, small, nb) - z0 * t
         del owner, small
@@ -629,17 +657,23 @@ def jump_split_check(
     )
 
 
-def _sample_band(trunc, lo: float, hi: float, size: int, rng) -> np.ndarray:
-    """Jump sizes from the truncated measure conditioned on lo < |z| <= hi."""
-    out = np.empty(size)
-    filled = 0
-    while filled < size:
-        draw = trunc.sample_tail(eps=lo, size=2 * (size - filled) + 16, rng=rng)
-        keep = draw[np.abs(draw) <= hi]
-        take = min(keep.size, size - filled)
-        out[filled : filled + take] = keep[:take]
-        filled += take
-    return out
+def _sample_band(trunc, lo: float, hi: float, size: int, rng, keep_rate: float) -> np.ndarray:
+    """Jump sizes from the truncated measure conditioned on lo < |z| <= hi.
+
+    ``keep_rate`` is the share of the band in the mass beyond ``lo``; each
+    round draws about 1% more candidates than it expects to need.  A single
+    round's kept values are returned as they are, so no output array is held
+    while the candidates are drawn.
+    """
+    if not keep_rate > 0.0:
+        raise ConfigError(f"the jump band ({lo}, {hi}] carries no mass", field="eps")
+    parts, need = [], size
+    while need > 0:
+        draw = trunc.sample_tail(eps=lo, size=int(need / keep_rate * 1.01) + 16, rng=rng)
+        parts.append(draw[(draw <= hi) & (draw >= -hi)][:need])
+        del draw
+        need -= parts[-1].size
+    return parts[0] if len(parts) == 1 else np.concatenate([np.empty(0), *parts])
 
 
 # ---------------------------------------------------------------------------

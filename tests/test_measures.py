@@ -286,6 +286,22 @@ class TestSampling:
         se = math.sqrt(2.0 / n) * diff_var
         assert abs(diff_var - var_add) <= 4 * se
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.floats(0.05, 1.99) | st.sampled_from([0.5, 1.0, 1.5]),
+        eps=st.floats(1e-3, 1.0),
+        size=st.integers(0, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stable_tail_draws_match_literal_formula(self, alpha, eps, size, seed):
+        measure = lv.StableMeasure.normalized(alpha)
+        draws = measure.sample_tail(eps, size, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        u = rng.random(size)
+        literal = eps * (1.0 - u) ** (-1.0 / alpha) * (rng.integers(0, 2, size) * 2 - 1)
+        # bitwise, sign bits included
+        assert np.array_equal(draws.view(np.int64), literal.view(np.int64))
+
     def test_exact_stable_requires_stable(self):
         rng = np.random.default_rng(0)
         atom = lv.AtomicMeasure(atoms=(((2.0,), 1.0),))

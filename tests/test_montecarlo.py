@@ -11,6 +11,7 @@ from scipy import stats
 
 import levysde as lv
 from levysde import montecarlo
+from levysde.measures import jump_stream, path_sums
 from levysde.montecarlo import _kde
 
 PERIOD = 8 * np.pi
@@ -159,9 +160,15 @@ class TestMcSemigroup:
         monkeypatch.setattr("levysde.montecarlo.ThreadPoolExecutor", no_pool)
         monkeypatch.setenv("LEVYSDE_THREADS", value)
         scheme = lv.SimScheme(eps=0.1, tau=1.0, gaussian_compensation=True, paths=100, seed=1)
-        with pytest.raises(lv.ConfigError, match="LEVYSDE_THREADS") as info:
-            lv.terminal_samples(constant_model, 0.0, 1.0, scheme)
-        assert info.value.field == "LEVYSDE_THREADS"
+        payoff = lv.hat_payoff(center=0.0, width=2.0, period=PERIOD)
+        ops = (
+            lambda: lv.terminal_samples(constant_model, 0.0, 1.0, scheme),
+            lambda: lv.weak_error_table(constant_model, payoff, 0.0, 1.0, [0.4, 0.1], scheme),
+        )
+        for op in ops:
+            with pytest.raises(lv.ConfigError, match="LEVYSDE_THREADS") as info:
+                op()
+            assert info.value.field == "LEVYSDE_THREADS"
 
 
 class TestWeakError:
@@ -272,6 +279,57 @@ class TestWeakError:
         )
         assert table.noise_dominated
         assert table.fit is None
+
+
+    @pytest.mark.parametrize("compensation", [False, True])
+    def test_rows_bit_identical_across_thread_counts(self, constant_model, monkeypatch,
+                                                     compensation):
+        payoff = lv.bump_payoff(center=0.0, width=2.0, period=PERIOD)
+        # three batches, the last one partial
+        scheme = lv.SimScheme(
+            eps=0.4, tau=1.0, gaussian_compensation=compensation, paths=140_000, seed=5
+        )
+        tables = []
+        for threads in ("1", "2", "4"):
+            monkeypatch.setenv("LEVYSDE_THREADS", threads)
+            tables.append(
+                lv.weak_error_table(constant_model, payoff, 0.0, 1.0, [0.4, 0.2, 0.1], scheme)
+            )
+        assert tables[0].rows == tables[1].rows == tables[2].rows
+
+    @pytest.mark.parametrize("compensation", [False, True])
+    def test_rows_match_per_level_oracle(self, constant_model, stable_measure, compensation):
+        # literal per-level filter on the same batch streams: a run at level e
+        # keeps the jumps with |z| > e; the duplicated level must repeat its row
+        payoff = lv.bump_payoff(center=0.0, width=2.0, period=PERIOD)
+        eps_list = [0.3, 0.1, 0.1, 0.05]
+        scheme = lv.SimScheme(
+            eps=0.4, tau=1.0, gaussian_compensation=compensation, paths=140_000, seed=23
+        )
+        table = lv.weak_error_table(constant_model, payoff, 0.0, 1.0, eps_list, scheme)
+        levels = sorted(eps_list)
+        trunc = lv.truncated_measure(stable_measure, levels[0])
+        sums = np.zeros((2, len(levels)))
+        for nb, rng in montecarlo._batches(scheme.paths, scheme.seed, 7):
+            draw = lambda k: trunc.sample_tail(size=k, rng=rng)
+            owner, jumps = jump_stream(trunc.tail_mass(), nb, draw, rng)
+            z = rng.standard_normal(nb)
+            for k, e in enumerate(levels):
+                dL = path_sums(owner, np.where(np.abs(jumps) > e, jumps, 0.0), nb)
+                dL -= lv.compensator_drift(stable_measure, e)[0]
+                if compensation:
+                    dL += math.sqrt(lv.small_jump_variance(stable_measure, e)[0, 0]) * z
+                vals = payoff(dL)
+                sums[:, k] += vals.sum(), (vals**2).sum()
+        means = sums[0] / scheme.paths
+        stderrs = np.sqrt(np.maximum(sums[1] / scheme.paths - means**2, 0.0) / scheme.paths)
+        assert [e for e, _, _ in table.rows] == levels
+        assert table.rows[1][1:] == table.rows[2][1:]
+        # the levels are summed in another order: the estimated means agree to
+        # 1e-12 relative, so an error (a difference of means) to 1e-12 of the mean
+        for (_, err, se), mean, oracle_se in zip(table.rows, means, stderrs):
+            assert abs(err - abs(mean - table.reference)) <= 1e-12 * abs(mean)
+            assert se == pytest.approx(oracle_se, rel=1e-12)
 
 
 class TestStrongFeller:
@@ -409,6 +467,26 @@ class TestJumpSplit:
             constant_model, 0.0, 1.0, paths=20_000, eps=0.1, seed=3, payoffs=payoffs
         )
         assert rep.payoff_rows[0][3] == 0.0
+
+    @pytest.mark.parametrize("hi, overstated", [(1.0, False), (0.1, True)])
+    def test_band_sampler_fills_the_band(self, stable_measure, hi, overstated):
+        # an overstated keep rate makes the sampler draw again for the rest
+        trunc = lv.truncated_measure(stable_measure, 0.05)
+        keep_rate = 1.0 if overstated else 1.0 - stable_measure.tail_mass(hi) / trunc.tail_mass()
+        rng = np.random.default_rng(4)
+        for size in (0, 1, 17, 50_000):
+            band = montecarlo._sample_band(trunc, 0.05, hi, size, rng, keep_rate)
+            assert band.shape == (size,)
+            assert np.all((np.abs(band) > 0.05) & (np.abs(band) <= hi))
+
+    def test_band_sampler_refuses_an_empty_band(self):
+        measure = lv.AtomicMeasure(atoms=(((0.5,), 3.0), ((2.0,), 1.0)))
+        trunc = lv.truncated_measure(measure, 0.6)
+        keep_rate = 1.0 - measure.tail_mass(1.0) / trunc.tail_mass()
+        assert keep_rate == 0.0
+        with pytest.raises(lv.ConfigError, match="no mass") as info:
+            montecarlo._sample_band(trunc, 0.6, 1.0, 10, np.random.default_rng(1), keep_rate)
+        assert info.value.field == "eps"
 
     def test_odd_payoff_near_zero(self, constant_model):
         payoffs = (lambda X: np.tanh(np.asarray(X, dtype=float)),)
