@@ -32,13 +32,12 @@ from .grids import GridFunction, TorusGrid
 from .measures import (
     compensator_drift,
     jump_stream,
-    levy_exponent,
     path_sums,
     sample_increment,
     small_jump_variance,
     truncated_measure,
 )
-from .models import SdeModel
+from .models import SdeModel, state_symbol
 from .ratefit import RateFit, fit_rate
 
 __all__ = [
@@ -267,10 +266,8 @@ def spectral_reference(model: SdeModel, f, x0, t: float, n: int = 4096, length_f
     coeffs = _constant_coefficients(model, grid.x)
     if coeffs is None:
         raise ValueError("spectral reference requires x-independent coefficients")
-    sig, drf = coeffs
     gf = GridFunction(grid, f(grid.x))
-    sym = levy_exponent(model.measure, sig * grid.xi) - 1j * drf * grid.xi
-    coeffs = gf.coeffs * np.exp(-t * sym)
+    coeffs = gf.coeffs * np.exp(-t * state_symbol(model, 0.0, grid.xi))
     return float(np.real(np.sum(coeffs * np.exp(1j * grid.xi * (x0 % grid.period)))))
 
 

@@ -4,7 +4,10 @@ and the composition-defect probe.
 A :class:`SymbolGrid` stores complex samples ``a(x_i, xi_k)`` on the product
 of a torus grid and its frequency lattice, with axes ordered
 ``x-axes then xi-axes`` and frequencies in FFT order.  ``<xi>`` denotes the
-bracket ``sqrt(1 + |xi|^2)`` throughout.
+bracket ``sqrt(1 + |xi|^2)`` throughout.  Every finite difference, seminorm
+and witness works in that stored order: the periodic xi-stencils wrap across
+the Nyquist seam, whose neighbourhood the seminorms mask, and a witness tie
+goes to the first maximizer in ascending-xi order.
 """
 
 from __future__ import annotations
@@ -207,14 +210,10 @@ def _declared_order(model: SdeModel) -> float:
 MAX_FD_ORDER = 4  # higher-order centered differences drown in rounding noise
 
 
-def _fd_axis(values: np.ndarray, axis: int, order: int, h: float, periodic: bool):
-    """Centered finite difference along one axis; returns (array, edge_reach).
-
-    Periodic axes wrap; non-periodic axes are valid only ``edge_reach`` cells
-    away from both ends (the caller masks them out).
-    """
+def _fd_axis(values: np.ndarray, axis: int, order: int, h: float) -> np.ndarray:
+    """Centered periodic finite difference along one axis (the stencil wraps)."""
     if order == 0:
-        return values, 0
+        return values
     if order > MAX_FD_ORDER:
         raise ValueError(f"finite differences are limited to order {MAX_FD_ORDER}")
     coeffs, reach = _FD_STENCILS[order]
@@ -228,72 +227,73 @@ def _fd_axis(values: np.ndarray, axis: int, order: int, h: float, periodic: bool
             dst[: n - k] += c * src[k:]
             dst[n - k:] += c * src[:k]
     out /= h**order
-    return out, (0 if periodic else reach)
-
-
-def _permute_xi(values: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """A symbol table with every xi-axis (the second half) permuted by ``order``."""
-    d = values.ndim // 2
-    for ax in range(d, 2 * d):
-        values = np.take(values, order, axis=ax)
-    return values
+    return out
 
 
 def _seminorm_table(sym: SymbolGrid, spec):
-    """The table a seminorm differentiates, xi-axes sorted ascending.
+    """The table a seminorm differentiates, in stored order.
 
     For :class:`AClass` the symbol itself; for :class:`HypClass` its
-    reciprocal, NaN where ``|s| < spec.floor``.  Returns (table, sub-floor
-    mask or None).
+    reciprocal, NaN where ``|s| < spec.floor``.  Raises
+    :class:`EllipticityError` at the first stored lattice point where that
+    happens inside the region ``|xi| >= spec.radius``.
     """
-    base = _permute_xi(sym.values, np.argsort(sym.grid.xi))
     if not isinstance(spec, HypClass):
-        return base, None
-    low = np.abs(base) < spec.floor
-    table = 1.0 / np.where(low, 1.0, base)
+        return sym.values
+    low = np.abs(sym.values) < spec.floor
+    bad = low & (sym.grid.xi_norm() >= spec.radius)
+    if np.any(bad):
+        raise EllipticityError(
+            "symbol magnitude below floor inside the hypoelliptic region: "
+            "ellipticity violated",
+            point=np.unravel_index(int(np.argmax(bad)), bad.shape),
+        )
+    table = 1.0 / np.where(low, 1.0, sym.values)
     table[low] = np.nan
-    return table, low
-
-
-def _weight_exponent(spec, n_alpha: int) -> float:
-    """Power of ``<xi>`` weighting a derivative of total xi-order ``n_alpha``."""
-    m = spec.m if isinstance(spec, HypClass) else -spec.m
-    return spec.rho * n_alpha + m
+    return table
 
 
 def _mixed_derivative(grid: TorusGrid, table: np.ndarray, alpha: tuple, beta: tuple):
-    """FD derivative d_xi^alpha d_x^beta of a table with xi-axes sorted ascending.
+    """FD derivative d_xi^alpha d_x^beta of a table in stored (FFT) order.
 
-    Returns (derivative array in xi-sorted order, validity mask over xi-axes).
+    Returns (derivative, validity mask over the xi-axes).  The xi-stencils
+    wrap across the Nyquist seam (indices n/2 - 1, n/2), so each
+    differentiated xi-axis masks the entries within a stencil's reach of it.
     """
     d = grid.dimension
     hx = grid.period / grid.n
     hxi = 1.0 / grid.length_factor
+    half = grid.n // 2
     out = table
-    edge = [0] * d
     for ax in range(d):
-        out, _ = _fd_axis(out, ax, beta[ax], hx, periodic=True)
-    for ax in range(d):
-        out, reach = _fd_axis(out, d + ax, alpha[ax], hxi, periodic=False)
-        edge[ax] = reach
+        out = _fd_axis(out, ax, beta[ax], hx)
     mask = np.ones(grid.shape, dtype=bool)
     for ax in range(d):
-        idx = [slice(None)] * d
-        if edge[ax] > 0:
-            idx[ax] = slice(0, edge[ax])
-            mask[tuple(idx)] = False
-            idx[ax] = slice(-edge[ax], None)
+        out = _fd_axis(out, d + ax, alpha[ax], hxi)
+        if alpha[ax]:
+            reach = _FD_STENCILS[alpha[ax]][1]
+            idx = [slice(None)] * d
+            idx[ax] = slice(half - reach, half + reach)
             mask[tuple(idx)] = False
     return out, mask
 
 
+def _seminorm_field(grid: TorusGrid, table: np.ndarray, spec, alpha: tuple, beta: tuple):
+    """``|d_xi^alpha d_x^beta table| <xi>^w`` in stored order, -inf at the
+    masked seam, outside ``|xi| >= radius`` and where not finite: the one
+    array both :func:`seminorm` and :func:`recompute_witness` read."""
+    deriv, valid = _mixed_derivative(grid, table, alpha, beta)
+    mags = grid.xi_norm()
+    m = spec.m if isinstance(spec, HypClass) else -spec.m
+    field = np.abs(deriv) * np.sqrt(1.0 + mags**2) ** (spec.rho * sum(alpha) + m)
+    keep = (mags >= getattr(spec, "radius", 0.0)) & valid & np.isfinite(field)
+    return np.where(keep, field, -np.inf)
+
+
 def _multi_indices(total_max: int, d: int):
-    """All multi-indices of dimension d with |alpha| <= total_max."""
-    if d == 1:
-        return [(o,) for o in range(total_max + 1)]
-    return [
-        (i, j) for i in range(total_max + 1) for j in range(total_max + 1 - i)
-    ]
+    """All multi-indices of dimension d with |alpha| <= total_max, in
+    lexicographic order."""
+    return [a for a in itertools.product(range(total_max + 1), repeat=d) if sum(a) <= total_max]
 
 
 # ---------------------------------------------------------------------------
@@ -358,74 +358,46 @@ def seminorm(sym: SymbolGrid, spec) -> SeminormReport:
     For :class:`AClass` the supremum runs over ``|d_xi^a d_x^b s| <xi>^{rho|a|-m}``;
     for :class:`HypClass` over ``|d_xi^a d_x^b (1/s)| <xi>^{m+rho|a|}`` on the
     region ``|xi| >= radius``.  Torus x-weights are unsupported (delta = 0).
+
+    Derivatives act on the stored (FFT-order) table with the Nyquist seam
+    masked.  The witness is the first (alpha, beta) attaining the supremum
+    and its first maximizer in ascending-xi order, given (as the point of an
+    :class:`EllipticityError`) in stored lattice indices.
     """
     grid = sym.grid
     d = grid.dimension
     if isinstance(spec, AClass) and spec.delta != 0.0:
         raise ValueError("x-weights (delta != 0) are not meaningful on the torus")
 
-    order_xi = np.argsort(grid.xi)
-    work, low = _seminorm_table(sym, spec)
-    radius = spec.radius if isinstance(spec, HypClass) else 0.0
-    region, bracket = _hyp_region(grid, order_xi, radius)
-    if low is not None and np.any(low & region):
-        flat = int(np.argmax((low & region).ravel()))
-        raise EllipticityError(
-            "symbol magnitude below floor inside the hypoelliptic region: "
-            "ellipticity violated",
-            point=np.unravel_index(flat, low.shape),
-        )
+    work = _seminorm_table(sym, spec)
     alphas = [a for a in _multi_indices(spec.k1, d) if sum(a) >= spec.min_alpha]
+    half = grid.n // 2
 
     best = -1.0
     best_witness = None
     for alpha in alphas:
         for beta in _multi_indices(spec.k2, d):
-            deriv, valid = _mixed_derivative(grid, work, alpha, beta)
-            w = bracket ** _weight_exponent(spec, sum(alpha))
-            field = np.abs(deriv) * w
-            field = np.where(region & valid & np.isfinite(field), field, -np.inf)
-            val = float(field.ravel()[np.argmax(field)])
+            field = _seminorm_field(grid, work, spec, alpha, beta)
+            val = float(field.max())
             if val > best:
                 best = val
-                idx = np.unravel_index(int(np.argmax(field)), field.shape)
-                x_idx = idx[:d]
-                xi_idx_sorted = idx[d:]
-                xi_idx = tuple(int(order_xi[i]) for i in xi_idx_sorted)
-                best_witness = (x_idx, xi_idx, alpha, beta)
+                # ascending xi is the stored order rolled by n/2: the first
+                # maximizer there keeps the tie rule of an ascending lattice
+                rolled = np.roll(field, half, axis=tuple(range(d, 2 * d)))
+                idx = np.unravel_index(int(np.argmax(rolled)), field.shape)
+                xi_idx = tuple(int(i + half) % grid.n for i in idx[d:])
+                best_witness = (idx[:d], xi_idx, alpha, beta)
     return SeminormReport(spec=spec, value=best, witness=best_witness)
 
 
-def _hyp_region(grid: TorusGrid, order_xi, radius: float):
-    """(region mask, bracket array) over the product lattice, xi-sorted axes."""
-    d = grid.dimension
-    xi_sorted = grid.xi[order_xi]
-    if d == 1:
-        mags = np.abs(xi_sorted)[None, :]
-    else:
-        kx, ky = np.meshgrid(xi_sorted, xi_sorted, indexing="ij")
-        mags = np.hypot(kx, ky)[None, None, :, :]
-    region = np.broadcast_to(mags >= radius, grid.shape + grid.shape)
-    bracket = np.sqrt(1.0 + mags**2)
-    return region, np.broadcast_to(bracket, grid.shape + grid.shape)
-
-
 def recompute_witness(sym: SymbolGrid, report: SeminormReport) -> float:
-    """Re-evaluate the reported witness derivative; must reproduce the value."""
+    """Re-evaluate the reported witness derivative at its stored lattice
+    indices; reproduces ``report.value`` exactly, because it indexes the same
+    weighted array :func:`seminorm` maximizes."""
     x_idx, xi_idx, alpha, beta = report.witness
-    spec = report.spec
-    grid = sym.grid
-    d = grid.dimension
-    inv_order = np.argsort(np.argsort(grid.xi))
-    weight_exp = _weight_exponent(spec, sum(alpha))
-    deriv, _ = _mixed_derivative(grid, _seminorm_table(sym, spec)[0], alpha, beta)
-    xi_idx_sorted = tuple(int(inv_order[i]) for i in xi_idx)
-    loc = tuple(x_idx) + xi_idx_sorted
-    if d == 1:
-        mag = abs(grid.xi[xi_idx[0]])
-    else:
-        mag = math.hypot(grid.xi[xi_idx[0]], grid.xi[xi_idx[1]])
-    return float(abs(deriv[loc]) * (1.0 + mag**2) ** (weight_exp / 2.0))
+    table = _seminorm_table(sym, report.spec)
+    field = _seminorm_field(sym.grid, table, report.spec, alpha, beta)
+    return float(field[tuple(x_idx) + tuple(xi_idx)])
 
 
 # ---------------------------------------------------------------------------
@@ -592,16 +564,9 @@ def _x_spectral_derivative(sym_vals: np.ndarray, grid: TorusGrid, beta: tuple):
 
 
 def _xi_fd_derivative(sym_vals: np.ndarray, grid: TorusGrid, alpha: tuple):
-    """Centered FD d_xi^alpha of a symbol table along the xi-axes (FFT order)."""
-    if not any(alpha):
-        return sym_vals
-    d = grid.dimension
-    order_xi = np.argsort(grid.xi)
-    out = _permute_xi(sym_vals, order_xi)
-    h = 1.0 / grid.length_factor
-    for ax in range(d):
-        out, _ = _fd_axis(out, d + ax, alpha[ax], h, periodic=False)
-    return _permute_xi(out, np.argsort(order_xi))
+    """Centered FD d_xi^alpha of a symbol table in stored order; the wrapped
+    entries at the Nyquist seam lie far above the band the probe admits."""
+    return _mixed_derivative(grid, sym_vals, alpha, (0,) * grid.dimension)[0]
 
 
 def composition_defect(a1: SymbolGrid, a2: SymbolGrid, u: GridFunction, order: int):

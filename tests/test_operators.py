@@ -16,47 +16,7 @@ from levysde.operators import (
     parametrix_probe_contraction,
 )
 
-from conftest import make_mode
-
-
-def swept_model(d, alpha, amp, drift):
-    """sigma = 2 + amp sin(x_1) (times the identity in d = 2) and a drift of
-    size ``drift``, driven by the normalized alpha-stable measure."""
-    measure = lv.StableMeasure.normalized(alpha, dimension=d)
-    if d == 1:
-        return lv.SdeModel(
-            sigma=lv.coefficient_preset("2+sin", offset=2.0, amplitude=amp),
-            drift=lv.coefficient_preset("1+0.5cos", offset=0.0, amplitude=drift),
-            measure=measure,
-            sigma_lower_bound=2.0 - amp,
-        )
-
-    def sigma(x):
-        x = np.asarray(x, dtype=float)
-        return (2.0 + amp * np.sin(x[..., 0]))[..., None, None] * np.eye(2)
-
-    def b(x):
-        x = np.asarray(x, dtype=float)
-        return drift * np.stack([np.cos(x[..., 1]), np.ones(x.shape[:-1])], axis=-1)
-
-    return lv.SdeModel(sigma=sigma, drift=b, measure=measure, sigma_lower_bound=2.0 - amp,
-                       dimension=2)
-
-
-def swept_symbols(alpha=(0.3, 1.9), amp=(0.0, 1.5), drift=(-3.0, 3.0)):
-    """Tabulated ``swept_model`` symbols: d = 1 with N <= 256, d = 2 with N <= 32."""
-    one = st.tuples(st.just(1), st.sampled_from([16, 32, 64, 128, 256]))
-    two = st.tuples(st.just(2), st.sampled_from([16, 32]))
-    return st.builds(
-        lambda dn, L, a, s, b: lv.tabulate(
-            swept_model(dn[0], a, s, b), lv.TorusGrid(n=dn[1], dimension=dn[0], length_factor=L)
-        ),
-        dn=one | two,
-        L=st.sampled_from([1.0, 2.0, 4.0]),
-        a=st.floats(*alpha),
-        s=st.floats(*amp),
-        b=st.floats(*drift),
-    )
+from conftest import make_mode, swept_symbols
 
 
 def random_function(grid, seed):

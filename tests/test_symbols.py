@@ -4,11 +4,105 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import levysde as lv
-from levysde.symbols import AClass, HypClass
+from levysde.symbols import AClass, HypClass, _xi_fd_derivative
 
-from conftest import make_mode
+from conftest import make_mode, swept_symbols
+
+
+# The ascending-xi algorithm, written out as an oracle for the stored-order
+# one: sort the xi-axes, take wrapped stencil sums, mask ``reach`` entries at
+# both ends of each differentiated xi-axis, and map the witness back.
+ASCENDING_STENCILS = {
+    1: (-0.5, 0.0, 0.5),
+    2: (1.0, -2.0, 1.0),
+    3: (-0.5, 1.0, 0.0, -1.0, 0.5),
+    4: (1.0, -4.0, 6.0, -4.0, 1.0),
+}
+
+
+def stencil_sum(values, axis, order, h):
+    """``sum_j c_j values[i + j] / h^order`` along ``axis``, wrapping at the ends."""
+    if order == 0:
+        return values
+    coeffs = ASCENDING_STENCILS[order]
+    reach = len(coeffs) // 2
+    out = np.zeros_like(values)
+    for c, off in zip(coeffs, range(-reach, reach + 1)):
+        if c != 0.0:
+            out += c * np.roll(values, -off, axis=axis)
+    out /= h**order
+    return out
+
+
+def ascending_multi_indices(total_max, d):
+    if d == 1:
+        return [(o,) for o in range(total_max + 1)]
+    return [(i, j) for i in range(total_max + 1) for j in range(total_max + 1 - i)]
+
+
+def sort_xi(values, grid, order):
+    for ax in range(grid.dimension, 2 * grid.dimension):
+        values = np.take(values, order, axis=ax)
+    return values
+
+
+def ascending_seminorm(sym, spec):
+    """(value, witness) of :func:`lv.seminorm` by the ascending-xi algorithm."""
+    grid = sym.grid
+    d = grid.dimension
+    order = np.argsort(grid.xi)
+    table = sort_xi(sym.values, grid, order)
+    if isinstance(spec, HypClass):
+        low = np.abs(table) < spec.floor
+        table = 1.0 / np.where(low, 1.0, table)
+        table[low] = np.nan
+        m, radius = spec.m, spec.radius
+    else:
+        m, radius = -spec.m, 0.0
+    xs = grid.xi[order]
+    mags = np.abs(xs) if d == 1 else np.hypot(*np.meshgrid(xs, xs, indexing="ij"))
+    bracket = np.sqrt(1.0 + mags**2)
+    best, witness = -1.0, None
+    for alpha in ascending_multi_indices(spec.k1, d):
+        if sum(alpha) < spec.min_alpha:
+            continue
+        for beta in ascending_multi_indices(spec.k2, d):
+            deriv = table
+            for ax in range(d):
+                deriv = stencil_sum(deriv, ax, beta[ax], grid.period / grid.n)
+            valid = mags >= radius
+            for ax in range(d):
+                deriv = stencil_sum(deriv, d + ax, alpha[ax], 1.0 / grid.length_factor)
+                reach = len(ASCENDING_STENCILS.get(alpha[ax], ())) // 2
+                if reach:
+                    ends = [slice(None)] * d
+                    ends[ax] = np.r_[0:reach, grid.n - reach:grid.n]
+                    valid[tuple(ends)] = False
+            field = np.abs(deriv) * bracket ** (spec.rho * sum(alpha) + m)
+            field = np.where(valid & np.isfinite(field), field, -np.inf)
+            k = int(np.argmax(field))
+            if field.flat[k] > best:
+                best = float(field.flat[k])
+                idx = np.unravel_index(k, field.shape)
+                witness = (idx[:d], tuple(int(order[i]) for i in idx[d:]), alpha, beta)
+    return best, witness
+
+
+@st.composite
+def seminorm_cases(draw):
+    """A swept symbol (2-d at N = 16) with an A or Hyp spec of its declared
+    order, k1 <= 4, k2 <= 2; a Hyp radius is a fraction of the Nyquist
+    frequency, so the region always holds lattice points."""
+    s = draw(swept_symbols(n2=(16,)))
+    min_alpha = draw(st.integers(0, 1))
+    k1, k2 = draw(st.integers(min_alpha, 4)), draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        radius = draw(st.floats(0.1, 0.5)) * s.grid.xi_nyquist
+        return s, HypClass(m=s.order, k1=k1, k2=k2, radius=radius, min_alpha=min_alpha)
+    return s, AClass(m=s.order, k1=k1, k2=k2, min_alpha=min_alpha)
 
 
 class TestTabulate:
@@ -99,9 +193,26 @@ class TestSeminorm:
         vals = np.tile(np.abs(grid256.xi) ** 1.5, (256, 1)).astype(complex)
         vals[:, 100] = 0.0
         s = lv.SymbolGrid(grid256, vals, 1.5)
+        spec = HypClass(m=1.5, k1=1, k2=0, radius=4.0)
         with pytest.raises(lv.EllipticityError) as err:
-            lv.seminorm(s, HypClass(m=1.5, k1=1, k2=0, radius=4.0))
-        assert err.value.point is not None
+            lv.seminorm(s, spec)
+        point = err.value.point
+        assert len(point) == 2
+        assert abs(s.values[tuple(point)]) < spec.floor
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=seminorm_cases())
+    def test_witness_reproduces_value(self, case):
+        s, spec = case
+        rep = lv.seminorm(s, spec)
+        assert lv.recompute_witness(s, rep) == rep.value
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=seminorm_cases())
+    def test_matches_ascending_oracle(self, case):
+        s, spec = case
+        rep = lv.seminorm(s, spec)
+        assert (rep.value, rep.witness) == ascending_seminorm(s, spec)
 
     def test_torus_x_weights_rejected(self, symbol_const_256):
         with pytest.raises(ValueError):
@@ -226,6 +337,19 @@ class TestCompositionDefect:
             ratios[-1][0] / ratios[0][0]
         )
         assert -1.3 <= slope <= -0.7
+
+    @settings(max_examples=30, deadline=None)
+    @given(s=swept_symbols(n2=(16,)), orders=st.lists(st.integers(0, 4), min_size=2, max_size=2))
+    def test_xi_derivative_matches_ascending_oracle(self, s, orders):
+        grid = s.grid
+        alpha = tuple(orders[: grid.dimension])
+        order = np.argsort(grid.xi)
+        sorted_vals = sort_xi(s.values, grid, order)
+        for ax in range(grid.dimension):
+            sorted_vals = stencil_sum(sorted_vals, grid.dimension + ax, alpha[ax],
+                                      1.0 / grid.length_factor)
+        oracle = sort_xi(sorted_vals, grid, np.argsort(order))
+        assert np.array_equal(_xi_fd_derivative(s.values, grid, alpha), oracle)
 
     def test_band_limit_precondition(self, symbol_const_256, grid256):
         u = make_mode(grid256, 20.0)  # Nyquist is 32, bound is 8
