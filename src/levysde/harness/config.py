@@ -2,11 +2,12 @@
 
 A configuration is a key-value tree with the sections ``experiment``,
 ``model``, ``grid``, ``scheme``, ``params``, ``gates``, and ``output``; any
-other section is refused.  Which experiments exist, the section each needs,
-the gate keys it accepts and whether it runs in d = 2 come from
-``experiments.EXPERIMENTS``.  Model coefficients are chosen from a closed set
-of named presets (no expression parsing); measures are described by
-``kind``/``alpha``/``scale``/``atoms``/``dimension`` keys.
+other section, and any key a section does not declare, is refused.  Which
+experiments exist, the section each needs, its params and gates with their
+defaults and whether it runs in d = 2 come from ``experiments.EXPERIMENTS``.
+Model coefficients are chosen from a closed set of named presets
+(``models.PRESETS``, no expression parsing); measures are described by
+``kind``/``alpha``/``scale``/``atoms``/``radii``/``density``/``dimension`` keys.
 """
 
 from __future__ import annotations
@@ -17,15 +18,13 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from ..errors import ConfigError
 from ..grids import TorusGrid
 from ..measures import AtomicMeasure, StableMeasure, TabulatedMeasure
-from ..models import PRESET_NAMES, SdeModel, coefficient_preset
+from ..models import PRESETS, SdeModel, coefficient_preset, constant_value
 from ..montecarlo import SimScheme
-from ..symbols import X_INDEPENDENT_RTOL
 
 __all__ = [
     "ExperimentConfig",
@@ -95,6 +94,25 @@ def _value(section: dict, key: str, where: str, kind, default=_REQUIRED):
                           field=f"{where}.{key}") from None
 
 
+def _known(section: dict, where: str, keys):
+    """Refuse a key of the mapping ``section`` that is not among ``keys``."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a mapping, got {section!r}", field=where)
+    for key in section:
+        if key not in keys:
+            raise ConfigError(f"unknown field {where}.{key}; {where} takes {tuple(keys)}",
+                              field=f"{where}.{key}")
+
+
+def _declared(section, where: str, defaults: dict) -> dict:
+    """``defaults`` with the values ``section`` sets: a key without a default is
+    refused, and each value is parsed by the type of its default (:func:`_kind`)."""
+    section = {} if section is None else section
+    _known(section, where, defaults)
+    return {key: _value(section, key, where, _kind(default), default)
+            for key, default in defaults.items()}
+
+
 def _build(cls, where: str, renamed=(), **kwargs):
     """``cls(**kwargs)``; a refused argument becomes a ``ConfigError`` naming its
     field ``where.<argument>`` (``renamed`` maps argument names to config keys)."""
@@ -123,46 +141,37 @@ def validate_config(cfg: dict) -> ExperimentConfig:
         )
     entry = EXPERIMENTS[experiment]
     model = _require(cfg, "model", "config")
-    _validate_coefficient(model, "sigma_expr")
-    _validate_coefficient(model, "drift_expr")
     built = build_model(model)  # raises with the offending field
-    dimension = _value(model, "dimension", "model", _int, 1)
-    if dimension != 1 and not entry.two_d:
+    if built.dimension != 1 and not entry.two_d:
         raise ConfigError(
             f"experiment {experiment!r} runs in d = 1 only (the coefficient presets "
-            f"are scalar), got model.dimension = {dimension}",
+            f"are scalar), got model.dimension = {built.dimension}",
             field="model.dimension",
         )
-    grid = cfg.get("grid", {})
+    grid, scheme = cfg.get("grid", {}), cfg.get("scheme", {})
+    if entry.needs and not cfg.get(entry.needs):
+        raise ConfigError(f"experiment {experiment!r} requires a {entry.needs} section",
+                          field=entry.needs)
     if entry.needs == "grid":
-        if not grid:
-            raise ConfigError(f"experiment {experiment!r} requires a grid section", field="grid")
         torus = build_grid(grid)
-        if torus.dimension != dimension:
+        if torus.dimension != built.dimension:
             raise ConfigError(
-                f"grid.dimension must equal model.dimension = {dimension}",
+                f"grid.dimension must equal model.dimension = {built.dimension}",
                 field="grid.dimension",
             )
         if entry.constant_coefficients:
-            _require_constant(built, torus, experiment)
-    scheme = cfg.get("scheme", {})
+            for key, coefficient in (("sigma_expr", built.sigma), ("drift_expr", built.drift)):
+                if constant_value(coefficient, torus.x) is None:
+                    raise ConfigError(
+                        f"experiment {experiment!r} checks the exact-multiplier oracle and "
+                        f"needs x-independent coefficients, but model.{key} varies over the "
+                        "grid; use constant presets",
+                        field=f"model.{key}",
+                    )
     if entry.needs == "scheme":
-        if not scheme:
-            raise ConfigError(
-                f"experiment {experiment!r} requires a scheme section", field="scheme"
-            )
         build_scheme(scheme)
-    gates = cfg.get("gates") or {}
-    if not isinstance(gates, dict):
-        raise ConfigError("gates must be a mapping of gate names to values", field="gates")
-    for key in gates:
-        if key not in entry.gates:
-            raise ConfigError(
-                f"unknown gate {key!r} for experiment {experiment!r}; "
-                f"its gates are {tuple(entry.gates)}",
-                field=f"gates.{key}",
-            )
-    gates = {key: _value(gates, key, "gates", _gate_kind(entry.gates[key])) for key in gates}
+    params = _declared(cfg.get("params"), "params", entry.params)
+    gates = _declared(cfg.get("gates"), "gates", entry.gates)
     output = cfg.get("output", "results")
     # run_experiment creates the directory; validation leaves the filesystem as it is
     existing = Path(output).absolute()
@@ -178,54 +187,42 @@ def validate_config(cfg: dict) -> ExperimentConfig:
         model=model,
         grid=grid,
         scheme=scheme,
-        params=cfg.get("params", {}),
+        params=params,
         gates=gates,
         output=output,
         digest=config_hash(cfg),
     )
 
 
-def _require_constant(model: SdeModel, grid: TorusGrid, experiment: str):
-    """Refuse sigma or b varying over the grid's points (to ``X_INDEPENDENT_RTOL``
-    of their magnitude), as the tabulated symbol would then depend on x."""
-    for key, coefficient in (("sigma_expr", model.sigma), ("drift_expr", model.drift)):
-        samples = np.asarray(coefficient(grid.x))
-        if np.abs(samples - samples[0]).max() > X_INDEPENDENT_RTOL * np.abs(samples).max():
-            raise ConfigError(
-                f"experiment {experiment!r} checks the exact-multiplier oracle and needs "
-                f"x-independent coefficients, but model.{key} varies over the grid; "
-                "use constant presets",
-                field=f"model.{key}",
-            )
-
-
-def _gate_kind(default):
-    """Parser of a gate value, chosen by the type of the gate's default."""
+def _kind(default):
+    """Parser of a gate or param value, chosen by the type of its default: a
+    tuple is a ``(lo, hi)`` range, a list takes any number of floats, and
+    None stands for an optional float."""
     if isinstance(default, bool):
         return _bool
     if isinstance(default, int):
         return _count
-    if isinstance(default, list):
+    if isinstance(default, tuple):
         return _pair
+    if isinstance(default, list):
+        return _floats
+    if isinstance(default, str):
+        return str
     return float if default is not None else _optional_float
 
 
-def _validate_coefficient(model: dict, key: str):
-    expr = _require(model, key, "model")
-    if not isinstance(expr, dict) or "preset" not in expr:
-        raise ConfigError(
-            f"model.{key} must name a preset from {PRESET_NAMES}", field=f"model.{key}.preset"
-        )
-    name = expr["preset"]
-    if name not in PRESET_NAMES:
-        raise ConfigError(
-            f"unknown coefficient preset {name!r} in model.{key}; choose from {PRESET_NAMES}",
-            field=f"model.{key}.preset",
-        )
+# the keys of the model section: the measure's, by kind, and those of build_model
+_MEASURE_KEYS = {"stable": ("alpha", "scale"), "atomic": ("atoms",),
+                 "tabulated": ("radii", "density")}
+_MODEL_KEYS = ("kind", "dimension", "sigma_expr", "drift_expr", "sigma_lower_bound")
 
 
 def build_measure(model: dict):
     kind = _require(model, "kind", "model")
+    if kind not in tuple(_MEASURE_KEYS):
+        raise ConfigError(f"unknown measure kind {kind!r}; choose from {tuple(_MEASURE_KEYS)}",
+                          field="model.kind")
+    _known(model, "model", _MODEL_KEYS + _MEASURE_KEYS[kind])
     dimension = _value(model, "dimension", "model", _int, 1)
     if kind == "stable":
         scale = model.get("scale", "normalized")
@@ -241,14 +238,12 @@ def build_measure(model: dict):
 
         return _build(AtomicMeasure, "model", atoms=_value(model, "atoms", "model", atoms),
                       dimension=dimension)
-    if kind == "tabulated":
-        return _build(
-            TabulatedMeasure, "model",
-            radii=_value(model, "radii", "model", _floats),
-            density=_value(model, "density", "model", _floats),
-            dimension=dimension,
-        )
-    raise ConfigError(f"unknown measure kind {kind!r}", field="model.kind")
+    return _build(
+        TabulatedMeasure, "model",
+        radii=_value(model, "radii", "model", _floats),
+        density=_value(model, "density", "model", _floats),
+        dimension=dimension,
+    )
 
 
 def build_model(model: dict) -> SdeModel:
@@ -296,11 +291,14 @@ def _floats(values) -> tuple:
 
 
 def _preset(expr: dict):
+    if not isinstance(expr, dict) or "preset" not in expr:
+        raise ValueError(f"must name a preset from {tuple(PRESETS)}")
     params = dict(expr)
     return coefficient_preset(params.pop("preset"), **params)
 
 
 def build_grid(grid: dict) -> TorusGrid:
+    _known(grid, "grid", ("n", "dimension", "length_factor"))
     return _build(
         TorusGrid, "grid",
         n=_value(grid, "n", "grid", _int),
@@ -310,11 +308,12 @@ def build_grid(grid: dict) -> TorusGrid:
 
 
 def build_scheme(scheme: dict) -> SimScheme:
+    _known(scheme, "scheme", ("eps", "tau", "gaussian_compensation", "paths", "seed"))
     return _build(
         SimScheme, "scheme",
         eps=_value(scheme, "eps", "scheme", float),
         tau=_value(scheme, "tau", "scheme", float),
-        gaussian_compensation=bool(scheme.get("gaussian_compensation", True)),
+        gaussian_compensation=_value(scheme, "gaussian_compensation", "scheme", _bool, True),
         paths=_value(scheme, "paths", "scheme", _int),
         seed=_value(scheme, "seed", "scheme", _int, 0),
     )

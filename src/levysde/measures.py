@@ -779,8 +779,8 @@ def bg_index(spec, k: int, fit_range: tuple = (2.0, 512.0), samples_per_octave: 
     ``spec`` may be a measure or a plain callable ``xi -> psi(xi)`` (scalar).
     Drift never enters: the index is a property of the noise alone.
     """
-    if k < 0 or k > 4:
-        raise ValueError("derivative order must lie in [0, 4]")
+    if k not in range(5):
+        raise ValueError(f"derivative order must be an integer in [0, 4], got {k}")
     lo, hi = fit_range
     if not 0 < lo < hi:
         raise ValueError("fit window must satisfy 0 < lo < hi")
@@ -807,7 +807,7 @@ def bg_index(spec, k: int, fit_range: tuple = (2.0, 512.0), samples_per_octave: 
             x = 2.0**m * (1.0 + j / samples_per_octave)
             h = max(0.02 * x, 1e-3)
             val = abs(complex(psi(x)))
-            for o in range(1, k + 1):
+            for o in range(1, int(k) + 1):
                 val = max(val, abs(_fd_derivative(psi, x, o, h)) * x**o)
             best = max(best, val)
         logs.append(math.log(max(best, 1e-300)))

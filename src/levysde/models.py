@@ -20,17 +20,26 @@ from .measures import levy_exponent
 
 __all__ = [
     "coefficient_preset",
-    "PRESET_NAMES",
+    "constant_value",
+    "PRESETS",
     "SdeModel",
     "SectorReport",
     "state_symbol",
     "sector_report",
 ]
 
-# Closed set of named coefficient presets; selected by name plus parameters,
-# no expression parsing.  All but "affine" are 2*pi-periodic, hence periodic
-# on any torus of period 2*pi*L with integer L.
-PRESET_NAMES = ("constant", "2+sin", "1+0.5cos", "affine")
+# Closed set of named coefficient presets, each with its parameters and their
+# defaults; selected by name plus parameters, no expression parsing.  All but
+# "affine" are 2*pi-periodic, hence periodic on any torus of period 2*pi*L
+# with integer L.
+PRESETS = {
+    "constant": {"value": 1.0},
+    "2+sin": {"offset": 2.0, "amplitude": 1.0, "frequency": 1.0},
+    "1+0.5cos": {"offset": 1.0, "amplitude": 0.5, "frequency": 1.0},
+    "affine": {"intercept": 0.0, "slope": 1.0},
+}
+
+X_INDEPENDENT_RTOL = 1e-13  # of the largest magnitude, in every x-independence test
 
 
 def coefficient_preset(name: str, **params):
@@ -38,29 +47,35 @@ def coefficient_preset(name: str, **params):
 
     Presets
     -------
-    constant : value (default 1.0)
-    2+sin    : offset + amplitude * sin(frequency * x); defaults 2, 1, 1
-    1+0.5cos : offset + amplitude * cos(frequency * x); defaults 1, 0.5, 1
+    constant : value
+    2+sin    : offset + amplitude * sin(frequency * x)
+    1+0.5cos : offset + amplitude * cos(frequency * x)
     affine   : intercept + slope * x (not torus-periodic; simulation only)
+
+    The parameters and their defaults are declared in ``PRESETS``; an unknown
+    name or a parameter the preset does not take raises ``ConfigError``.
     """
+    if name not in PRESETS:
+        raise ConfigError(f"unknown coefficient preset {name!r}; choose from {tuple(PRESETS)}")
+    for key in params:
+        if key not in PRESETS[name]:
+            raise ConfigError(f"preset {name!r} takes {tuple(PRESETS[name])}, not {key!r}")
+    p = {key: float(params.get(key, default)) for key, default in PRESETS[name].items()}
     if name == "constant":
-        value = float(params.get("value", 1.0))
-        return lambda x: np.full_like(np.asarray(x, dtype=float), value)
-    if name == "2+sin":
-        off = float(params.get("offset", 2.0))
-        amp = float(params.get("amplitude", 1.0))
-        freq = float(params.get("frequency", 1.0))
-        return lambda x: off + amp * np.sin(freq * np.asarray(x, dtype=float))
-    if name == "1+0.5cos":
-        off = float(params.get("offset", 1.0))
-        amp = float(params.get("amplitude", 0.5))
-        freq = float(params.get("frequency", 1.0))
-        return lambda x: off + amp * np.cos(freq * np.asarray(x, dtype=float))
+        return lambda x: np.full_like(np.asarray(x, dtype=float), p["value"])
     if name == "affine":
-        intercept = float(params.get("intercept", 0.0))
-        slope = float(params.get("slope", 1.0))
-        return lambda x: intercept + slope * np.asarray(x, dtype=float)
-    raise ValueError(f"unknown coefficient preset {name!r}; choose from {PRESET_NAMES}")
+        return lambda x: p["intercept"] + p["slope"] * np.asarray(x, dtype=float)
+    wave = np.sin if name == "2+sin" else np.cos
+    return lambda x: p["offset"] + p["amplitude"] * wave(p["frequency"] * np.asarray(x, float))
+
+
+def constant_value(coefficient, x):
+    """The value of a 1-d ``coefficient`` at ``x[0]`` when its samples at
+    every point of ``x`` agree to ``X_INDEPENDENT_RTOL``, else None."""
+    samples = np.asarray(coefficient(x), dtype=float)
+    if np.abs(samples - samples[0]).max() > X_INDEPENDENT_RTOL * np.abs(samples).max():
+        return None
+    return float(samples[0])
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from .measures import (
     small_jump_variance,
     truncated_measure,
 )
-from .models import SdeModel, state_symbol
+from .models import SdeModel, constant_value, state_symbol
 from .ratefit import RateFit, fit_rate
 
 __all__ = [
@@ -246,25 +246,11 @@ def mc_semigroup(
     return McEstimate(mean=mean, stderr=stderr, paths_used=int(vals.size))
 
 
-def _constant_coefficients(model: SdeModel, x):
-    """``(sigma, drift)`` at 0 when both coefficients of a 1-d model stay
-    within 1e-12 of it at every sample point ``x``, else None."""
-    sig = float(np.asarray(model.sigma(np.zeros(1)))[0])
-    drf = float(np.asarray(model.drift(np.zeros(1)))[0])
-    if (
-        np.abs(np.asarray(model.sigma(x)) - sig).max() > 1e-12
-        or np.abs(np.asarray(model.drift(x)) - drf).max() > 1e-12
-    ):
-        return None
-    return sig, drf
-
-
 def spectral_reference(model: SdeModel, f, x0, t: float, n: int = 4096, length_factor: float = 4.0):
     """Exact ``P_t f(x0)`` for x-independent coefficients via the Fourier
     multiplier ``exp(-t a(xi))`` of the periodized payoff."""
     grid = TorusGrid(n=n, dimension=1, length_factor=length_factor)
-    coeffs = _constant_coefficients(model, grid.x)
-    if coeffs is None:
+    if constant_value(model.sigma, grid.x) is None or constant_value(model.drift, grid.x) is None:
         raise ValueError("spectral reference requires x-independent coefficients")
     gf = GridFunction(grid, f(grid.x))
     coeffs = gf.coeffs * np.exp(-t * state_symbol(model, 0.0, grid.xi))
@@ -318,11 +304,11 @@ def weak_error_table(
         raise ValueError("reference must be 'spectral' or 'exact-stable'")
 
     # sampled where spectral_reference samples: one period of its default torus
-    constant_coeffs = _constant_coefficients(model, TorusGrid(n=4096, length_factor=4.0).x)
+    x = TorusGrid(n=4096, length_factor=4.0).x
+    sig0, drf0 = constant_value(model.sigma, x), constant_value(model.drift, x)
 
     n_total = scheme_base.paths
-    if constant_coeffs:
-        sig0, drf0 = constant_coeffs
+    if sig0 is not None and drf0 is not None:
         n_levels = len(eps_list)
         trunc_min = truncated_measure(model.measure, eps_list[0])
         rate = trunc_min.tail_mass() * t

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ContractionError, EllipticityError
 from .grids import GridFunction, TorusGrid
 from .measures import _FD_STENCILS
-from .models import SdeModel, state_symbol
+from .models import X_INDEPENDENT_RTOL, SdeModel, state_symbol
 from .besov import raised_cosine_profile
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "DefectReport",
 ]
 
-X_INDEPENDENT_RTOL = 1e-13
 FACTOR_RTOL = 1e-13  # max-norm truncation error of SymbolGrid.factors, relative to max|a|
 _FACTOR_BLOCK = 1 << 16  # table entries per block of a residual pass (1 MB of complex)
 

@@ -1,7 +1,9 @@
 """Config handling, rate fitting, experiment orchestration, and the CLI."""
 
+import importlib.util
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,9 @@ from levysde.harness.cli import main as cli_main
 from levysde.harness.experiments import EXPERIMENTS
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+WEAK_SCHEME = {"eps": 0.4, "tau": 1.0, "paths": 1000}
 
 
 def write_config(tmp_path, name, tree):
@@ -112,6 +117,26 @@ class TestConfig:
         }
         declared = {name: (e.csv, e.columns) for name, e in EXPERIMENTS.items() if e.csv}
         assert documented == declared
+        params = {
+            name: {k: v for item in re.findall(r"`([^`]+)`", cell)
+                   for k, v in yaml.safe_load(item).items()}
+            for name, cell in re.findall(r"^\| (\S+) +\| ((?:`[^`]+`(?:, )?)+|none) *\|$",
+                                         text, flags=re.MULTILINE)
+        }
+        assert params == {name: e.params for name, e in EXPERIMENTS.items()}
+
+    def test_benchmark_workload_configs_validate(self, tmp_path, monkeypatch):
+        # the benchmark validates every config its workloads build during set-up
+        spec = importlib.util.spec_from_file_location(
+            "workloads", ROOT / "perfbench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        for workload in workloads.WORKLOADS.values():
+            for op_name, tree in workload.configs(ROOT, 1, load_config):
+                tree = {**tree, "output": str(tmp_path / workload.name / op_name)}
+                assert validate_config(tree).experiment == tree["experiment"]
 
     def test_constructor_refusal_names_argument(self):
         with pytest.raises(ConfigError) as err:
@@ -420,6 +445,17 @@ class TestCli:
                          id="weak-error-2d"),
             pytest.param({"grid": {"n": 16, "dimension": 2}}, "grid.dimension",
                          id="grid-dimension"),
+            pytest.param({"experiment": "weak-error", "scheme": WEAK_SCHEME,
+                          "params": {"x_zero": 0.0}}, "params.x_zero", id="unknown-param"),
+            pytest.param({"experiment": "weak-error", "scheme": WEAK_SCHEME,
+                          "params": {"payoff_width": 2.0}}, "params.payoff_width",
+                         id="deleted-param"),
+            pytest.param({"experiment": "weak-error", "scheme": {**WEAK_SCHEME, "pathz": 10}},
+                         "scheme.pathz", id="unknown-scheme-key"),
+            pytest.param({"model": base_model(sigma_lower_bnd=0.5)}, "model.sigma_lower_bnd",
+                         id="unknown-model-key"),
+            pytest.param({"model": base_model(sigma_expr={"preset": "2+sin", "amplitud": 0.2})},
+                         "model.sigma_expr", id="unknown-preset-parameter"),
         ],
     )
     def test_refused_config_names_field(self, tmp_path, capsys, change, field):
@@ -458,6 +494,13 @@ class TestCli:
                          "gates.max_iterations", id="fractional-iteration-cap"),
             pytest.param({"experiment": "smoothing", "gates": {"slope_range": [-1.0]}},
                          "gates.slope_range", id="one-sided-range"),
+            pytest.param({"experiment": "weak-error", "scheme": WEAK_SCHEME,
+                          "params": {"t": "sixty"}}, "params.t", id="param-t-word"),
+            pytest.param({"experiment": "weak-error",
+                          "scheme": {**WEAK_SCHEME, "gaussian_compensation": "false"}},
+                         "scheme.gaussian_compensation", id="compensation-string"),
+            pytest.param({"model": base_model(sigma_expr={"preset": "2+sin", "amplitud": 0.2})},
+                         "model.sigma_expr", id="preset-parameter-typo"),
         ],
     )
     def test_malformed_value_names_field(self, tmp_path, capsys, change, field):

@@ -54,7 +54,7 @@ class TestStateSymbol:
 
 class TestPresets:
     def test_names(self):
-        assert set(lv.models.PRESET_NAMES) == {"constant", "2+sin", "1+0.5cos", "affine"}
+        assert set(lv.models.PRESETS) == {"constant", "2+sin", "1+0.5cos", "affine"}
 
     def test_values(self):
         x = np.array([0.0, np.pi / 2])
