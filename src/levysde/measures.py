@@ -58,6 +58,10 @@ _GAUSS_LEGENDRE = tuple(np.polynomial.legendre.leggauss(n) for n in (12, 6))
 # Entries of one block of the (magnitudes x nodes) kernel matrix of a batched
 # tabulated exponent: bounds its memory at any batch size.
 _KERNEL_BLOCK = 1 << 15
+# Jump signs drawn at once, and paths whose jump owners are built at once: a
+# batch of jumps needs no temporary of one integer per jump.
+_SIGN_BLOCK = 1 << 16
+_OWNER_BLOCK = 1 << 12
 
 
 def _verify(pieces, mags=None):
@@ -189,16 +193,23 @@ class StableMeasure:
         # symmetric: odd integral vanishes identically
         return np.zeros(self.dimension)
 
-    def sample_tail(self, eps: float, size: int, rng) -> np.ndarray:
-        """Draw ``size`` jumps from nu restricted to |z| > eps, normalized."""
+    def sample_tail(self, eps: float, size: int, rng, out=None) -> np.ndarray:
+        """Draw ``size`` jumps from nu restricted to |z| > eps, normalized.
+
+        In d = 1 every measure's ``sample_tail`` writes the draws to the start
+        of ``out`` (at least ``size`` floats) when given and returns that view.
+        """
         if self.dimension == 1:
             # eps (1 - u)^(-1/alpha) (2 s - 1), computed in place in the output
-            out = rng.random(size)
+            out = rng.random(size) if out is None else rng.random(out=out[:size])
             np.subtract(1.0, out, out=out)
             out **= -1.0 / self.alpha
             out *= eps
-            signs = rng.integers(0, 2, size)
-            return np.negative(out, out=out, where=signs == 0)
+            # the signs a block at a time: the same stream as one draw
+            for lo in range(0, size, _SIGN_BLOCK):
+                part = out[lo : lo + _SIGN_BLOCK]
+                np.negative(part, out=part, where=rng.integers(0, 2, part.size) == 0)
+            return out
         masses = np.array([2.0 * w * eps ** (-self.alpha) / self.alpha for w in self.axis_coeffs])
         axis = rng.random(size) < masses[0] / masses.sum()
         u = rng.random(size)
@@ -285,15 +296,16 @@ class AtomicMeasure:
         band = (norms > eps) & (norms <= 1.0)
         return locs[band].T @ rates[band] if band.any() else np.zeros(self.dimension)
 
-    def sample_tail(self, eps: float = 0.0, size: int = 1, rng=None) -> np.ndarray:
+    def sample_tail(self, eps: float = 0.0, size: int = 1, rng=None, out=None) -> np.ndarray:
         locs, rates = self._locs_rates()
         keep = np.linalg.norm(locs, axis=1) > eps
         locs, rates = locs[keep], rates[keep]
         if rates.size == 0:
             raise ValueError(f"no atoms beyond |z| = {eps}")
         idx = rng.choice(rates.size, size=size, p=rates / rates.sum())
-        out = locs[idx]
-        return out[:, 0] if self.dimension == 1 else out
+        if self.dimension == 2:
+            return locs[idx]
+        return np.take(locs[:, 0], idx, out=None if out is None else out[:size])
 
 
 def _loglog_density(radii, values):
@@ -503,7 +515,7 @@ class TabulatedMeasure:
     def compensator_drift(self, eps: float) -> np.ndarray:
         return np.zeros(self.dimension)
 
-    def sample_tail(self, eps: float = 0.0, size: int = 1, rng=None) -> np.ndarray:
+    def sample_tail(self, eps: float = 0.0, size: int = 1, rng=None, out=None) -> np.ndarray:
         if self.dimension != 1:
             raise NotImplementedError("tail sampling of tabulated measures is 1-d only")
         dens = self._dens
@@ -514,7 +526,7 @@ class TabulatedMeasure:
         cdf /= cdf[-1]
         mag = np.interp(rng.random(size), cdf, grid)
         signs = rng.integers(0, 2, size) * 2 - 1
-        return mag * signs
+        return np.multiply(mag, signs, out=None if out is None else out[:size])
 
 
 def _geometric_gl_rule(hi: float, n_panels: int = 48, n_per_panel: int = 10):
@@ -579,9 +591,9 @@ class TruncatedStableMeasure:
     def compensator_drift(self, eps: float = None) -> np.ndarray:
         return np.zeros(self.dimension)
 
-    def sample_tail(self, eps: float = None, size: int = 1, rng=None) -> np.ndarray:
+    def sample_tail(self, eps: float = None, size: int = 1, rng=None, out=None) -> np.ndarray:
         e = self.eps if eps is None else max(eps, self.eps)
-        return self.base.sample_tail(e, size, rng)
+        return self.base.sample_tail(e, size, rng, out)
 
 
 def levy_exponent(spec, xi):
@@ -664,21 +676,36 @@ def jump_stream(rate: float, n: int, draw, rng):
 
     Draws the per-path Poisson counts with mean ``rate`` first, then the
     ``total`` jump sizes as ``draw(total)`` only when ``total > 0``.  Returns
-    ``(owner, sizes)``: the path index of every jump and the sizes (empty when
-    no path jumps).
+    ``(counts, sizes)``: path ``i`` owns the next ``counts[i]`` sizes (empty
+    when no path jumps).
     """
     counts = rng.poisson(rate, n)
     total = int(counts.sum())
-    sizes = draw(total) if total > 0 else np.empty(0)
-    return np.repeat(np.arange(n), counts), sizes
+    return counts, (draw(total) if total > 0 else np.empty(0))
 
 
-def path_sums(owner, sizes, n: int, d: int = 1) -> np.ndarray:
-    """Per-path sums of jump ``sizes`` owned by paths ``owner``; shape
-    ``(n,)`` for ``d=1`` and ``(n, d)`` otherwise, zeros for an empty stream."""
-    if d == 1:
-        return np.bincount(owner, weights=sizes, minlength=n)
-    return np.stack([path_sums(owner, c, n) for c in np.reshape(sizes, (owner.size, d)).T], axis=-1)
+def path_sums(counts, sizes, n: int, d: int = 1, cuts=()) -> np.ndarray:
+    """Per-path sums of the jump ``sizes`` of a ``jump_stream``; shape ``(n,)``
+    for ``d=1`` and ``(n, d)`` otherwise, zeros for an empty stream.
+
+    With increasing ``cuts`` (d = 1) the sums are split by band, shape
+    ``(n, len(cuts) + 1)``: band ``b`` holds the jumps whose magnitude
+    exceeds exactly ``b`` cuts.  Every sum adds its jumps in stream order; the
+    path index of each jump is built only for a block of paths at a time.
+    """
+    if d != 1:
+        return np.stack([path_sums(counts, c, n) for c in np.reshape(sizes, (-1, d)).T], axis=-1)
+    m = len(cuts) + 1
+    out = np.empty(n * m)
+    starts = np.cumsum(counts) - counts
+    for lo in range(0, n, _OWNER_BLOCK):
+        hi = min(lo + _OWNER_BLOCK, n)
+        part = sizes[starts[lo] : starts[hi - 1] + counts[hi - 1]]
+        key = np.repeat(np.arange(0, (hi - lo) * m, m), counts[lo:hi])
+        for c in cuts:
+            key += (part > c) | (part < -c)
+        out[lo * m : hi * m] = np.bincount(key, weights=part, minlength=(hi - lo) * m)
+    return out.reshape(n, m) if cuts else out
 
 
 def sample_increment(spec, tau: float, mode: str, rng, eps: float = None, size: int = None):
@@ -710,10 +737,10 @@ def sample_increment(spec, tau: float, mode: str, rng, eps: float = None, size: 
     elif mode in ("truncated", "truncated+gaussian"):
         if eps is None or not 0.0 < eps < 1.0:
             raise ValueError(f"truncated modes need 0 < eps < 1, got {eps}")
-        owner, sizes = jump_stream(
+        counts, sizes = jump_stream(
             spec.tail_mass(eps) * tau, n, lambda k: spec.sample_tail(eps, k, rng), rng
         )
-        out = path_sums(owner, sizes, n, d) - tau * spec.compensator_drift(eps)
+        out = path_sums(counts, sizes, n, d) - tau * spec.compensator_drift(eps)
         if mode == "truncated+gaussian":
             cov = spec.small_jump_variance(eps) * tau
             if d == 1:

@@ -316,23 +316,22 @@ def weak_error_table(
         scales = None
         if scheme_base.gaussian_compensation:
             scales = [math.sqrt(small_jump_variance(model.measure, e)[0, 0] * t) for e in eps_list]
+        # every batch draws its jumps into a block of one size (the mean count
+        # plus eight standard deviations), so the block a batch frees fits the
+        # next one and the memory peak does not depend on the thread timing
+        room = int(rate * _BATCH + 8.0 * math.sqrt(rate * _BATCH)) + 1
 
         def batch(nb, rng):
             """Payoff sums and sums of squares, shape ``(2, levels)``."""
-            draw = lambda k: trunc_min.sample_tail(size=k, rng=rng)
-            key, jumps = jump_stream(rate, nb, draw, rng)
+            buf = np.empty(room)
+            draw = lambda k: trunc_min.sample_tail(size=k, rng=rng, out=buf if k <= room else None)
+            counts, jumps = jump_stream(rate, nb, draw, rng)
             z = rng.standard_normal(nb)
             # a jump's band counts the higher levels it clears, so level k
             # keeps exactly the bands >= k
-            band = np.zeros(jumps.size, dtype=np.int8)
-            for e in eps_list[1:]:
-                band += (jumps > e) | (jumps < -e)
-            key *= n_levels
-            key += band
-            del band
-            per_band = np.bincount(key, weights=jumps, minlength=nb * n_levels)
-            del key, jumps
-            levels = per_band.reshape(nb, n_levels)[:, ::-1].cumsum(axis=1)[:, ::-1]
+            per_band = path_sums(counts, jumps, nb, cuts=eps_list[1:])
+            del counts, jumps, buf
+            levels = per_band[:, ::-1].cumsum(axis=1)[:, ::-1]
             out = np.empty((2, n_levels))
             for k in range(n_levels):
                 dL = levels[:, k] - shifts[k]
@@ -590,21 +589,21 @@ def jump_split_check(
     for nb, rng_u, rng_s in _batches(paths, seed, 0, 1):
         # unsplit: one compound Poisson stream from nu restricted to |z| > eps
         draw = lambda k: trunc.sample_tail(size=k, rng=rng_u)
-        owner_u, jumps = jump_stream(mass_all * t, nb, draw, rng_u)
-        dL_u = path_sums(owner_u, jumps, nb) - z0 * t
-        del owner_u, jumps  # free each stream before the next one draws
+        counts, jumps = jump_stream(mass_all * t, nb, draw, rng_u)
+        dL_u = path_sums(counts, jumps, nb) - z0 * t
+        del counts, jumps  # free each stream before the next one draws
 
         # split: independent small-jump (eps < |z| <= 1, compensated) and
         # large-jump (|z| > 1, plain compound Poisson) drivers
         draw = lambda k: _sample_band(trunc, eps, 1.0, k, rng_s, keep_rate)
-        owner, small = jump_stream((mass_all - mass_large) * t, nb, draw, rng_s)
-        dL_s = path_sums(owner, small, nb) - z0 * t
-        del owner, small
+        counts, small = jump_stream((mass_all - mass_large) * t, nb, draw, rng_s)
+        dL_s = path_sums(counts, small, nb) - z0 * t
+        del counts, small
         draw = lambda k: trunc.sample_tail(eps=1.0, size=k, rng=rng_s)
-        owner, large = jump_stream(mass_large * t, nb, draw, rng_s)
-        n_large_total += float(owner.size)
-        dL_s = dL_s + path_sums(owner, large, nb)
-        del owner, large
+        counts, large = jump_stream(mass_large * t, nb, draw, rng_s)
+        n_large_total += float(large.size)
+        dL_s = dL_s + path_sums(counts, large, nb)
+        del counts, large
 
         sig0 = model.sigma_at(np.full(nb, float(x0)))
         drf0 = model.drift_at(np.full(nb, float(x0)))
@@ -644,17 +643,23 @@ def _sample_band(trunc, lo: float, hi: float, size: int, rng, keep_rate: float) 
     """Jump sizes from the truncated measure conditioned on lo < |z| <= hi.
 
     ``keep_rate`` is the share of the band in the mass beyond ``lo``; each
-    round draws about 1% more candidates than it expects to need.  A single
-    round's kept values are returned as they are, so no output array is held
-    while the candidates are drawn.
+    round draws about 1% more candidates than it expects to need and moves the
+    kept ones to the front of its draw, a block at a time.  A single round's
+    kept values are returned as that view, so no second array of jumps is
+    held.
     """
     if not keep_rate > 0.0:
         raise ConfigError(f"the jump band ({lo}, {hi}] carries no mass", field="eps")
     parts, need = [], size
     while need > 0:
         draw = trunc.sample_tail(eps=lo, size=int(need / keep_rate * 1.01) + 16, rng=rng)
-        parts.append(draw[(draw <= hi) & (draw >= -hi)][:need])
-        del draw
+        kept = 0
+        for start in range(0, draw.size, _BATCH):
+            block = draw[start : start + _BATCH]
+            block = block[(block <= hi) & (block >= -hi)]
+            draw[kept : kept + block.size] = block
+            kept += block.size
+        parts.append(draw[: min(kept, need)])
         need -= parts[-1].size
     return parts[0] if len(parts) == 1 else np.concatenate([np.empty(0), *parts])
 

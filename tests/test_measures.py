@@ -290,7 +290,7 @@ class TestSampling:
     @given(
         alpha=st.floats(0.05, 1.99) | st.sampled_from([0.5, 1.0, 1.5]),
         eps=st.floats(1e-3, 1.0),
-        size=st.integers(0, 3000),
+        size=st.integers(0, 3000) | st.just(150_001),  # signs span three blocks
         seed=st.integers(0, 2**32 - 1),
     )
     def test_stable_tail_draws_match_literal_formula(self, alpha, eps, size, seed):
@@ -301,6 +301,28 @@ class TestSampling:
         literal = eps * (1.0 - u) ** (-1.0 / alpha) * (rng.integers(0, 2, size) * 2 - 1)
         # bitwise, sign bits included
         assert np.array_equal(draws.view(np.int64), literal.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            lv.StableMeasure.normalized(1.5),
+            lv.truncated_measure(lv.StableMeasure.normalized(1.2), 0.3),
+            lv.AtomicMeasure(atoms=(((0.5,), 2.0), ((-2.0,), 1.0))),
+            lv.TabulatedMeasure(radii=tuple(np.geomspace(0.01, 10, 30)),
+                                density=tuple(np.geomspace(0.01, 10, 30) ** -2.2)),
+        ],
+        ids=["stable", "truncated", "atomic", "tabulated"],
+    )
+    def test_tail_draws_into_buffer_match_fresh_draws(self, measure):
+        # 70,000 draws span two blocks of stable sign draws
+        size = 70_000
+        fresh_rng, buf_rng = np.random.default_rng(5), np.random.default_rng(5)
+        fresh = measure.sample_tail(0.1, size, fresh_rng)
+        buf = np.full(size + 9, np.nan)
+        drawn = measure.sample_tail(0.1, size, buf_rng, out=buf)
+        assert np.shares_memory(drawn, buf) and drawn.size == size
+        assert np.array_equal(drawn.view(np.int64), fresh.view(np.int64))
+        assert fresh_rng.random() == buf_rng.random()  # same stream consumed
 
     def test_exact_stable_requires_stable(self):
         rng = np.random.default_rng(0)
@@ -338,8 +360,8 @@ class TestJumpStream:
     )
     def test_matches_per_path_loop(self, n, rate, seed, d):
         rng = np.random.default_rng(seed)
-        owner, sizes = jump_stream(rate, n, self.draw_sizes(rng, d), rng)
-        sums = path_sums(owner, sizes, n, d)
+        got_counts, sizes = jump_stream(rate, n, self.draw_sizes(rng, d), rng)
+        sums = path_sums(got_counts, sizes, n, d)
         # reference: counts first, then all sizes, then one plain loop per path
         ref_rng = np.random.default_rng(seed)
         counts = ref_rng.poisson(rate, n)
@@ -353,7 +375,7 @@ class TestJumpStream:
             start += counts[p]
         assert sums.shape == ((n,) if d == 1 else (n, d))
         assert np.array_equal(np.reshape(sums, (n, d)), expected)
-        assert np.array_equal(owner, np.repeat(np.arange(n), counts))
+        assert np.array_equal(got_counts, counts)
         assert rng.random() == ref_rng.random()  # same number of draws consumed
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -361,11 +383,25 @@ class TestJumpStream:
         def no_draw(k):
             raise AssertionError("sizes drawn for an empty stream")
 
-        owner, sizes = jump_stream(0.0, 7, no_draw, np.random.default_rng(0))
-        sums = path_sums(owner, sizes, 7, d)
-        assert owner.size == 0
+        counts, sizes = jump_stream(0.0, 7, no_draw, np.random.default_rng(0))
+        sums = path_sums(counts, sizes, 7, d)
+        assert counts.shape == (7,) and not counts.any()
         assert sums.shape == ((7,) if d == 1 else (7, d))
         assert not sums.any()
+
+    @pytest.mark.parametrize("cuts", [(), (0.5,), (0.25, 1.0, 2.0)])
+    def test_band_sums_match_one_bincount(self, cuts):
+        # three blocks of owners and a partial one, with paths that never jump
+        n = 3 * 4096 + 5
+        rng = np.random.default_rng(4)
+        counts, sizes = jump_stream(1.5, n, self.draw_sizes(rng, 1), rng)
+        owner = np.repeat(np.arange(n), counts)
+        band = sum(((sizes > c) | (sizes < -c)).astype(int) for c in cuts)
+        m = len(cuts) + 1
+        expected = np.bincount(owner * m + band, weights=sizes, minlength=n * m)
+        got = path_sums(counts, sizes, n, cuts=cuts)
+        assert got.shape == ((n, m) if cuts else (n,))
+        assert np.array_equal(got.ravel(), expected)
 
 
 class TestBgIndex:

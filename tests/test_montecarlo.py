@@ -312,10 +312,10 @@ class TestWeakError:
         sums = np.zeros((2, len(levels)))
         for nb, rng in montecarlo._batches(scheme.paths, scheme.seed, 7):
             draw = lambda k: trunc.sample_tail(size=k, rng=rng)
-            owner, jumps = jump_stream(trunc.tail_mass(), nb, draw, rng)
+            counts, jumps = jump_stream(trunc.tail_mass(), nb, draw, rng)
             z = rng.standard_normal(nb)
             for k, e in enumerate(levels):
-                dL = path_sums(owner, np.where(np.abs(jumps) > e, jumps, 0.0), nb)
+                dL = path_sums(counts, np.where(np.abs(jumps) > e, jumps, 0.0), nb)
                 dL -= lv.compensator_drift(stable_measure, e)[0]
                 if compensation:
                     dL += math.sqrt(lv.small_jump_variance(stable_measure, e)[0, 0]) * z
