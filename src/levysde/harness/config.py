@@ -28,6 +28,7 @@ from ..montecarlo import SimScheme
 
 __all__ = [
     "ExperimentConfig",
+    "OneOf",
     "load_config",
     "validate_config",
     "config_hash",
@@ -104,12 +105,27 @@ def _known(section: dict, where: str, keys):
                               field=f"{where}.{key}")
 
 
+class OneOf(tuple):
+    """The allowed values of a param, declared in place of its default (the
+    first); called on a configured value, it returns the equal option."""
+
+    def __new__(cls, *options):
+        return super().__new__(cls, options)
+
+    def __call__(self, value):
+        for option in self:
+            if value == option and isinstance(value, bool) == isinstance(option, bool):
+                return option
+        raise ValueError(f"must be one of {tuple(self)}")
+
+
 def _declared(section, where: str, defaults: dict) -> dict:
     """``defaults`` with the values ``section`` sets: a key without a default is
     refused, and each value is parsed by the type of its default (:func:`_kind`)."""
     section = {} if section is None else section
     _known(section, where, defaults)
-    return {key: _value(section, key, where, _kind(default), default)
+    return {key: _value(section, key, where, _kind(default),
+                        default[0] if isinstance(default, OneOf) else default)
             for key, default in defaults.items()}
 
 
@@ -196,8 +212,10 @@ def validate_config(cfg: dict) -> ExperimentConfig:
 
 def _kind(default):
     """Parser of a gate or param value, chosen by the type of its default: a
-    tuple is a ``(lo, hi)`` range, a list takes any number of floats, and
-    None stands for an optional float."""
+    :class:`OneOf` takes one of its values, a tuple is a ``(lo, hi)`` range,
+    a list takes any number of floats, and None stands for an optional float."""
+    if isinstance(default, OneOf):
+        return default
     if isinstance(default, bool):
         return _bool
     if isinstance(default, int):

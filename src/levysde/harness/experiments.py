@@ -53,7 +53,7 @@ from ..symbols import (
     seminorm,
     tabulate,
 )
-from .config import ExperimentConfig, build_grid, build_model, build_scheme
+from .config import ExperimentConfig, OneOf, build_grid, build_model, build_scheme
 
 __all__ = ["EXPERIMENTS", "Experiment", "ExperimentResult", "run_experiment"]
 
@@ -72,7 +72,8 @@ class Experiment:
     ``run(cfg)`` returns ``(ok, summary, rows)``.  ``gates`` and ``params``
     map each key a config may set in those sections to its default; the
     type of a default sets how a configured value is parsed (see
-    ``config._kind``), and ``cfg.gates``/``cfg.params`` hold every key.
+    ``config._kind``; a ``OneOf`` lists the allowed values, its first the
+    default), and ``cfg.gates``/``cfg.params`` hold every key.
     ``needs`` names the config section the experiment requires (``"grid"``,
     ``"scheme"`` or None); ``two_d`` says it runs at ``model.dimension: 2``;
     ``constant_coefficients`` that it needs sigma and b constant on the grid.
@@ -400,7 +401,7 @@ EXPERIMENTS = {
     "bgindex": Experiment(
         run_bgindex, {"tolerance": 0.05}, two_d=True,
         # None: k = 2 and expected = alpha for a stable measure, else 0 and 0
-        params={"k": None, "expected": None},
+        params={"k": OneOf(None, 0, 1, 2, 3, 4), "expected": None},
     ),
     "sector": Experiment(run_sector, {"expect_sectorial": True}, "grid"),
     "invert": Experiment(
@@ -434,7 +435,7 @@ EXPERIMENTS = {
     "weak-error": Experiment(
         run_weak_error, {"slope_range": (0.25, 0.75), "monotone": True}, "scheme",
         params={"t": 1.0, "x0": 0.0, "eps_list": [0.4, 0.2, 0.1, 0.05],
-                "reference": "spectral"},
+                "reference": OneOf("spectral", "exact-stable")},
         csv="weak_error.csv", columns=("eps", "error", "stderr"),
     ),
     "strong-feller": Experiment(
@@ -446,7 +447,8 @@ EXPERIMENTS = {
         run_density,
         {"integral_tol": 0.01, "growth_exponent_max": None},  # None: 2/alpha + 0.5
         "scheme",
-        params={"times": [1.0, 0.5, 0.25, 0.125, 0.0625], "x0": 0.0, "mode": "exact-stable"},
+        params={"times": [1.0, 0.5, 0.25, 0.125, 0.0625], "x0": 0.0,
+                "mode": OneOf("exact-stable", "truncated", "truncated+gaussian")},
         csv="density.csv", columns=("t", "sup_density_slope", "bandwidth"),
     ),
     "jump-split": Experiment(

@@ -23,7 +23,7 @@ import numpy as np
 
 from .besov import DyadicPartition
 from .errors import ConfigError, ContractionError, LevySdeError, SpectralDistanceError
-from .grids import GridFunction, TorusGrid
+from .grids import GridFunction
 from .ratefit import RateFit, fit_rate
 from .symbols import SymbolGrid, cutoff_split
 
@@ -45,40 +45,31 @@ __all__ = [
 ]
 
 
-@functools.cache
-def _phases(grid: TorusGrid) -> np.ndarray:
-    """Synthesis phases ``exp(i <x_i, xi_k>)`` over the flattened lattice,
-    shape (M, M) with M = n^d: the Kronecker power of the axis table."""
-    axis = np.exp(1j * np.outer(grid.x, grid.xi))
-    return functools.reduce(np.kron, [axis] * grid.dimension)
-
-
 def apply_symbol(s: SymbolGrid, u: GridFunction) -> GridFunction:
-    """Apply the Kohn-Nirenberg quantization of ``s`` to ``u``.
-
-    Through the table's low-rank factors ``s ~ sum_r f_r(x) g_r(xi)``
-    (:attr:`SymbolGrid.factors`, whose recorded ``error`` bounds every entry
-    of the dropped remainder by 1e-13 of max|s|) the sum is
-    ``sum_r f_r * IFFT(g_r u_hat)``: r inverse FFTs.  A table that does not
-    compress below the break-even rank is summed densely over the phase
-    table instead.
+    """Apply the Kohn-Nirenberg quantization of ``s`` to ``u`` through the
+    table's factors ``s ~ sum_r f_r(x) g_r(xi)`` (:attr:`SymbolGrid.factors`,
+    whose recorded ``error`` bounds every entry of the dropped remainder by
+    1e-13 of max|s|; an incompressible table is split exactly at rank M).
     """
-    grid = s.grid
-    if u.grid != grid:
+    if u.grid != s.grid:
         raise ValueError("grid mismatch between symbol and function")
-    M = math.prod(grid.shape)
-    lr = s.factors
-    if lr is None:
-        out = np.einsum("ik,ik,k->i", _phases(grid), s.values.reshape(M, M), u.coeffs.ravel())
-    else:
-        spectra = (lr.g * u.coeffs.ravel()).reshape((lr.rank,) + grid.shape)
-        out = M * np.einsum("rk,rk->k", lr.f, grid.ifft(spectra).reshape(lr.rank, M))
-    return GridFunction(grid, out.reshape(grid.shape))
+    return GridFunction(s.grid, _apply_factors(s.factors.f, s.factors.g, u).reshape(s.grid.shape))
+
+
+def _apply_factors(f: np.ndarray, g: np.ndarray, u: GridFunction) -> np.ndarray:
+    """``sum_r f_r * IFFT(g_r u_hat)`` scaled by M: the quantization of
+    ``sum_r f_r(x) g_r(xi)`` (rows of shape (M,)) applied to ``u``, as r
+    inverse FFTs; returns the flattened values."""
+    grid, (r, M) = u.grid, g.shape
+    spectra = (g * u.coeffs.ravel()).reshape((r,) + grid.shape)
+    return M * np.einsum("rk,rk->k", f, grid.ifft(spectra).reshape(r, M))
 
 
 def dense_symbol_matrix(s: SymbolGrid) -> np.ndarray:
     """Dense matrix of ``s(x, D)`` acting on flattened value vectors (test
-    oracle only): ``(P * S) @ P^H / M`` with ``P`` the phase table.
+    oracle only): ``(P * S) @ P^H / M`` with ``P`` the synthesis phases
+    ``exp(i <x_i, xi_k>)`` over the flattened lattice, the Kronecker power of
+    the axis table.
 
     Cost and memory are quadratic in the total grid size; intended for
     cross-checks at N <= 256 in one dimension.
@@ -86,7 +77,8 @@ def dense_symbol_matrix(s: SymbolGrid) -> np.ndarray:
     M = math.prod(s.grid.shape)
     if M > 4096:
         raise ValueError("dense operator matrices are a small-grid test oracle")
-    P = _phases(s.grid)
+    axis = np.exp(1j * np.outer(s.grid.x, s.grid.xi))
+    P = functools.reduce(np.kron, [axis] * s.grid.dimension)
     return (P * s.values.reshape(M, M)) @ P.conj().T / M
 
 

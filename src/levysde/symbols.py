@@ -66,9 +66,9 @@ def _cross_factors(table: np.ndarray, max_rank: int):
     Each step scans the whole residual ``table - F G`` for its largest entry,
     so the stopping test ``max|residual| <= FACTOR_RTOL * max|a|`` is exact,
     not sampled.  The residual is formed a block of rows at a time and never
-    stored, so no table-sized array is allocated.  Returns a
-    :class:`LowRank`, or None when ``max_rank`` crosses do not reach the
-    tolerance.
+    stored, so no table-sized array is allocated.  When ``max_rank`` crosses
+    do not reach the tolerance, the result is the exact trivial split: unit
+    rows ``f = I`` and the table's rows ``g``, rank M and error 0.
     """
     M = len(table)
     rows = max(1, _FACTOR_BLOCK // M)
@@ -90,7 +90,7 @@ def _cross_factors(table: np.ndarray, max_rank: int):
         if err <= FACTOR_RTOL * scale:
             return LowRank(f, g, err / scale if scale else 0.0)
         if len(f) == max_rank:
-            return None
+            return LowRank(np.eye(M), table, 0.0)
         i, j = at
         row = table[i] - f[:, i] @ g
         col = table[:, j] - f.T @ g[:, j]
@@ -136,11 +136,12 @@ class SymbolGrid:
         return bool(np.abs(self.values - ref).max() <= X_INDEPENDENT_RTOL * scale)
 
     @functools.cached_property
-    def factors(self):
+    def factors(self) -> LowRank:
         """Low-rank factors of the table (:class:`LowRank`, built on first use
-        by :func:`_cross_factors`), or None when the table does not compress
-        to ``FACTOR_RTOL`` below the break-even rank ``M / (2 log2 M)``, where
-        r inverse FFTs of size M cost about one dense (M x M) apply.
+        by :func:`_cross_factors`).  A table that does not compress to
+        ``FACTOR_RTOL`` below the break-even rank ``M / (2 log2 M)``, where r
+        inverse FFTs of size M cost about one dense (M x M) apply, gets the
+        exact trivial split (unit rows times table rows, rank M).
 
         A derived view: ``values`` stays the table every other reader uses.
         """
@@ -542,42 +543,23 @@ class DefectReport:
         return self.defect_l2 / max(self.input_l2, 1e-300)
 
 
-def _x_spectral_derivative(sym_vals: np.ndarray, grid: TorusGrid, beta: tuple):
-    """D_x^beta = (-i d_x)^beta of a symbol table, exact via FFT along x-axes.
-
-    With the synthesis convention, D_x^beta multiplies the x-spectrum by
-    ``k^beta`` (real), so smooth periodic coefficients differentiate exactly.
-    """
-    d = grid.dimension
-    out = sym_vals
-    for ax in range(d):
-        if beta[ax] == 0:
-            continue
-        spec = np.fft.fft(out, axis=ax)
-        shape = [1] * out.ndim
-        shape[ax] = grid.n
-        k = grid.xi.reshape(shape)
-        spec = spec * k**beta[ax]
-        out = np.fft.ifft(spec, axis=ax)
-    return out
-
-
-def _xi_fd_derivative(sym_vals: np.ndarray, grid: TorusGrid, alpha: tuple):
-    """Centered FD d_xi^alpha of a symbol table in stored order; the wrapped
-    entries at the Nyquist seam lie far above the band the probe admits."""
-    return _mixed_derivative(grid, sym_vals, alpha, (0,) * grid.dimension)[0]
-
-
 def composition_defect(a1: SymbolGrid, a2: SymbolGrid, u: GridFunction, order: int):
     """Defect of the asymptotic composition expansion at the given order.
 
         defect = a1(x,D) a2(x,D) u  -  op( sum_{|alpha| <= order}
                  (1/alpha!) d_xi^alpha a1 * D_x^alpha a2 ) u
 
-    ``u`` must be band-limited below a quarter of the Nyquist frequency so
-    the FD symbol derivatives are clean where the input lives.
+    The expansion runs on the factors ``a1 ~ sum_r f_r(x) g_r(xi)`` and
+    ``a2 ~ sum_s p_s(x) q_s(xi)`` (:attr:`SymbolGrid.factors`), so no
+    composite table is formed: term alpha is
+    ``sum_r f_r * op(D_x^alpha p, d_xi^alpha g_r * q / alpha!) u``, with the
+    periodic xi-stencils on the ``g_r`` and ``D_x^alpha = (-i d_x)^alpha``
+    exact by FFT on the ``p_s``.  ``u`` must be band-limited below a quarter
+    of the Nyquist frequency so the FD symbol derivatives are clean where the
+    input lives; the wrapped stencil entries at the Nyquist seam lie far
+    above that band.
     """
-    from .operators import apply_symbol  # local import; no cycle
+    from .operators import _apply_factors, apply_symbol  # local import; no cycle
 
     grid = a1.grid
     if a2.grid != grid or u.grid != grid:
@@ -589,18 +571,22 @@ def composition_defect(a1: SymbolGrid, a2: SymbolGrid, u: GridFunction, order: i
 
     lhs = apply_symbol(a1, apply_symbol(a2, u))
     d = grid.dimension
-    comp = None
+    f, g = a1.factors.f, a1.factors.g.reshape((-1,) + grid.shape)
+    p, q = a2.factors.f, a2.factors.g
+    rhs = np.zeros(p.shape[1], dtype=complex)
     for alpha in _multi_indices(order, d):
-        term = _xi_fd_derivative(a1.values, grid, alpha) * _x_spectral_derivative(
-            a2.values, grid, alpha
-        )
-        term /= math.prod(math.factorial(o) for o in alpha)
-        if comp is None:
-            comp = term
-        else:
-            comp += term
-    rhs = apply_symbol(SymbolGrid(grid, comp, a1.order + a2.order), u)
-    defect = lhs - rhs
+        dg = g
+        for ax in range(d):
+            dg = _fd_axis(dg, 1 + ax, alpha[ax], 1.0 / grid.length_factor)
+        dp = p
+        if any(alpha):
+            # with the synthesis convention D_x^alpha multiplies the x-spectrum by k^alpha
+            k = math.prod(axis**o for axis, o in zip(np.ix_(*[grid.xi] * d), alpha))
+            dp = grid.ifft(grid.fft(p.reshape((-1,) + grid.shape)) * k).reshape(p.shape)
+        q_alpha = q / math.prod(math.factorial(o) for o in alpha)
+        for f_r, g_r in zip(f, dg.reshape(len(dg), -1)):
+            rhs += f_r * _apply_factors(dp, g_r * q_alpha, u)
+    defect = lhs - GridFunction(grid, rhs.reshape(grid.shape))
 
     coeffs = np.abs(u.coeffs)
     dom = float(mags.ravel()[int(np.argmax(coeffs.ravel()))])

@@ -14,6 +14,7 @@ import levysde as lv
 from levysde.errors import ConfigError
 from levysde.harness import config_hash, load_config, run_experiment, validate_config
 from levysde.harness.cli import main as cli_main
+from levysde.harness.config import OneOf
 from levysde.harness.experiments import EXPERIMENTS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -123,7 +124,11 @@ class TestConfig:
             for name, cell in re.findall(r"^\| (\S+) +\| ((?:`[^`]+`(?:, )?)+|none) *\|$",
                                          text, flags=re.MULTILINE)
         }
-        assert params == {name: e.params for name, e in EXPERIMENTS.items()}
+        # a OneOf is documented as the list of its values, the default first
+        assert params == {
+            name: {k: list(v) if isinstance(v, OneOf) else v for k, v in e.params.items()}
+            for name, e in EXPERIMENTS.items()
+        }
 
     def test_benchmark_workload_configs_validate(self, tmp_path, monkeypatch):
         # the benchmark validates every config its workloads build during set-up
@@ -501,6 +506,17 @@ class TestCli:
                          "scheme.gaussian_compensation", id="compensation-string"),
             pytest.param({"model": base_model(sigma_expr={"preset": "2+sin", "amplitud": 0.2})},
                          "model.sigma_expr", id="preset-parameter-typo"),
+            pytest.param({"experiment": "weak-error", "scheme": WEAK_SCHEME,
+                          "params": {"reference": "spectrall"}}, "params.reference",
+                         id="reference-typo"),
+            pytest.param({"experiment": "density", "scheme": WEAK_SCHEME,
+                          "params": {"mode": "exact"}}, "params.mode", id="density-mode-typo"),
+            pytest.param({"experiment": "bgindex", "params": {"k": 2.5}}, "params.k",
+                         id="bgindex-fractional-k"),
+            pytest.param({"experiment": "bgindex", "params": {"k": 7}}, "params.k",
+                         id="bgindex-k-above-4"),
+            pytest.param({"experiment": "bgindex", "params": {"k": True}}, "params.k",
+                         id="bgindex-k-bool"),
         ],
     )
     def test_malformed_value_names_field(self, tmp_path, capsys, change, field):

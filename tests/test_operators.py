@@ -94,10 +94,10 @@ class TestApplySymbol:
     @given(s=swept_symbols(), seed=st.integers(0, 2**32 - 1))
     def test_factored_apply_against_dense_matrix(self, s, seed):
         # state symbols compress (rank 1 without drift, one more per drift
-        # component), so apply_symbol takes the factored path; the dense
-        # matrix is built from the phase table and the stored values
+        # component) below the trivial split; the dense matrix is built from
+        # the phases and the stored values
         lr = s.factors
-        assert lr is not None and lr.error <= 1e-13
+        assert lr.rank < math.prod(s.grid.shape) and lr.error <= 1e-13
         u = random_function(s.grid, seed)
         got = lv.apply_symbol(s, u).values.ravel()
         want = lv.dense_symbol_matrix(s) @ u.values.ravel()
@@ -110,7 +110,8 @@ class TestApplySymbol:
         rng = np.random.default_rng(4)
         shape = grid256.shape * 2
         s = lv.SymbolGrid(grid256, rng.standard_normal(shape) + 1j * rng.standard_normal(shape), 0.0)
-        assert s.factors is None
+        # no compression below the break-even rank: the exact trivial split
+        assert s.factors.rank == 256 and s.factors.error == 0.0
         u = random_function(grid256, 5)
         want = lv.dense_symbol_matrix(s) @ u.values
         assert np.abs(lv.apply_symbol(s, u).values - want).max() <= 1e-12 * np.abs(want).max()

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import levysde as lv
-from levysde.symbols import AClass, HypClass, _xi_fd_derivative
+from levysde.symbols import FACTOR_RTOL, AClass, HypClass, _mixed_derivative, _multi_indices
 
-from conftest import make_mode, swept_symbols
+from conftest import make_mode, swept_model, swept_symbols
 
 
 # The ascending-xi algorithm, written out as an oracle for the stored-order
@@ -35,6 +35,57 @@ def stencil_sum(values, axis, order, h):
             out += c * np.roll(values, -off, axis=axis)
     out /= h**order
     return out
+
+
+def expansion_terms(a1, a2, order):
+    """The tables ``d_xi^alpha a1 * D_x^alpha a2 / alpha!`` of the composition
+    expansion, built whole: stored-order stencils along xi, and
+    ``D_x = -i d_x`` by FFT along each x-axis."""
+    grid, d = a1.grid, a1.dimension
+    terms = []
+    for alpha in _multi_indices(order, d):
+        dxi = _mixed_derivative(grid, a1.values, alpha, (0,) * d)[0]
+        dx = a2.values
+        for ax in range(d):
+            k = grid.xi.reshape([-1 if i == ax else 1 for i in range(2 * d)])
+            dx = np.fft.ifft(np.fft.fft(dx, axis=ax) * k ** alpha[ax], axis=ax)
+        terms.append(dxi * dx / math.prod(math.factorial(o) for o in alpha))
+    return terms
+
+
+def band_limited_input(grid, seed):
+    """Random synthesis coefficients on ``|xi| <= Nyquist / 4``."""
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    coeffs[grid.xi_norm() > grid.xi_nyquist / 4.0] = 0.0
+    return lv.GridFunction.from_coeffs(grid, coeffs)
+
+
+@pytest.fixture(scope="module")
+def composition_cases():
+    """(a1, a2, u) triples: var-sigma with drift sin x (rank 2) at N = 256,
+    a d = 2 symbol at n = 16, and a random table (the trivial split) on
+    either side of the var-sigma symbol."""
+    grid = lv.TorusGrid(n=256, dimension=1, length_factor=4.0)
+    model = lv.SdeModel(
+        sigma=lv.coefficient_preset("2+sin", offset=2.0, amplitude=0.2),
+        drift=lv.coefficient_preset("2+sin", offset=0.0, amplitude=1.0),
+        measure=lv.StableMeasure.normalized(1.5),
+        sigma_lower_bound=1.5,
+    )
+    sym = lv.tabulate(model, grid)
+    u = band_limited_input(grid, 1)
+    grid2 = lv.TorusGrid(n=16, dimension=2, length_factor=1.0)
+    sym2 = lv.tabulate(swept_model(2, 1.5, 0.2, 1.0), grid2)
+    rng = np.random.default_rng(3)
+    table = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+    rand = lv.SymbolGrid(grid, table, 0.0)
+    return {
+        "var-sigma-drift": (sym, sym, u),
+        "d2-n16": (sym2, sym2, band_limited_input(grid2, 2)),
+        "random-first": (rand, sym, u),
+        "random-second": (sym, rand, u),
+    }
 
 
 def ascending_multi_indices(total_max, d):
@@ -349,7 +400,29 @@ class TestCompositionDefect:
             sorted_vals = stencil_sum(sorted_vals, grid.dimension + ax, alpha[ax],
                                       1.0 / grid.length_factor)
         oracle = sort_xi(sorted_vals, grid, np.argsort(order))
-        assert np.array_equal(_xi_fd_derivative(s.values, grid, alpha), oracle)
+        got = _mixed_derivative(grid, s.values, alpha, (0,) * grid.dimension)[0]
+        assert np.array_equal(got, oracle)
+
+    @pytest.mark.parametrize("case", ["var-sigma-drift", "d2-n16", "random-first", "random-second"])
+    def test_factored_expansion_against_composite_table(self, composition_cases, case):
+        a1, a2, u = composition_cases[case]
+        if case.startswith("random"):
+            M = math.prod(a1.grid.shape)
+            assert a1.factors.rank * a2.factors.rank == 2 * M  # a trivial split and a rank-2 one
+        lhs = lv.apply_symbol(a1, lv.apply_symbol(a2, u)).values.ravel()
+        for order in (0, 1, 2):
+            defect, _ = lv.composition_defect(a1, a2, u, order)
+            terms = expansion_terms(a1, a2, order)
+            comp = lv.SymbolGrid(a1.grid, sum(terms), 0.0)
+            want = lhs - lv.dense_symbol_matrix(comp) @ u.values.ravel()
+            # each factor is off by at most FACTOR_RTOL of its max entry, so each
+            # term by about FACTOR_RTOL of its own max, which moves each output
+            # by at most that times sum|u_hat|; the same again is left for the
+            # oracle's rounding.  The order >= 1 defect is a cancellation, so the
+            # bound is held to the scale of max|lhs|, not of the defect
+            bound = 2 * FACTOR_RTOL * sum(np.abs(t).max() for t in terms) * np.abs(u.coeffs).sum()
+            assert bound <= 1e-8 * np.abs(lhs).max()
+            assert np.abs(defect.values.ravel() - want).max() <= bound
 
     def test_band_limit_precondition(self, symbol_const_256, grid256):
         u = make_mode(grid256, 20.0)  # Nyquist is 32, bound is 8
