@@ -187,6 +187,22 @@ def validate_config(cfg: dict) -> ExperimentConfig:
     if entry.needs == "scheme":
         build_scheme(scheme)
     params = _declared(cfg.get("params"), "params", entry.params)
+    if params.get("mode") == "exact-stable" and not isinstance(built.measure, StableMeasure):
+        raise ConfigError(
+            f"params.mode 'exact-stable' samples the stable law in closed form, but "
+            f"model.kind is {model.get('kind')!r}; choose 'truncated' or 'truncated+gaussian'",
+            field="params.mode",
+        )
+    if params.get("reference") == "spectral":
+        x = TorusGrid(n=4096, length_factor=4.0).x  # where the spectral reference samples
+        for key, coefficient in (("sigma_expr", built.sigma), ("drift_expr", built.drift)):
+            if constant_value(coefficient, x) is None:
+                raise ConfigError(
+                    f"params.reference 'spectral' is the exact multiplier and needs "
+                    f"x-independent coefficients, but model.{key} varies; use "
+                    "reference: exact-stable",
+                    field="params.reference",
+                )
     gates = _declared(cfg.get("gates"), "gates", entry.gates)
     output = cfg.get("output", "results")
     # run_experiment creates the directory; validation leaves the filesystem as it is

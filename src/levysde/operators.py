@@ -1,5 +1,6 @@
 """Kohn-Nirenberg operator application, parametrix inversion, resolvent
-application on the sector, contour-integral semigroup evaluation, and the
+application on the sector, contour-integral semigroup evaluation (the
+trapezoid rule on a hyperbola, all nodes solved as one batch), and the
 analyticity/smoothing gauges.
 
 Quantization is Kohn-Nirenberg throughout:
@@ -24,6 +25,7 @@ import numpy as np
 from .besov import DyadicPartition
 from .errors import ConfigError, ContractionError, LevySdeError, SpectralDistanceError
 from .grids import GridFunction
+from .models import X_INDEPENDENT_RTOL
 from .ratefit import RateFit, fit_rate
 from .symbols import SymbolGrid, cutoff_split
 
@@ -50,19 +52,22 @@ def apply_symbol(s: SymbolGrid, u: GridFunction) -> GridFunction:
     table's factors ``s ~ sum_r f_r(x) g_r(xi)`` (:attr:`SymbolGrid.factors`,
     whose recorded ``error`` bounds every entry of the dropped remainder by
     1e-13 of max|s|; an incompressible table is split exactly at rank M).
+    A batch of functions (leading axes of ``u``) is applied in one call.
     """
     if u.grid != s.grid:
         raise ValueError("grid mismatch between symbol and function")
-    return GridFunction(s.grid, _apply_factors(s.factors.f, s.factors.g, u).reshape(s.grid.shape))
+    f, g = s.factors.f, s.factors.g
+    return GridFunction(s.grid, _apply_factors(s.grid, f, g, u.coeffs).reshape(u.values.shape))
 
 
-def _apply_factors(f: np.ndarray, g: np.ndarray, u: GridFunction) -> np.ndarray:
+def _apply_factors(grid, f: np.ndarray, g: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """``sum_r f_r * IFFT(g_r u_hat)`` scaled by M: the quantization of
-    ``sum_r f_r(x) g_r(xi)`` (rows of shape (M,)) applied to ``u``, as r
-    inverse FFTs; returns the flattened values."""
-    grid, (r, M) = u.grid, g.shape
-    spectra = (g * u.coeffs.ravel()).reshape((r,) + grid.shape)
-    return M * np.einsum("rk,rk->k", f, grid.ifft(spectra).reshape(r, M))
+    ``sum_r f_r(x) g_r(xi)`` (rows of shape (M,)) applied to the synthesis
+    coefficients ``coeffs`` of shape ``batch + grid.shape``, as r inverse FFTs
+    per function of the batch; returns the values, shape ``batch + (M,)``."""
+    (r, M), batch = g.shape, coeffs.shape[:coeffs.ndim - grid.dimension]
+    spectra = (g * coeffs.reshape(batch + (1, M))).reshape(batch + (r,) + grid.shape)
+    return M * np.einsum("rk,...rk->...k", f, grid.ifft(spectra).reshape(batch + (r, M)))
 
 
 def dense_symbol_matrix(s: SymbolGrid) -> np.ndarray:
@@ -197,13 +202,13 @@ def _check_cap(maxit: int):
 
 
 def resolvent_apply(
-    lam: complex,
+    lam: complex | np.ndarray,
     a: SymbolGrid,
     v: GridFunction,
-    tol: float = 1e-10,
+    tol: float | np.ndarray = 1e-10,
     maxit: int = 400,
     min_distance: float = 1e-8,
-) -> GridFunction:
+) -> GridFunction | list:
     """Apply ``(lambda + a(x, D))^{-1}`` by a preconditioned fixed point.
 
     The preconditioner is the frozen-coefficient Fourier multiplier
@@ -215,154 +220,197 @@ def resolvent_apply(
     multiplier is exact for an x-independent symbol, so there the first
     residual check returns.  Stops at relative residual ``tol``.
 
+    ``lam`` may be a 1-d array of shifts, solved as one batch: each iteration
+    applies the symbol to every shift still running in one call, each shift
+    keeps its own Anderson weight and stops at its own ``tol`` (a scalar or
+    one per shift), and the result is a list with one function per shift.
+
     Raises :class:`SpectralDistanceError` carrying the lattice point when
     ``-lambda`` lies within ``min_distance`` of a table entry (or of
     ``a_bar``), :class:`ContractionError` when ``maxit`` steps do not reach
-    ``tol``, and :class:`ConfigError` naming ``maxit`` when it is below one.
+    ``tol`` (both name the shift that failed), and :class:`ConfigError`
+    naming ``maxit`` when it is below one.
     """
     grid = a.grid
     if v.grid != grid:
         raise ValueError("grid mismatch")
     _check_cap(maxit)
+    lams = np.atleast_1d(np.asarray(lam, dtype=complex))
+    tols = np.broadcast_to(np.asarray(tol, dtype=float), lams.shape)
     # a -lambda farther than min_distance from the range box along one axis is
     # that far from every entry: the exact pass over the table can be skipped
-    lam = complex(lam)
     lo, hi = a.range_box
-    gap = max(lo.real + lam.real, -lam.real - hi.real, lo.imag + lam.imag, -lam.imag - hi.imag)
-    for table in (a.values, a.x_mean) if gap < min_distance else (a.x_mean,):
-        dist = np.abs(table + lam)
-        if dist.min() < min_distance:
-            raise SpectralDistanceError(
-                f"shift {lam} is within {dist.min():.2e} of the symbol range",
-                point=np.unravel_index(int(np.argmin(dist)), dist.shape),
-            )
-    mult = 1.0 / (lam + a.x_mean)
+    gap = np.max([lo.real + lams.real, -lams.real - hi.real,
+                  lo.imag + lams.imag, -lams.imag - hi.imag], axis=0)
+    for shift, near in zip(lams, gap < min_distance):
+        for table in (a.values, a.x_mean) if near else (a.x_mean,):
+            dist = np.abs(table + shift)
+            if dist.min() < min_distance:
+                raise SpectralDistanceError(
+                    f"shift {shift} is within {dist.min():.2e} of the symbol range",
+                    point=np.unravel_index(int(np.argmin(dist)), dist.shape),
+                )
+    lam_col = lams.reshape((-1,) + (1,) * grid.dimension)
+    mult = 1.0 / (lam_col + a.x_mean)
 
     # relative residuals in coefficient space equal those of the values (Parseval)
+    axes = tuple(range(1, 1 + grid.dimension))
     v_hat = v.coeffs
     v_norm = max(float(np.linalg.norm(v_hat)), 1e-300)
+    out = np.empty(lams.shape + grid.shape, dtype=complex)
+    live = np.arange(lams.size)  # shifts still iterating
     u_hat = mult * v_hat
     res_prev = plain_prev = None
     for _ in range(maxit):
-        u = GridFunction.from_coeffs(grid, u_hat)
-        r_hat = v_hat - lam * u_hat - apply_symbol(a, u).coeffs
-        rel = float(np.linalg.norm(r_hat)) / v_norm
-        if rel <= tol:
-            return u
-        if not math.isfinite(rel):
-            break  # diverged: the preconditioner does not contract here
-        plain = u_hat + mult * r_hat
+        applied = apply_symbol(a, GridFunction.from_coeffs(grid, u_hat)).coeffs
+        r_hat = v_hat - lam_col[live] * u_hat - applied
+        rel = np.sqrt(np.sum(r_hat.real**2 + r_hat.imag**2, axis=axes)) / v_norm
+        if not np.isfinite(rel).all():  # diverged: the preconditioner does not contract there
+            live, rel = live[~np.isfinite(rel)], rel[~np.isfinite(rel)]
+            break
+        done = rel <= tols[live]
+        out[live[done]] = u_hat[done]
+        keep = ~done
+        live, u_hat, r_hat, rel = live[keep], u_hat[keep], r_hat[keep], rel[keep]
+        if not live.size:
+            break
+        plain = u_hat + mult[live] * r_hat
         u_next = plain
         if res_prev is not None:
-            # Anderson(1): mix the last two plain updates to shrink the residual
-            dr = r_hat - res_prev
-            denom = float(np.vdot(dr, dr).real)
-            if denom > 0:
-                theta = complex(np.vdot(dr, r_hat)) / denom
-                u_next = (1 - theta) * plain + theta * plain_prev
+            # Anderson(1), one weight per shift: mix its last two plain updates
+            dr = r_hat - res_prev[keep]
+            denom = np.sum(dr.real**2 + dr.imag**2, axis=axes)
+            num = np.sum(dr.conj() * r_hat, axis=axes)
+            theta = np.divide(num, denom, out=np.zeros_like(num), where=denom > 0)
+            theta = theta.reshape(lam_col[live].shape)
+            u_next = (1 - theta) * plain + theta * plain_prev[keep]
         res_prev, plain_prev, u_hat = r_hat, plain, u_next
-    raise ContractionError(
-        f"resolvent iteration did not reach tol={tol} within {maxit} iterations "
-        f"(relative residual {rel:.2e} at lambda={lam}); the frozen-coefficient "
-        "preconditioner contracts only while the symbol's x-variation stays below "
-        "|lambda + its x-mean|: raise maxit or move lambda away from the symbol range"
-    )
+    if live.size:
+        worst = int(np.argmax(rel))
+        raise ContractionError(
+            f"resolvent iteration did not reach tol={tols[live[worst]]:.3g} within {maxit} "
+            f"iterations (relative residual {rel[worst]:.2e} at lambda={lams[live[worst]]}; "
+            f"{live.size} of {lams.size} shifts unconverged); the frozen-coefficient "
+            "preconditioner contracts only while the symbol's x-variation stays below "
+            "|lambda + its x-mean|: raise maxit or move lambda away from the symbol range"
+        )
+    solved = [GridFunction.from_coeffs(grid, c) for c in out]
+    return solved[0] if np.ndim(lam) == 0 else solved
 
 
 # ---------------------------------------------------------------------------
-# sector contour and semigroup
+# hyperbolic contour and semigroup
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Sector contour: two rays ``r e^{+-i(pi/2 + theta')}``, r in [rho0, M],
-    joined by the arc of radius rho0, with quadrature nodes and weights.
+    """Trapezoid rule on the hyperbola ``z(s) = mu (1 + sin(i s - alpha))``.
 
-    Nodes are Gauss-Legendre per piece (rays use the grading
-    ``r = rho0 + sinh(s)``); weights absorb the prefactor ``1/(2 pi i)``.
-    On construction the rule must reproduce ``e^{-t}`` from the integrand
-    ``e^{lambda t} / (lambda + 1)`` to 1e-8 (residue self-test).
+    The hyperbola crosses the real axis at ``mu (1 - sin alpha) > 0`` and
+    opens to the left with asymptotes at angles ``+-(pi/2 + alpha)``, around
+    the spectrum of ``A = -a(x, D)``.  ``nodes`` are ``z(k h)`` for
+    ``k = -n..n`` in order of k, so node ``n + k`` is the conjugate of node
+    ``n - k``, and ``weights`` are ``h z'(k h) / (2 pi i)``.  ``residue_error``
+    is the residue self-test ``|quad(e^{lambda t} / (lambda + 1)) - e^{-t}|``
+    at the time the rule was built for, which :func:`build_contour` keeps
+    below its ``residue_tol``.
     """
 
-    theta_prime: float
-    rho0: float
-    M: float
-    n_ray: int
-    n_arc: int
+    alpha: float
+    mu: float
+    h: float
     nodes: np.ndarray
     weights: np.ndarray
+    residue_error: float
 
     def quadrature(self, integrand) -> complex:
         """Sum ``weights * integrand(nodes)`` (integrand vectorized over nodes)."""
         return complex(np.sum(self.weights * integrand(self.nodes)))
 
 
-def _contour_nodes(theta_prime: float, rho0: float, M: float, n_ray: int, n_arc: int):
-    phi = math.pi / 2.0 + theta_prime
-    smax = math.asinh(max(M - rho0, 1e-12))
-    xg, wg = np.polynomial.legendre.leggauss(n_ray)
-    s = 0.5 * smax * (xg + 1.0)
-    ws = 0.5 * smax * wg
-    r = rho0 + np.sinh(s)
-    dr = np.cosh(s)
-    lam_bot = r * np.exp(-1j * phi)
-    w_bot = -np.exp(-1j * phi) * dr * ws  # traversed inward (M -> rho0)
-    xa, wa = np.polynomial.legendre.leggauss(n_arc)
-    beta = phi * xa
-    lam_arc = rho0 * np.exp(1j * beta)
-    w_arc = 1j * rho0 * np.exp(1j * beta) * (phi * wa)
-    lam_top = r * np.exp(1j * phi)
-    w_top = np.exp(1j * phi) * dr * ws
-    nodes = np.concatenate([lam_bot[::-1], lam_arc, lam_top])
-    weights = np.concatenate([w_bot[::-1], w_arc, w_top]) / (2j * math.pi)
-    return nodes, weights
-
-
 def build_contour(
-    theta_prime: float,
-    rho0: float,
-    M: float,
-    n_ray: int = 48,
-    n_arc: int = 48,
+    alpha: float,
+    mu: float,
+    h: float,
+    n: int,
     residue_tol: float = 1e-8,
     t_check: float = 1.0,
 ) -> ContourSpec:
-    """Construct a sector contour, doubling node counts until the residue
-    self-test ``quad(e^{lambda t}/(lambda+1)) = e^{-t}`` passes at ``t_check``."""
-    if not 0.0 < theta_prime < math.pi / 2.0:
-        raise ValueError("ray angle offset must lie in (0, pi/2)")
-    if rho0 <= 0 or M <= rho0:
-        raise ValueError("need 0 < rho0 < M")
-    nr, na = n_ray, n_arc
-    for _ in range(6):
-        nodes, weights = _contour_nodes(theta_prime, rho0, M, nr, na)
-        val = np.sum(weights * np.exp(nodes * t_check) / (nodes + 1.0))
-        if abs(val - math.exp(-t_check)) <= residue_tol:
-            return ContourSpec(theta_prime, rho0, M, nr, na, nodes, weights)
-        nr *= 2
-        na *= 2
-    raise ContractionError(
-        f"contour quadrature failed the residue self-test at tol {residue_tol}"
-    )
+    """Trapezoid rule with step ``h`` on the hyperbola of angle ``alpha`` and
+    scale ``mu``, nodes ``s = k h`` for ``|k| <= n``; raises
+    :class:`ContractionError` when the residue self-test
+    ``quad(e^{lambda t}/(lambda+1)) = e^{-t}`` misses ``residue_tol`` at
+    ``t_check``."""
+    if not 0.0 < alpha < math.pi / 2.0:
+        raise ValueError("hyperbola angle alpha must lie in (0, pi/2)")
+    if mu <= 0 or h <= 0 or n < 1:
+        raise ValueError("need mu > 0, h > 0 and n >= 1")
+    s = h * np.arange(-n, n + 1)
+    nodes = mu * (1.0 + np.sin(1j * s - alpha))
+    weights = (h * mu / (2.0 * math.pi)) * np.cos(1j * s - alpha)  # h z'(s) / (2 pi i)
+    val = np.sum(weights * np.exp(nodes * t_check) / (nodes + 1.0))
+    err = abs(val - math.exp(-t_check))
+    if err > residue_tol:
+        raise ContractionError(
+            f"contour quadrature failed the residue self-test at tol {residue_tol} "
+            f"(error {err:.2e} at t={t_check:g})"
+        )
+    return ContourSpec(alpha, mu, h, nodes, weights, err)
 
 
-def contour_for_time(t: float, theta_prime: float, decay_exponent: float = 40.0) -> ContourSpec:
-    """Contour scaled for time ``t``: ``rho0 = 1/t`` and the ray truncation M
-    chosen so the truncation term ``e^{-M t sin theta'}`` is below 1e-12."""
+def _hyperbola_params(alpha, theta: float):
+    """``(n h, mu t / n, rate)`` of the trapezoid rule on the hyperbola of angle
+    ``alpha`` (``theta / 2 < alpha < theta``) for a resolvent analytic on
+    ``|arg lambda| < pi/2 + theta`` (Weideman & Trefethen, Math. Comp. 76,
+    2007; Lopez-Fernandez, Palencia & Schaedle, SIAM J. Numer. Anal. 44, 2006).
+
+    The integrand is analytic in the strip ``-alpha < Im s < theta - alpha``.
+    Its two edges and the truncation at ``|s| = n h`` bound the error by
+    ``e^{-2 pi (theta - alpha) / h}``, ``e^{mu t - 2 pi alpha / h}`` and
+    ``e^{mu t (1 - sin(alpha) cosh(n h))}``; making the three equal gives
+    ``cosh(n h) = alpha / ((2 alpha - theta) sin alpha)``,
+    ``mu t = 2 pi n (2 alpha - theta) / (n h)`` and the error ``e^{-rate n}``
+    with ``rate = 2 pi (theta - alpha) / (n h)``.
+    """
+    L = np.maximum(np.arccosh(np.maximum(alpha / ((2 * alpha - theta) * np.sin(alpha)), 1)), 1e-300)
+    return L, 2.0 * math.pi * (2.0 * alpha - theta) / L, 2.0 * math.pi * (theta - alpha) / L
+
+
+def _hyperbola_optimum(theta: float):
+    """``(alpha, n h, mu t / n, rate)`` of :func:`_hyperbola_params` at the
+    angle of fastest convergence (alpha = 1.1721 for theta = pi/2)."""
+    alpha = np.linspace(theta / 2.0, theta, 2001)[1:-1]
+    L, mu_t, rate = _hyperbola_params(alpha, theta)
+    k = int(np.argmax(rate))
+    return float(alpha[k]), float(L[k]), float(mu_t[k]), float(rate[k])
+
+
+_MAX_NODE_PAIRS = 1024  # reached below theta ~ 0.04 at residue_tol 1e-8: barely sectorial
+
+
+def contour_for_time(
+    t: float, theta: float = math.pi / 2.0, residue_tol: float = 1e-8
+) -> ContourSpec:
+    """Hyperbola for time ``t`` on a symbol of sector angle ``theta``
+    (:attr:`SymbolGrid.sector_angle`): the optimal angle, ``mu = c n / t`` and
+    ``h = L / n`` of :func:`_hyperbola_optimum`, with the node count ``2 n + 1``
+    set once from ``residue_tol`` by the convergence rate.  The rate bounds
+    the error only up to a constant factor, which exceeds one when the strip
+    edge meets the spectrum at ``lambda = 0`` (``theta = pi/2``); one more
+    node pair covers it, so the residue self-test passes at every ``t``."""
     if t <= 0:
         raise ValueError("time must be positive")
-    rho0 = 1.0 / t
-    M = max(2.0 * rho0, decay_exponent / (t * math.sin(theta_prime)))
-    return build_contour(theta_prime, rho0, M, t_check=t)
-
-
-def _default_theta_prime(a: SymbolGrid, fraction: float = 0.5) -> float:
-    re = a.values.real
-    im = a.values.imag
-    ratio = float((np.abs(im) / np.maximum(re, 1e-300)).max())
-    theta = math.atan(1.0 / max(ratio, 1e-12))
-    return fraction * min(theta, 1.45)
+    if not 0.0 < theta <= math.pi / 2.0:
+        raise ValueError("sector angle must lie in (0, pi/2]")
+    alpha, L, mu_t, rate = _hyperbola_optimum(theta)
+    n = math.ceil(math.log(1.0 / residue_tol) / rate) + 1
+    if n > _MAX_NODE_PAIRS:
+        raise ContractionError(
+            f"sector angle theta={theta:.3g} is too narrow for contour quadrature: the "
+            f"hyperbola would need {2 * n + 1} nodes to reach residue_tol={residue_tol:g}"
+        )
+    return build_contour(alpha, mu_t * n / t, L / n, n, residue_tol, t_check=t)
 
 
 def semigroup_apply(
@@ -375,51 +423,67 @@ def semigroup_apply(
     """Evaluate ``P_t u`` by contour quadrature of the resolvent.
 
     ``P_t u = (1/2 pi i) int_Gamma e^{lambda t} (lambda + a(x,D))^{-1} u dlambda``
-    over the sector contour, by default ``contour_for_time(t, theta')``.  A
-    caller's contour must meet the same truncation ``M >= 40 / (t sin theta')``
-    and scale ``|rho0 t - 1| <= 10``, else :class:`ConfigError` names
-    ``contour.M`` or ``contour.rho0``.  Sectoriality of the symbol is required
-    (negative real parts are rejected).
+    over the hyperbola, by default ``contour_for_time(t, a.sector_angle)``.
+    All nodes are solved as one batch (:func:`resolvent_apply`), each to
+    ``tol / sum_k |w_k e^{lambda_k t}|`` so the weighted sum meets ``tol``;
+    an x-independent symbol takes the exact multiplier instead.  When the
+    operator is real (:attr:`SymbolGrid.real_operator`) and ``u`` is real,
+    only the nodes on or above the real axis are solved:
+    ``R(conj lambda) u = conj(R(lambda) u)``.
+
+    A caller's contour whose error terms (:func:`_hyperbola_params`) exceed
+    ``tol`` at ``t`` is refused with :class:`ConfigError` naming
+    ``contour.alpha`` (the angle does not fit the symbol's sector) or
+    ``contour.mu`` (the scale does not fit ``t``).  Sectoriality of the
+    symbol is required (negative real parts are rejected).
     """
     if t <= 0:
         raise ValueError("time must be positive")
     scale = max(float(np.abs(a.values).max()), 1.0)
     if float(a.values.real.min()) < -1e-10 * scale:
         raise ValueError("symbol has negative real part: not sectorial")
+    theta = a.sector_angle
     if contour is None:
-        contour = contour_for_time(t, _default_theta_prime(a))
+        contour = contour_for_time(t, theta)
     else:
-        fix = f"use contour_for_time({float(t)!r}, {contour.theta_prime!r})"
-        needed_M = 40.0 / (t * math.sin(contour.theta_prime))
-        if contour.M < 0.99 * needed_M:
+        fix = f"use contour_for_time({float(t)!r}, {theta!r})"
+        # the three error exponents of _hyperbola_params for this contour at t
+        alpha, h, mu_t, n = contour.alpha, contour.h, contour.mu * t, len(contour.nodes) // 2
+        upper = -2.0 * math.pi * (theta - alpha) / h
+        lower = mu_t - 2.0 * math.pi * alpha / h
+        truncation = mu_t * (1.0 - math.sin(alpha) * math.cosh(n * h))
+        if alpha >= theta or upper > math.log(tol):
             raise ConfigError(
-                f"contour truncation M={contour.M:.4g} is below {needed_M:.4g}, "
-                f"the ray length needed at t={t:g}; {fix}",
-                field="contour.M",
+                f"contour angle alpha={contour.alpha:.4g} leaves the strip of analyticity "
+                f"too narrow for the symbol's sector angle {theta:.4g}; {fix}",
+                field="contour.alpha",
             )
-        if abs(contour.rho0 * t - 1.0) > 10.0:
+        if max(lower, truncation) > math.log(tol):
             raise ConfigError(
-                f"contour arc radius rho0={contour.rho0:.4g} is off scale at t={t:g} "
-                f"(need |rho0 t - 1| <= 10); {fix}",
-                field="contour.rho0",
+                f"contour scale mu={contour.mu:.4g} is off scale at t={t:g} "
+                f"(error terms e^{lower:.3g}, e^{truncation:.3g} above tol={tol:g}); {fix}",
+                field="contour.mu",
             )
+
+    lams = contour.nodes
+    c = contour.weights * np.exp(lams * t)
+    node_tol = tol / float(np.abs(c).sum())
+    u_real = np.abs(u.values.imag).max() <= X_INDEPENDENT_RTOL * np.abs(u.values).max()
+    real = a.real_operator and u_real
+    if real:
+        # the nodes below the real axis mirror those above: R(conj l) u = conj(R(l) u)
+        n = len(lams) // 2
+        lams, c = lams[n:], np.concatenate([c[n:n + 1], 2.0 * c[n + 1:]])
 
     if a.x_independent:
-        # diagonal fast path: exact multiplier on each lattice mode
+        # exact multiplier on each lattice mode
         sym = a.values[(0,) * a.grid.dimension]
-        mult = np.zeros_like(sym)
-        for lam, w in zip(contour.nodes, contour.weights):
-            mult += w * np.exp(lam * t) / (lam + sym)
-        return GridFunction.from_coeffs(u.grid, mult * u.coeffs)
-
-    acc = np.zeros(u.grid.shape, dtype=complex)
-    for lam, w in zip(contour.nodes, contour.weights):
-        try:
-            r = resolvent_apply(lam, a, u, tol=tol)
-        except (SpectralDistanceError, ContractionError) as exc:
-            raise type(exc)(f"{exc} (contour node lambda={lam})") from exc
-        acc += (w * np.exp(lam * t)) * r.values
-    return GridFunction(u.grid, acc)
+        mult = np.tensordot(c, 1.0 / (lams.reshape((-1,) + (1,) * sym.ndim) + sym), axes=1)
+        values = GridFunction.from_coeffs(u.grid, mult * u.coeffs).values
+    else:
+        solved = resolvent_apply(lams, a, u, tol=node_tol)
+        values = np.tensordot(c, [r.values for r in solved], axes=1)
+    return GridFunction(u.grid, values.real if real else values)
 
 
 # ---------------------------------------------------------------------------
@@ -427,16 +491,17 @@ def semigroup_apply(
 # ---------------------------------------------------------------------------
 
 
-def analyticity_gauge(a: SymbolGrid, u: GridFunction, t_list):
+def analyticity_gauge(a: SymbolGrid, u: GridFunction, t_list, contours=None):
     """Gauge sequence ``(t, |t A P_t u|_2 / |u|_2)`` with ``A = -a(x, D)``.
 
     Uniform boundedness of the gauge over decades of ``t`` is the working
-    signature of an analytic semigroup.
+    signature of an analytic semigroup.  ``contours`` gives one
+    :class:`ContourSpec` per time (default: :func:`semigroup_apply`'s own).
     """
     u_scale = max(u.norm_l2(), 1e-300)
     rows = []
-    for t in t_list:
-        pt = semigroup_apply(t, a, u)
+    for t, contour in zip(t_list, contours or [None] * len(t_list)):
+        pt = semigroup_apply(t, a, u, contour=contour)
         apu = apply_symbol(a, pt)
         rows.append((float(t), float(t) * apu.norm_l2() / u_scale))
     return rows

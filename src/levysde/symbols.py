@@ -104,8 +104,9 @@ class SymbolGrid:
 
     ``values`` has shape ``grid.shape + grid.shape`` (x-axes first), with
     xi-axes in FFT order.  ``order`` is the declared growth exponent.
-    ``x_independent``, ``factors``, ``x_mean`` and ``range_box`` are derived
-    from ``values`` on first use and cached.
+    ``x_independent``, ``factors``, ``x_mean``, ``range_box``,
+    ``sector_angle`` and ``real_operator`` are derived from ``values`` on
+    first use and cached.
     """
 
     grid: TorusGrid
@@ -159,6 +160,27 @@ class SymbolGrid:
         complex plane holding every table entry."""
         re, im = self.values.real, self.values.imag
         return complex(re.min(), im.min()), complex(re.max(), im.max())
+
+    @functools.cached_property
+    def sector_angle(self) -> float:
+        """Sector angle ``theta = arctan(1 / r)`` of the table, ``r`` the
+        largest ``|Im a| / Re a`` over every entry (as
+        :attr:`models.SectorReport.theta`): every entry lies in
+        ``|arg z| <= pi/2 - theta``, so ``-lambda`` avoids them all on
+        ``|arg lambda| < pi/2 + theta``."""
+        ratio = np.abs(self.values.imag) / np.maximum(self.values.real, 1e-300)
+        return math.atan(1.0 / max(float(ratio.max()), 1e-300))
+
+    @functools.cached_property
+    def real_operator(self) -> bool:
+        """True when ``s(x, D)`` maps real functions to real functions:
+        ``a(x, -xi) = conj a(x, xi)`` to ``X_INDEPENDENT_RTOL`` of max|a|, with
+        ``-xi`` taken on the lattice, so the unpaired Nyquist entries must be
+        real (a drift ``-i b xi`` is not)."""
+        neg = np.mod(-np.arange(self.grid.n), self.grid.n)
+        mirrored = self.values[(Ellipsis,) + np.ix_(*[neg] * self.dimension)]
+        scale = max(float(np.abs(self.values).max()), 1e-300)
+        return bool(np.abs(mirrored - self.values.conj()).max() <= X_INDEPENDENT_RTOL * scale)
 
     def shifted(self, lam: complex) -> "SymbolGrid":
         return SymbolGrid(self.grid, self.values + lam, self.order)
@@ -585,7 +607,7 @@ def composition_defect(a1: SymbolGrid, a2: SymbolGrid, u: GridFunction, order: i
             dp = grid.ifft(grid.fft(p.reshape((-1,) + grid.shape)) * k).reshape(p.shape)
         q_alpha = q / math.prod(math.factorial(o) for o in alpha)
         for f_r, g_r in zip(f, dg.reshape(len(dg), -1)):
-            rhs += f_r * _apply_factors(dp, g_r * q_alpha, u)
+            rhs += f_r * _apply_factors(grid, dp, g_r * q_alpha, u.coeffs)
     defect = lhs - GridFunction(grid, rhs.reshape(grid.shape))
 
     coeffs = np.abs(u.coeffs)

@@ -354,6 +354,10 @@ class TestRemainingExperiments:
         }
         result = run_experiment(validate_config(tree))
         assert result.ok
+        # the contour behind each time: its node count and residue self-test
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["contour_nodes"] == [19] * 4
+        assert all(0.0 <= e <= 1e-8 for e in summary["residue_error"])
 
     def test_strong_feller(self, tmp_path):
         tree = {
@@ -511,6 +515,14 @@ class TestCli:
                          id="reference-typo"),
             pytest.param({"experiment": "density", "scheme": WEAK_SCHEME,
                           "params": {"mode": "exact"}}, "params.mode", id="density-mode-typo"),
+            pytest.param({"experiment": "density", "scheme": WEAK_SCHEME,
+                          "model": {k: v for k, v in base_model(
+                              kind="atomic", atoms=[[0.5, 1.0], [-0.5, 1.0]]).items()
+                              if k not in ("alpha", "scale")}},
+                         "params.mode", id="density-exact-stable-atomic"),
+            pytest.param({"experiment": "weak-error", "scheme": WEAK_SCHEME,
+                          "model": base_model(sigma_expr={"preset": "2+sin", "amplitude": 0.2})},
+                         "params.reference", id="spectral-reference-variable-sigma"),
             pytest.param({"experiment": "bgindex", "params": {"k": 2.5}}, "params.k",
                          id="bgindex-fractional-k"),
             pytest.param({"experiment": "bgindex", "params": {"k": 7}}, "params.k",

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,13 +11,14 @@ from scipy.linalg import expm
 
 import levysde as lv
 from levysde.operators import (
-    _default_theta_prime,
+    _hyperbola_optimum,
+    _hyperbola_params,
     build_contour,
     contour_for_time,
     parametrix_probe_contraction,
 )
 
-from conftest import make_mode, swept_symbols
+from conftest import make_mode, swept_model, swept_symbols
 
 
 def random_function(grid, seed):
@@ -267,12 +269,14 @@ class TestResolvent:
         side=st.sampled_from([1.0, -1.0]),
     )
     def test_against_dense_solve(self, s, seed, magnitude, side):
-        # lambda on a ray of the default contour: angle pi/2 + theta' off the
-        # sector of the symbol, as semigroup_apply places its nodes.  The sweep
-        # keeps the jump part dominant (alpha > 1.2, sigma varying by at most a
-        # factor 3.5): where the x-variation dominates, the frozen-coefficient
-        # preconditioner need not contract and the solve raises ContractionError
-        lam = magnitude * np.exp(1j * side * (np.pi / 2.0 + _default_theta_prime(s)))
+        # lambda on an asymptote of the default hyperbola: angle pi/2 + alpha
+        # off the sector of the symbol, the direction semigroup_apply's far
+        # nodes approach.  The sweep keeps the jump part dominant (alpha >
+        # 1.2, sigma varying by at most a factor 3.5): where the x-variation
+        # dominates, the frozen-coefficient preconditioner need not contract
+        # and the solve raises ContractionError
+        angle = _hyperbola_optimum(s.sector_angle)[0]
+        lam = magnitude * np.exp(1j * side * (np.pi / 2.0 + angle))
         v = random_function(s.grid, seed)
         u = lv.resolvent_apply(lam, s, v).values.ravel()
         shifted = lam * np.eye(v.values.size) + lv.dense_symbol_matrix(s)
@@ -309,6 +313,27 @@ class TestResolvent:
         expected = lv.GridFunction.from_coeffs(grid, v.coeffs / (lam + s.values[0]))
         assert (u - expected).norm_l2() <= 1e-12 * expected.norm_l2()
 
+    def test_batch_matches_single_solves(self, symbol_var_256, grid256):
+        # one batch, one Anderson weight and one tolerance per shift
+        v = random_function(grid256, 9)
+        lams = np.array([5.0 * np.exp(2.0j), 40.0 * np.exp(-2.2j), 300.0 + 0.0j])
+        tols = np.array([1e-12, 1e-10, 1e-8])
+        batch = lv.resolvent_apply(lams, symbol_var_256, v, tol=tols)
+        assert len(batch) == 3
+        for lam, tol, got in zip(lams, tols, batch):
+            single = lv.resolvent_apply(lam, symbol_var_256, v, tol=tol)
+            assert (got - single).norm_l2() <= 1e-13 * single.norm_l2()
+
+    def test_batch_failure_names_shift(self, symbol_var_256, grid256):
+        v = make_mode(grid256, 3.0)
+        lams = np.array([1.0 + 1.0j, -symbol_var_256.values[3, 7]])
+        with pytest.raises(lv.SpectralDistanceError, match=re.escape(str(lams[1]))) as err:
+            lv.resolvent_apply(lams, symbol_var_256, v)
+        assert tuple(err.value.point) == (3, 7)
+        with pytest.raises(lv.ContractionError, match=r"lambda=\(1\+1j\); 1 of 2 shifts"):
+            lv.resolvent_apply(np.array([1.0 + 1.0j, 1e3]), symbol_var_256, v,
+                               tol=np.array([1e-14, 1e-3]), maxit=3)
+
     @settings(max_examples=15, deadline=None)
     @given(s=swept_symbols(), where=st.floats(0.0, 1.0, exclude_max=True))
     def test_shift_on_symbol_range_names_point(self, s, where):
@@ -324,20 +349,52 @@ class TestResolvent:
 
 class TestContour:
     def test_residue_self_check(self):
-        spec = build_contour(theta_prime=0.5, rho0=1.0, M=80.0)
+        # the self-test is an invariant: every default contour records it below 1e-8
+        spec = contour_for_time(1.0)
         val = spec.quadrature(lambda lam: np.exp(lam) / (lam + 1.0))
         assert abs(val - math.exp(-1.0)) <= 1e-8
+        assert spec.residue_error == pytest.approx(abs(val - math.exp(-1.0)), rel=1e-6, abs=1e-15)
+        for t in (2.0**-10, 2.0**-5, 1.0, 8.0):
+            for theta in (math.pi / 2.0, 1.2, 0.8, 0.5):
+                assert contour_for_time(t, theta).residue_error <= 1e-8
 
     def test_second_pole(self):
-        spec = contour_for_time(0.5, 0.4)
+        spec = contour_for_time(0.5)
         val = spec.quadrature(lambda lam: np.exp(lam * 0.5) / (lam + 7.0))
         assert abs(val - math.exp(-3.5)) <= 1e-8
 
     def test_bad_angles(self):
         with pytest.raises(ValueError):
-            build_contour(theta_prime=2.0, rho0=1.0, M=10.0)
+            build_contour(alpha=2.0, mu=10.0, h=0.1, n=10)
         with pytest.raises(ValueError):
-            build_contour(theta_prime=0.5, rho0=5.0, M=1.0)
+            build_contour(alpha=1.0, mu=-1.0, h=0.1, n=10)
+        with pytest.raises(ValueError):
+            contour_for_time(1.0, theta=2.0)
+
+    def test_node_count_from_rate(self):
+        # 2 n + 1 nodes, n set once by the convergence rate: the smaller the
+        # sector angle (a drift spreads the symbol's range), the more nodes
+        counts = []
+        for theta in (math.pi / 2.0, 1.0, 0.5):
+            rate = _hyperbola_optimum(theta)[3]
+            n = math.ceil(math.log(1e8) / rate) + 1
+            counts.append(contour_for_time(0.25, theta).nodes.size)
+            assert counts[-1] == 2 * n + 1
+        assert counts[0] == 19 and counts[0] < counts[1] < counts[2]
+
+    def test_nodes_mirror_across_real_axis(self):
+        spec = contour_for_time(0.1, 1.0)
+        assert np.allclose(spec.nodes[::-1], spec.nodes.conj(), rtol=1e-15, atol=0)
+        assert np.allclose(spec.weights[::-1], spec.weights.conj(), rtol=1e-15, atol=0)
+        assert spec.nodes.real.max() == pytest.approx(spec.mu * (1.0 - math.sin(spec.alpha)))
+
+    def test_barely_sectorial_symbol_refused(self):
+        with pytest.raises(lv.ContractionError, match="too narrow"):
+            contour_for_time(1.0, theta=0.01)
+
+    def test_failed_self_test_raises(self):
+        with pytest.raises(lv.ContractionError, match="residue self-test"):
+            build_contour(alpha=1.17, mu=4.49 * 3, h=1.08 / 3, n=3)
 
 
 class TestSemigroup:
@@ -381,22 +438,66 @@ class TestSemigroup:
         assert errs[0] > errs[1] > errs[2]
 
     def test_contour_invariance(self, variable_model):
+        # other admissible hyperbolas (angle alpha, scale mu) give the same P_t u
         grid = lv.TorusGrid(n=128, dimension=1, length_factor=4.0)
         sym = lv.tabulate(variable_model, grid)
         u = lv.random_rough_function(grid, 0.51, seed=5)
-        rep = lv.sector_report(variable_model, grid.xi[grid.xi != 0])
-        theta = min(rep.theta, 1.45)
-        t = 0.5
+        t, n = 0.5, 16
         results = []
-        for frac in (0.3, 0.5):
-            for rho_scale in (0.5, 1.0, 2.0):
-                M = 40.0 / (t * math.sin(frac * theta))
-                spec = build_contour(frac * theta, rho_scale / t, M)
+        for alpha in (0.95, 1.05, 1.17):
+            L, mu_t, _ = _hyperbola_params(alpha, sym.sector_angle)
+            for mu_scale in (0.85, 1.0, 1.15):
+                spec = build_contour(alpha, mu_scale * mu_t * n / t, L / n, n, t_check=t)
                 results.append(lv.semigroup_apply(t, sym, u, contour=spec).values)
         base = results[0]
         for other in results[1:]:
             rel = np.linalg.norm(other - base) / np.linalg.norm(base)
-            assert rel <= 1e-5
+            assert rel <= 1e-8
+
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("drift", ["none", "1+0.5cos"])
+    @pytest.mark.parametrize("amp", [0.0, 0.2, 0.8])
+    @pytest.mark.parametrize("alpha", [0.7, 1.1, 1.5, 1.9])
+    def test_hyperbola_against_expm(self, alpha, amp, drift, n):
+        # sigma = 2 + amp sin x, drift 0 or 1 + 0.5 cos x: a real operator
+        # solves the nodes on or above the real axis, a drift the full contour
+        model = lv.SdeModel(
+            sigma=lv.coefficient_preset("2+sin", offset=2.0, amplitude=amp),
+            drift=(lv.coefficient_preset("1+0.5cos") if drift != "none"
+                   else lv.coefficient_preset("constant", value=0.0)),
+            measure=lv.StableMeasure.normalized(alpha),
+            sigma_lower_bound=2.0 - amp,
+        )
+        sym = lv.tabulate(model, lv.TorusGrid(n=n, dimension=1, length_factor=4.0))
+        assert sym.real_operator == (drift == "none")
+        u = lv.random_rough_function(sym.grid, 0.51, seed=3)
+        A = lv.dense_symbol_matrix(sym)
+        for t in (2.0**-10, 2.0**-5, 1.0):
+            sizes = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lv.operators, "resolvent_apply",
+                           lambda lam, *args, **kw: sizes.append(np.size(lam))
+                           or lv.resolvent_apply(lam, *args, **kw))
+                pt = lv.semigroup_apply(t, sym, u)
+            nodes = contour_for_time(t, sym.sector_angle).nodes.size
+            if sym.x_independent:  # the exact multiplier: no resolvent solve
+                assert sizes == []
+            else:
+                assert sizes == [nodes // 2 + 1 if sym.real_operator else nodes]
+            truth = expm(-t * A) @ u.values
+            assert np.linalg.norm(pt.values - truth) <= 1e-8 * np.linalg.norm(truth)
+
+    def test_analyticity_solve_count(self, symbol_var_256, grid256):
+        # the N = 256 var-sigma gauge over 11 dyadic times: one batch per time
+        # of at most 300 node solves in all
+        u = lv.random_rough_function(grid256, 0.5, seed=4)
+        sizes = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lv.operators, "resolvent_apply",
+                       lambda lam, *args, **kw: sizes.append(np.size(lam))
+                       or lv.resolvent_apply(lam, *args, **kw))
+            lv.analyticity_gauge(symbol_var_256, u, [2.0**-k for k in range(11)])
+        assert len(sizes) == 11 and sum(sizes) <= 300
 
     def test_markovian_sup_norm_contraction(self, symbol_const_1024, variable_model):
         # real u with sup norm one stays below 1 + 1e-4 under P_t
@@ -410,19 +511,22 @@ class TestSemigroup:
                 pt = lv.semigroup_apply(t, sym, u)
                 assert np.abs(pt.values.real).max() <= 1.0 + 1e-4
 
-    def test_off_scale_contour_rejected(self, symbol_var_256):
+    def test_off_scale_contour_rejected(self, symbol_var_256, variable_model):
         # a caller's contour that cannot resolve t is refused, never replaced
         u = lv.random_rough_function(symbol_var_256.grid, 0.51, seed=5)
-        t, theta = 0.1, 0.5
-        needed_M = 40.0 / (t * math.sin(theta))
-        short = build_contour(theta, 1.0 / t, 0.5 * needed_M, t_check=t)
-        with pytest.raises(lv.ConfigError, match=r"contour_for_time\(0\.1, 0\.5\)") as err:
-            lv.semigroup_apply(t, symbol_var_256, u, contour=short)
-        assert err.value.field == "contour.M"
-        wide = build_contour(theta, 12.0, 100.0)  # rho0 t = 12 at t = 1
-        with pytest.raises(lv.ConfigError, match=r"contour_for_time\(1\.0, 0\.5\)") as err:
-            lv.semigroup_apply(1.0, symbol_var_256, u, contour=wide)
-        assert err.value.field == "contour.rho0"
+        for_tenth = contour_for_time(0.1)
+        with pytest.raises(lv.ConfigError, match=r"contour_for_time\(1\.0, 1\.57") as err:
+            lv.semigroup_apply(1.0, symbol_var_256, u, contour=for_tenth)  # mu t ten times too big
+        assert err.value.field == "contour.mu"
+        with pytest.raises(lv.ConfigError, match=r"contour_for_time\(0\.001, 1\.57") as err:
+            lv.semigroup_apply(0.001, symbol_var_256, u, contour=for_tenth)  # truncated too soon
+        assert err.value.field == "contour.mu"
+        # a drift narrows the symbol's sector below the angle of a drift-free hyperbola
+        drifted = lv.tabulate(swept_model(1, 1.5, 0.2, 1.0), symbol_var_256.grid)
+        with pytest.raises(lv.ConfigError) as err:
+            lv.semigroup_apply(1.0, drifted, u, contour=contour_for_time(1.0))
+        assert err.value.field == "contour.alpha"
+        assert f"contour_for_time(1.0, {drifted.sector_angle!r})" in str(err.value)
 
     def test_negative_time_rejected(self, symbol_const_256):
         u = lv.GridFunction(symbol_const_256.grid, np.ones(256, dtype=complex))
