@@ -13,7 +13,6 @@ FFT order.  Two spectral conventions coexist:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,14 +102,12 @@ class GridFunction:
     """Complex samples of a function on a :class:`TorusGrid`.
 
     The synthesis spectrum is computed lazily and cached; ``check_spectrum``
-    verifies cache consistency to 1e-12 relative.  ``values`` may carry
-    leading batch axes (shape ``batch + grid.shape``) so operators can act on
-    many functions in one call; norms and CSV output are for one function.
+    verifies cache consistency to 1e-12 relative.
     """
 
     def __init__(self, grid: TorusGrid, values: np.ndarray):
         values = np.asarray(values, dtype=complex)
-        if values.shape[values.ndim - grid.dimension:] != grid.shape:
+        if values.shape != grid.shape:
             raise ValueError(f"values shape {values.shape} does not match grid {grid.shape}")
         self.grid = grid
         self.values = values
@@ -119,9 +116,9 @@ class GridFunction:
     @classmethod
     def from_coeffs(cls, grid: TorusGrid, coeffs: np.ndarray) -> "GridFunction":
         coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.shape[coeffs.ndim - grid.dimension:] != grid.shape:
+        if coeffs.shape != grid.shape:
             raise ValueError("coefficient shape does not match grid")
-        out = cls(grid, grid.ifft(coeffs) * math.prod(grid.shape))
+        out = cls(grid, grid.ifft(coeffs) * coeffs.size)
         out._coeffs = coeffs.copy()
         return out
 
@@ -136,14 +133,14 @@ class GridFunction:
     def coeffs(self) -> np.ndarray:
         """Synthesis coefficients: u(x) = sum_k coeffs[k] e^{i <x, xi_k>}."""
         if self._coeffs is None:
-            self._coeffs = self.grid.fft(self.values) / math.prod(self.grid.shape)
+            self._coeffs = self.grid.fft(self.values) / self.values.size
         return self._coeffs
 
     def check_spectrum(self, rtol: float = 1e-12) -> bool:
         """True iff the cached spectrum matches the values to ``rtol`` relative."""
         if self._coeffs is None:
             return True
-        fresh = self.grid.fft(self.values) / math.prod(self.grid.shape)
+        fresh = self.grid.fft(self.values) / self.values.size
         scale = max(float(np.abs(fresh).max()), 1e-300)
         return bool(np.abs(fresh - self._coeffs).max() <= rtol * scale)
 

@@ -279,8 +279,9 @@ def run_analyticity(cfg: ExperimentConfig):
     grid = build_grid(cfg.grid)
     sym = tabulate(model, grid)
     u = random_rough_function(grid, 0.5, seed=cfg.params["seed"])
+    rows = analyticity_gauge(sym, u, cfg.params["times"])
+    # the default contours of semigroup_apply, rebuilt (cheaply) for the record
     contours = [contour_for_time(t, sym.sector_angle) for t in cfg.params["times"]]
-    rows = analyticity_gauge(sym, u, cfg.params["times"], contours)
     vals = [v for _, v in rows]
     ratio = max(vals) / max(min(vals), 1e-300)
     ok = ratio <= cfg.gates["max_over_min"]

@@ -52,12 +52,11 @@ def apply_symbol(s: SymbolGrid, u: GridFunction) -> GridFunction:
     table's factors ``s ~ sum_r f_r(x) g_r(xi)`` (:attr:`SymbolGrid.factors`,
     whose recorded ``error`` bounds every entry of the dropped remainder by
     1e-13 of max|s|; an incompressible table is split exactly at rank M).
-    A batch of functions (leading axes of ``u``) is applied in one call.
     """
     if u.grid != s.grid:
         raise ValueError("grid mismatch between symbol and function")
     f, g = s.factors.f, s.factors.g
-    return GridFunction(s.grid, _apply_factors(s.grid, f, g, u.coeffs).reshape(u.values.shape))
+    return GridFunction(s.grid, _apply_factors(s.grid, f, g, u.coeffs).reshape(s.grid.shape))
 
 
 def _apply_factors(grid, f: np.ndarray, g: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -215,13 +214,14 @@ def resolvent_apply(
     ``(lambda + a_bar(xi))^{-1}``, ``a_bar`` the x-mean of the table
     (:attr:`SymbolGrid.x_mean`).  The iteration runs on the synthesis
     coefficients: ``u_hat <- u_hat + r_hat / (lambda + a_bar)`` with the
-    residual ``r = v - (lambda + a(x, D)) u`` (one :func:`apply_symbol`), and a
-    one-term Anderson mixing of the last two updates accelerates it.  The
-    multiplier is exact for an x-independent symbol, so there the first
-    residual check returns.  Stops at relative residual ``tol``.
+    residual ``r = v - (lambda + a(x, D)) u`` (one application of the table's
+    factors, as in :func:`apply_symbol`), and a one-term Anderson mixing of
+    the last two updates accelerates it.  The multiplier is exact for an
+    x-independent symbol, so there the first residual check returns.  Stops
+    at relative residual ``tol``.
 
     ``lam`` may be a 1-d array of shifts, solved as one batch: each iteration
-    applies the symbol to every shift still running in one call, each shift
+    applies the factors to every shift still running in one call, each shift
     keeps its own Anderson weight and stops at its own ``tol`` (a scalar or
     one per shift), and the result is a list with one function per shift.
 
@@ -261,8 +261,9 @@ def resolvent_apply(
     live = np.arange(lams.size)  # shifts still iterating
     u_hat = mult * v_hat
     res_prev = plain_prev = None
+    f, g, M = a.factors.f, a.factors.g, math.prod(grid.shape)
     for _ in range(maxit):
-        applied = apply_symbol(a, GridFunction.from_coeffs(grid, u_hat)).coeffs
+        applied = grid.fft(_apply_factors(grid, f, g, u_hat).reshape(u_hat.shape)) / M
         r_hat = v_hat - lam_col[live] * u_hat - applied
         rel = np.sqrt(np.sum(r_hat.real**2 + r_hat.imag**2, axis=axes)) / v_norm
         if not np.isfinite(rel).all():  # diverged: the preconditioner does not contract there
@@ -379,21 +380,35 @@ def _hyperbola_params(alpha, theta: float):
 
 def _hyperbola_optimum(theta: float):
     """``(alpha, n h, mu t / n, rate)`` of :func:`_hyperbola_params` at the
-    angle of fastest convergence (alpha = 1.1721 for theta = pi/2)."""
+    fastest angle whose gain stays at most ``_MAX_GAIN``.
+
+    The node on the real axis carries the weight ``e^{mu t (1 - sin alpha)}``
+    while ``P_t u`` is of order one, so the quadrature cancels terms that large
+    and amplifies each node's resolvent error by about as much.  At ``n``
+    nodes for the error ``e^{-rate n}`` the exponent is ``gain * rate n`` with
+    ``gain = (mu t / n) (1 - sin alpha) / rate``.  The fastest angle for
+    ``theta = pi/2`` (alpha = 1.1721) has gain 0.152; a narrower sector's
+    fastest angle has up to 0.56 (e^9 at residue_tol 1e-8, which would ask
+    each node for a residual below the resolvent's rounding floor), so its
+    angle is pulled towards ``theta / 2`` until the gain is that of ``pi/2``,
+    for a few percent more nodes."""
     alpha = np.linspace(theta / 2.0, theta, 2001)[1:-1]
     L, mu_t, rate = _hyperbola_params(alpha, theta)
-    k = int(np.argmax(rate))
+    gain = mu_t * (1.0 - np.sin(alpha)) / rate
+    k = int(np.argmax(np.where(gain <= _MAX_GAIN, rate, 0.0)))
     return float(alpha[k]), float(L[k]), float(mu_t[k]), float(rate[k])
 
 
+_MAX_GAIN = 0.1522  # the gain of the fastest angle for theta = pi/2
 _MAX_NODE_PAIRS = 1024  # reached below theta ~ 0.04 at residue_tol 1e-8: barely sectorial
+_BATCH_BYTES = 2**25  # iteration arrays of one batch of contour nodes
 
 
 def contour_for_time(
     t: float, theta: float = math.pi / 2.0, residue_tol: float = 1e-8
 ) -> ContourSpec:
     """Hyperbola for time ``t`` on a symbol of sector angle ``theta``
-    (:attr:`SymbolGrid.sector_angle`): the optimal angle, ``mu = c n / t`` and
+    (:attr:`SymbolGrid.sector_angle`): the angle, ``mu = c n / t`` and
     ``h = L / n`` of :func:`_hyperbola_optimum`, with the node count ``2 n + 1``
     set once from ``residue_tol`` by the convergence rate.  The rate bounds
     the error only up to a constant factor, which exceeds one when the strip
@@ -423,8 +438,10 @@ def semigroup_apply(
     """Evaluate ``P_t u`` by contour quadrature of the resolvent.
 
     ``P_t u = (1/2 pi i) int_Gamma e^{lambda t} (lambda + a(x,D))^{-1} u dlambda``
-    over the hyperbola, by default ``contour_for_time(t, a.sector_angle)``.
-    All nodes are solved as one batch (:func:`resolvent_apply`), each to
+    over the hyperbola, by default ``contour_for_time(t, a.sector_angle,
+    min(tol, 1e-8))``.  The nodes are solved in batches
+    (:func:`resolvent_apply`) whose iteration arrays take at most
+    ``_BATCH_BYTES``, so memory does not grow with the node count, each to
     ``tol / sum_k |w_k e^{lambda_k t}|`` so the weighted sum meets ``tol``;
     an x-independent symbol takes the exact multiplier instead.  When the
     operator is real (:attr:`SymbolGrid.real_operator`) and ``u`` is real,
@@ -444,9 +461,10 @@ def semigroup_apply(
         raise ValueError("symbol has negative real part: not sectorial")
     theta = a.sector_angle
     if contour is None:
-        contour = contour_for_time(t, theta)
+        contour = contour_for_time(t, theta, min(tol, 1e-8))
     else:
-        fix = f"use contour_for_time({float(t)!r}, {theta!r})"
+        args = f"{float(t)!r}, {theta!r}" + (f", {tol!r}" if tol < 1e-8 else "")
+        fix = f"use contour_for_time({args})"
         # the three error exponents of _hyperbola_params for this contour at t
         alpha, h, mu_t, n = contour.alpha, contour.h, contour.mu * t, len(contour.nodes) // 2
         upper = -2.0 * math.pi * (theta - alpha) / h
@@ -454,8 +472,9 @@ def semigroup_apply(
         truncation = mu_t * (1.0 - math.sin(alpha) * math.cosh(n * h))
         if alpha >= theta or upper > math.log(tol):
             raise ConfigError(
-                f"contour angle alpha={contour.alpha:.4g} leaves the strip of analyticity "
-                f"too narrow for the symbol's sector angle {theta:.4g}; {fix}",
+                f"contour angle alpha={contour.alpha:.4g} at step h={h:.4g} leaves the "
+                f"strip of analyticity too narrow for the symbol's sector angle "
+                f"{theta:.4g} at tol={tol:g}; {fix}",
                 field="contour.alpha",
             )
         if max(lower, truncation) > math.log(tol):
@@ -481,8 +500,13 @@ def semigroup_apply(
         mult = np.tensordot(c, 1.0 / (lams.reshape((-1,) + (1,) * sym.ndim) + sym), axes=1)
         values = GridFunction.from_coeffs(u.grid, mult * u.coeffs).values
     else:
-        solved = resolvent_apply(lams, a, u, tol=node_tol)
-        values = np.tensordot(c, [r.values for r in solved], axes=1)
+        # each shift of a batch holds about 2 r + 12 arrays of M complex values
+        per_shift = 16 * u.values.size * (2 * a.factors.g.shape[0] + 12)
+        step = max(1, _BATCH_BYTES // per_shift)
+        values = 0
+        for k in range(0, lams.size, step):
+            solved = resolvent_apply(lams[k:k + step], a, u, tol=node_tol)
+            values = values + np.tensordot(c[k:k + step], [r.values for r in solved], axes=1)
     return GridFunction(u.grid, values.real if real else values)
 
 
@@ -491,17 +515,16 @@ def semigroup_apply(
 # ---------------------------------------------------------------------------
 
 
-def analyticity_gauge(a: SymbolGrid, u: GridFunction, t_list, contours=None):
+def analyticity_gauge(a: SymbolGrid, u: GridFunction, t_list):
     """Gauge sequence ``(t, |t A P_t u|_2 / |u|_2)`` with ``A = -a(x, D)``.
 
     Uniform boundedness of the gauge over decades of ``t`` is the working
-    signature of an analytic semigroup.  ``contours`` gives one
-    :class:`ContourSpec` per time (default: :func:`semigroup_apply`'s own).
+    signature of an analytic semigroup.
     """
     u_scale = max(u.norm_l2(), 1e-300)
     rows = []
-    for t, contour in zip(t_list, contours or [None] * len(t_list)):
-        pt = semigroup_apply(t, a, u, contour=contour)
+    for t in t_list:
+        pt = semigroup_apply(t, a, u)
         apu = apply_symbol(a, pt)
         rows.append((float(t), float(t) * apu.norm_l2() / u_scale))
     return rows

@@ -304,10 +304,10 @@ class TestResolvent:
         grid = lv.TorusGrid(n=64, dimension=1, length_factor=4.0)
         s = lv.tabulate(model, grid)
         v = random_function(grid, 6)
-        applies = []
+        applies, apply_factors = [], lv.operators._apply_factors
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lv.operators, "apply_symbol",
-                       lambda a, w: applies.append(a) or lv.apply_symbol(a, w))
+            mp.setattr(lv.operators, "_apply_factors",
+                       lambda *args: applies.append(args) or apply_factors(*args))
             u = lv.resolvent_apply(lam, s, v)
         assert len(applies) == 1  # the multiplier is exact: one residual check
         expected = lv.GridFunction.from_coeffs(grid, v.coeffs / (lam + s.values[0]))
@@ -486,6 +486,69 @@ class TestSemigroup:
                 assert sizes == [nodes // 2 + 1 if sym.real_operator else nodes]
             truth = expm(-t * A) @ u.values
             assert np.linalg.norm(pt.values - truth) <= 1e-8 * np.linalg.norm(truth)
+
+    @pytest.mark.parametrize("drift", [1.0, 3.0])
+    def test_strong_variation_with_drift_against_expm(self, drift):
+        # sigma = 2 + 1.5 sin x and a drift drift * cos x at N = 256 and t = 1:
+        # the narrow sector's fastest hyperbola would amplify each node's error
+        # by about e^9, below the solves' rounding floor; the capped gain keeps
+        # the node tolerance reachable
+        sym = lv.tabulate(swept_model(1, 1.9, 1.5, drift),
+                          lv.TorusGrid(n=256, dimension=1, length_factor=4.0))
+        u = lv.random_rough_function(sym.grid, 0.51, seed=3)
+        pt = lv.semigroup_apply(1.0, sym, u)
+        truth = expm(-lv.dense_symbol_matrix(sym)) @ u.values
+        assert np.linalg.norm(pt.values - truth) <= 1e-8 * np.linalg.norm(truth)
+
+    def test_gain_capped_at_drift_free_value(self):
+        # the node on the real axis weighs e^{mu t (1 - sin alpha)}: no sector
+        # angle's hyperbola weighs it more than the drift-free one does
+        drift_free = contour_for_time(1.0)
+        for theta in (1.2, 0.9, 0.5, 0.28, 0.1):
+            spec = contour_for_time(1.0, theta)
+            rate = _hyperbola_optimum(theta)[3]
+            assert spec.mu * (1.0 - math.sin(spec.alpha)) <= 0.1522 * rate * (spec.nodes.size // 2)
+            assert spec.mu * (1.0 - math.sin(spec.alpha)) <= 1.01 * (
+                drift_free.mu * (1.0 - math.sin(drift_free.alpha)))
+
+    def test_tolerance_below_default_sizes_the_contour(self, variable_model):
+        grid = lv.TorusGrid(n=128, dimension=1, length_factor=4.0)
+        sym = lv.tabulate(variable_model, grid)
+        u = lv.random_rough_function(grid, 0.51, seed=3)
+        A = lv.dense_symbol_matrix(sym)
+        for t in (2.0**-10, 1.0):
+            truth = expm(-t * A) @ u.values
+            pt = lv.semigroup_apply(t, sym, u, tol=1e-10)
+            assert np.linalg.norm(pt.values - truth) <= 1e-10 * np.linalg.norm(truth)
+            spec = contour_for_time(t, sym.sector_angle, 1e-10)
+            same = lv.semigroup_apply(t, sym, u, contour=spec, tol=1e-10)
+            assert np.array_equal(same.values, pt.values)
+            with pytest.raises(lv.ConfigError, match=re.escape(
+                    f"contour_for_time({t!r}, {sym.sector_angle!r}, 1e-10)")):
+                lv.semigroup_apply(t, sym, u, contour=contour_for_time(t, sym.sector_angle),
+                                   tol=1e-10)
+
+    def test_node_batches_bounded_in_memory(self, grid256):
+        # a drift takes the full contour; the nodes are split into batches of
+        # bounded memory, and the split does not change P_t u
+        sym = lv.tabulate(swept_model(1, 1.5, 0.2, 1.0), grid256)
+        u = lv.random_rough_function(grid256, 0.51, seed=3)
+        nodes = contour_for_time(0.5, sym.sector_angle).nodes.size
+        runs = {}
+        for budget in (2**25, 2**19):
+            sizes = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lv.operators, "_BATCH_BYTES", budget)
+                mp.setattr(lv.operators, "resolvent_apply",
+                           lambda lam, *args, **kw: sizes.append(np.size(lam))
+                           or lv.resolvent_apply(lam, *args, **kw))
+                runs[budget] = lv.semigroup_apply(0.5, sym, u).values
+            assert sum(sizes) == nodes
+            per_shift = 16 * grid256.n * (2 * sym.factors.g.shape[0] + 12)
+            assert max(sizes) == min(nodes, budget // per_shift)
+        assert len(sizes) > 1
+        rel = np.linalg.norm(runs[2**19] - runs[2**25]) / np.linalg.norm(runs[2**25])
+        assert rel <= 1e-13
 
     def test_analyticity_solve_count(self, symbol_var_256, grid256):
         # the N = 256 var-sigma gauge over 11 dyadic times: one batch per time
