@@ -1,6 +1,6 @@
 """Kohn-Nirenberg operator application, parametrix inversion, resolvent
 application on the sector, contour-integral semigroup evaluation (the
-trapezoid rule on a hyperbola, all nodes solved as one batch), and the
+trapezoid rule on a hyperbola, its nodes solved in batches), and the
 analyticity/smoothing gauges.
 
 Quantization is Kohn-Nirenberg throughout:
@@ -380,26 +380,13 @@ def _hyperbola_params(alpha, theta: float):
 
 def _hyperbola_optimum(theta: float):
     """``(alpha, n h, mu t / n, rate)`` of :func:`_hyperbola_params` at the
-    fastest angle whose gain stays at most ``_MAX_GAIN``.
-
-    The node on the real axis carries the weight ``e^{mu t (1 - sin alpha)}``
-    while ``P_t u`` is of order one, so the quadrature cancels terms that large
-    and amplifies each node's resolvent error by about as much.  At ``n``
-    nodes for the error ``e^{-rate n}`` the exponent is ``gain * rate n`` with
-    ``gain = (mu t / n) (1 - sin alpha) / rate``.  The fastest angle for
-    ``theta = pi/2`` (alpha = 1.1721) has gain 0.152; a narrower sector's
-    fastest angle has up to 0.56 (e^9 at residue_tol 1e-8, which would ask
-    each node for a residual below the resolvent's rounding floor), so its
-    angle is pulled towards ``theta / 2`` until the gain is that of ``pi/2``,
-    for a few percent more nodes."""
+    angle of fastest convergence (alpha = 1.1721 for theta = pi/2)."""
     alpha = np.linspace(theta / 2.0, theta, 2001)[1:-1]
     L, mu_t, rate = _hyperbola_params(alpha, theta)
-    gain = mu_t * (1.0 - np.sin(alpha)) / rate
-    k = int(np.argmax(np.where(gain <= _MAX_GAIN, rate, 0.0)))
+    k = int(np.argmax(rate))
     return float(alpha[k]), float(L[k]), float(mu_t[k]), float(rate[k])
 
 
-_MAX_GAIN = 0.1522  # the gain of the fastest angle for theta = pi/2
 _MAX_NODE_PAIRS = 1024  # reached below theta ~ 0.04 at residue_tol 1e-8: barely sectorial
 _BATCH_BYTES = 2**25  # iteration arrays of one batch of contour nodes
 
@@ -408,7 +395,7 @@ def contour_for_time(
     t: float, theta: float = math.pi / 2.0, residue_tol: float = 1e-8
 ) -> ContourSpec:
     """Hyperbola for time ``t`` on a symbol of sector angle ``theta``
-    (:attr:`SymbolGrid.sector_angle`): the angle, ``mu = c n / t`` and
+    (:attr:`SymbolGrid.sector_angle`): the optimal angle, ``mu = c n / t`` and
     ``h = L / n`` of :func:`_hyperbola_optimum`, with the node count ``2 n + 1``
     set once from ``residue_tol`` by the convergence rate.  The rate bounds
     the error only up to a constant factor, which exceeds one when the strip
@@ -441,9 +428,14 @@ def semigroup_apply(
     over the hyperbola, by default ``contour_for_time(t, a.sector_angle,
     min(tol, 1e-8))``.  The nodes are solved in batches
     (:func:`resolvent_apply`) whose iteration arrays take at most
-    ``_BATCH_BYTES``, so memory does not grow with the node count, each to
-    ``tol / sum_k |w_k e^{lambda_k t}|`` so the weighted sum meets ``tol``;
-    an x-independent symbol takes the exact multiplier instead.  When the
+    ``_BATCH_BYTES``, so memory does not grow with the node count.  Node k of
+    K, weighted ``c_k = w_k e^{lambda_k t}``, is solved to the relative
+    residual ``tol d_k / (K |c_k|)`` with ``d_k = min |lambda_k + a_bar|``:
+    ``1 / d_k`` is the norm of the preconditioner standing in for the
+    resolvent's, so each node adds at most ``tol / K`` to the sum's error, and
+    the heavy nodes near the real axis, far from the spectrum, carry the
+    tight tolerances.  An x-independent symbol takes the exact multiplier
+    instead.  When the
     operator is real (:attr:`SymbolGrid.real_operator`) and ``u`` is real,
     only the nodes on or above the real axis are solved:
     ``R(conj lambda) u = conj(R(lambda) u)``.
@@ -486,7 +478,6 @@ def semigroup_apply(
 
     lams = contour.nodes
     c = contour.weights * np.exp(lams * t)
-    node_tol = tol / float(np.abs(c).sum())
     u_real = np.abs(u.values.imag).max() <= X_INDEPENDENT_RTOL * np.abs(u.values).max()
     real = a.real_operator and u_real
     if real:
@@ -503,10 +494,12 @@ def semigroup_apply(
         # each shift of a batch holds about 2 r + 12 arrays of M complex values
         per_shift = 16 * u.values.size * (2 * a.factors.g.shape[0] + 12)
         step = max(1, _BATCH_BYTES // per_shift)
-        values = 0
+        values, a_bar = 0, a.x_mean.ravel()
         for k in range(0, lams.size, step):
-            solved = resolvent_apply(lams[k:k + step], a, u, tol=node_tol)
-            values = values + np.tensordot(c[k:k + step], [r.values for r in solved], axes=1)
+            lam, ck = lams[k:k + step], c[k:k + step]
+            dist = np.abs(lam[:, None] + a_bar).min(axis=1)
+            solved = resolvent_apply(lam, a, u, tol=tol * dist / (lams.size * np.abs(ck)))
+            values = values + np.tensordot(ck, [r.values for r in solved], axes=1)
     return GridFunction(u.grid, values.real if real else values)
 
 

@@ -454,17 +454,23 @@ class TestSemigroup:
             rel = np.linalg.norm(other - base) / np.linalg.norm(base)
             assert rel <= 1e-8
 
-    @pytest.mark.parametrize("n", [64, 128])
-    @pytest.mark.parametrize("drift", ["none", "1+0.5cos"])
-    @pytest.mark.parametrize("amp", [0.0, 0.2, 0.8])
-    @pytest.mark.parametrize("alpha", [0.7, 1.1, 1.5, 1.9])
+    @pytest.mark.parametrize("alpha,amp,drift,n", [
+        *itertools.product([0.7, 1.1, 1.5, 1.9], [0.0, 0.2, 0.8], ["none", "1+0.5cos"], [64, 128]),
+        # sigma varying by a factor 7 with a drift at t = 1: the narrow sector's
+        # hyperbola weighs its real-axis node by about e^9, and one tolerance
+        # tol / sum|c_k| for every node fell below the solves' rounding floor
+        (1.9, 1.5, "cos", 256),
+        (1.9, 1.5, "3cos", 256),
+    ])
     def test_hyperbola_against_expm(self, alpha, amp, drift, n):
-        # sigma = 2 + amp sin x, drift 0 or 1 + 0.5 cos x: a real operator
-        # solves the nodes on or above the real axis, a drift the full contour
+        # sigma = 2 + amp sin x and no drift, 1 + 0.5 cos x, cos x or 3 cos x:
+        # a real operator solves the nodes on or above the real axis, a drift
+        # the full contour
+        offset, scale = {"none": (0.0, 0.0), "1+0.5cos": (1.0, 0.5),
+                         "cos": (0.0, 1.0), "3cos": (0.0, 3.0)}[drift]
         model = lv.SdeModel(
             sigma=lv.coefficient_preset("2+sin", offset=2.0, amplitude=amp),
-            drift=(lv.coefficient_preset("1+0.5cos") if drift != "none"
-                   else lv.coefficient_preset("constant", value=0.0)),
+            drift=lv.coefficient_preset("1+0.5cos", offset=offset, amplitude=scale),
             measure=lv.StableMeasure.normalized(alpha),
             sigma_lower_bound=2.0 - amp,
         )
@@ -483,33 +489,9 @@ class TestSemigroup:
             if sym.x_independent:  # the exact multiplier: no resolvent solve
                 assert sizes == []
             else:
-                assert sizes == [nodes // 2 + 1 if sym.real_operator else nodes]
+                assert sum(sizes) == (nodes // 2 + 1 if sym.real_operator else nodes)
             truth = expm(-t * A) @ u.values
             assert np.linalg.norm(pt.values - truth) <= 1e-8 * np.linalg.norm(truth)
-
-    @pytest.mark.parametrize("drift", [1.0, 3.0])
-    def test_strong_variation_with_drift_against_expm(self, drift):
-        # sigma = 2 + 1.5 sin x and a drift drift * cos x at N = 256 and t = 1:
-        # the narrow sector's fastest hyperbola would amplify each node's error
-        # by about e^9, below the solves' rounding floor; the capped gain keeps
-        # the node tolerance reachable
-        sym = lv.tabulate(swept_model(1, 1.9, 1.5, drift),
-                          lv.TorusGrid(n=256, dimension=1, length_factor=4.0))
-        u = lv.random_rough_function(sym.grid, 0.51, seed=3)
-        pt = lv.semigroup_apply(1.0, sym, u)
-        truth = expm(-lv.dense_symbol_matrix(sym)) @ u.values
-        assert np.linalg.norm(pt.values - truth) <= 1e-8 * np.linalg.norm(truth)
-
-    def test_gain_capped_at_drift_free_value(self):
-        # the node on the real axis weighs e^{mu t (1 - sin alpha)}: no sector
-        # angle's hyperbola weighs it more than the drift-free one does
-        drift_free = contour_for_time(1.0)
-        for theta in (1.2, 0.9, 0.5, 0.28, 0.1):
-            spec = contour_for_time(1.0, theta)
-            rate = _hyperbola_optimum(theta)[3]
-            assert spec.mu * (1.0 - math.sin(spec.alpha)) <= 0.1522 * rate * (spec.nodes.size // 2)
-            assert spec.mu * (1.0 - math.sin(spec.alpha)) <= 1.01 * (
-                drift_free.mu * (1.0 - math.sin(drift_free.alpha)))
 
     def test_tolerance_below_default_sizes_the_contour(self, variable_model):
         grid = lv.TorusGrid(n=128, dimension=1, length_factor=4.0)
