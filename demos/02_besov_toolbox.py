@@ -1,4 +1,4 @@
-"""Torus grids, transforms, dyadic blocks, and Besov norms.
+"""Torus grids, synthesis spectra, dyadic blocks, and Besov norms.
 
 The function spaces behind every smoothing statement in the package are
 realized on a periodic grid: a raised-cosine dyadic partition of the

@@ -31,7 +31,8 @@ rows, beta, _ = lv.strong_feller_growth(model, [1.0, 0.5, 0.25, 0.125], 0.0, xs,
 print(f"Lipschitz growth as t decreases: L(t) ~ t^-{beta:.3f}")
 
 print("\n=== transition density and its derivative as t decreases ===")
-rep = lv.density_probe(model, 0.0, [1.0, 0.5, 0.25, 0.125, 0.0625], paths=30_000)
+density_scheme = lv.SimScheme(eps=0.1, tau=1.0, gaussian_compensation=True, paths=30_000, seed=1234)
+rep = lv.density_probe(model, 0.0, [1.0, 0.5, 0.25, 0.125, 0.0625], density_scheme)
 for t, h, sup_slope, integral, flagged in rep.rows:
     print(f"  t = {t:6.4f}: sup|p'| = {sup_slope:7.3f}, integral = {integral:.4f}")
 print(f"derivative growth exponent: {rep.growth_exponent:.3f} "

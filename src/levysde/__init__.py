@@ -19,7 +19,7 @@ from .errors import (
     QuadratureError,
     SpectralDistanceError,
 )
-from .grids import GridFunction, TorusGrid, random_rough_function, transform
+from .grids import GridFunction, TorusGrid, random_rough_function
 from .measures import (
     AtomicMeasure,
     StableMeasure,
@@ -45,7 +45,6 @@ from .montecarlo import (
     jump_split_check,
     mc_semigroup,
     payoff_from_grid,
-    simulate_path,
     spectral_reference,
     strong_feller_growth,
     strong_feller_profile,

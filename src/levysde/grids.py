@@ -2,13 +2,9 @@
 
 The torus is ``[0, 2 pi L)^d`` sampled at ``N`` points per axis; the induced
 frequency lattice is ``k / L`` for integer ``k`` in ``[-N/2, N/2)``, stored in
-FFT order.  Two spectral conventions coexist:
-
-* ``transform`` is the unitary-normalized DFT (inverse o forward = identity,
-  Parseval-clean) and returns a new grid function;
-* ``GridFunction.coeffs`` are synthesis coefficients ``u_hat`` with
-  ``u(x) = sum_k u_hat_k e^{i <x, xi_k>}`` -- the natural input to
-  Kohn-Nirenberg quantization.
+FFT order.  The one spectral convention is that of ``GridFunction.coeffs``:
+synthesis coefficients ``u_hat`` with ``u(x) = sum_k u_hat_k e^{i <x, xi_k>}``,
+the natural input to Kohn-Nirenberg quantization.
 """
 
 from __future__ import annotations
@@ -19,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["TorusGrid", "GridFunction", "random_rough_function", "transform"]
+__all__ = ["TorusGrid", "GridFunction", "random_rough_function"]
 
 
 @dataclass(frozen=True)
@@ -144,12 +140,6 @@ class GridFunction:
         scale = max(float(np.abs(fresh).max()), 1e-300)
         return bool(np.abs(fresh - self._coeffs).max() <= rtol * scale)
 
-    def copy(self) -> "GridFunction":
-        out = GridFunction(self.grid, self.values.copy())
-        if self._coeffs is not None:
-            out._coeffs = self._coeffs.copy()
-        return out
-
     # --- norms -----------------------------------------------------------
     def norm_lp(self, p: float) -> float:
         """Discrete L^p norm (cell-volume weighted quadrature); p = inf -> sup."""
@@ -185,38 +175,6 @@ class GridFunction:
     def __neg__(self):
         return GridFunction(self.grid, -self.values)
 
-    # --- serialization ---------------------------------------------------
-    def to_csv(self, path, header_comment: str = None):
-        """Write (index, x, Re, Im) rows with 17 significant digits."""
-        with open(path, "w") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            if self.grid.dimension == 1:
-                fh.write("index,x,re,im\n")
-                for i, (x, v) in enumerate(zip(self.grid.x, self.values)):
-                    fh.write(f"{i},{x:.17g},{v.real:.17g},{v.imag:.17g}\n")
-            else:
-                fh.write("index,x1,x2,re,im\n")
-                xs = self.grid.x
-                flat = self.values.ravel()
-                n = self.grid.n
-                for i, v in enumerate(flat):
-                    fh.write(
-                        f"{i},{xs[i // n]:.17g},{xs[i % n]:.17g},"
-                        f"{v.real:.17g},{v.imag:.17g}\n"
-                    )
-
-    @classmethod
-    def from_csv(cls, grid: TorusGrid, path) -> "GridFunction":
-        with open(path) as fh:
-            lines = [
-                ln for ln in fh
-                if ln.strip() and not ln.startswith("#") and not ln.startswith("index")
-            ]
-        rows = np.array([[float(c) for c in ln.split(",")] for ln in lines])
-        vals = rows[:, -2] + 1j * rows[:, -1]
-        return cls(grid, vals.reshape(grid.shape))
-
 
 def random_rough_function(grid: TorusGrid, decay_exponent: float, seed: int) -> GridFunction:
     """Real-valued function with spectrum ``|u_hat(xi)| = <xi>^{-decay_exponent}``
@@ -238,18 +196,3 @@ def random_rough_function(grid: TorusGrid, decay_exponent: float, seed: int) -> 
         flipped = phases[np.ix_(ii, ii)]
     coeffs = amp * np.exp(1j * 0.5 * (phases - flipped))
     return GridFunction.from_coeffs(grid, coeffs)
-
-
-def transform(u: GridFunction, direction: str = "forward") -> GridFunction:
-    """Unitary-normalized discrete Fourier transform of a grid function.
-
-    ``inverse(forward(u)) == u`` to 1e-12; both directions preserve the
-    discrete l^2 norm.
-    """
-    if direction == "forward":
-        vals = u.grid.fft(u.values) / np.sqrt(u.values.size)
-    elif direction == "inverse":
-        vals = u.grid.ifft(u.values) * np.sqrt(u.values.size)
-    else:
-        raise ValueError("direction must be 'forward' or 'inverse'")
-    return GridFunction(u.grid, vals)

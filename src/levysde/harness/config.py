@@ -24,7 +24,7 @@ from ..errors import ConfigError
 from ..grids import TorusGrid
 from ..measures import AtomicMeasure, StableMeasure, TabulatedMeasure
 from ..models import PRESETS, SdeModel, coefficient_preset, constant_value
-from ..montecarlo import SimScheme
+from ..montecarlo import SPECTRAL_GRID, SimScheme
 
 __all__ = [
     "ExperimentConfig",
@@ -194,9 +194,8 @@ def validate_config(cfg: dict) -> ExperimentConfig:
             field="params.mode",
         )
     if params.get("reference") == "spectral":
-        x = TorusGrid(n=4096, length_factor=4.0).x  # where the spectral reference samples
         for key, coefficient in (("sigma_expr", built.sigma), ("drift_expr", built.drift)):
-            if constant_value(coefficient, x) is None:
+            if constant_value(coefficient, SPECTRAL_GRID.x) is None:
                 raise ConfigError(
                     f"params.reference 'spectral' is the exact multiplier and needs "
                     f"x-independent coefficients, but model.{key} varies; use "

@@ -339,8 +339,8 @@ def run_strong_feller(cfg: ExperimentConfig):
 def run_density(cfg: ExperimentConfig):
     model = build_model(cfg.model)
     scheme = build_scheme(cfg.scheme)
-    rep = density_probe(model, cfg.params["x0"], cfg.params["times"], paths=scheme.paths,
-                        scheme=scheme, mode=cfg.params["mode"])
+    rep = density_probe(model, cfg.params["x0"], cfg.params["times"], scheme,
+                        mode=cfg.params["mode"])
     cap = cfg.gates["growth_exponent_max"] or (2.0 / getattr(model.measure, "alpha", 1.5) + 0.5)
     integrals_ok = all(abs(row[3] - 1.0) <= cfg.gates["integral_tol"] for row in rep.rows)
     ok = integrals_ok and rep.growth_exponent <= cap

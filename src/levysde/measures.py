@@ -795,7 +795,10 @@ def _fd_derivative(psi, x: float, order: int, h: float) -> complex:
     return vals @ coeffs / h**order
 
 
-def bg_index(spec, k: int, fit_range: tuple = (2.0, 512.0), samples_per_octave: int = 4) -> float:
+_BG_SAMPLES = 4  # sample points per dyadic bin of bg_index
+
+
+def bg_index(spec, k: int, fit_range: tuple = (2.0, 512.0)) -> float:
     """Blumenthal-Getoor index of order ``k`` by log-log regression.
 
     For each dyadic bin ``[2^m, 2^{m+1})`` in the fit window, the quantity
@@ -830,8 +833,8 @@ def bg_index(spec, k: int, fit_range: tuple = (2.0, 512.0), samples_per_octave: 
     logs = []
     for m in octaves:
         best = 0.0
-        for j in range(samples_per_octave):
-            x = 2.0**m * (1.0 + j / samples_per_octave)
+        for j in range(_BG_SAMPLES):
+            x = 2.0**m * (1.0 + j / _BG_SAMPLES)
             h = max(0.02 * x, 1e-3)
             val = abs(complex(psi(x)))
             for o in range(1, int(k) + 1):

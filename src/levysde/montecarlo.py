@@ -43,7 +43,6 @@ from .ratefit import RateFit, fit_rate
 __all__ = [
     "SimScheme",
     "McEstimate",
-    "simulate_path",
     "terminal_samples",
     "mc_semigroup",
     "spectral_reference",
@@ -70,6 +69,8 @@ _KDE_CUT = 8.5
 # Kernel pairs gathered at once (2 MB per float array): for light-tailed samples
 # a third of all (grid point, sample) pairs can lie inside the window.
 _KDE_PAIRS = 1 << 18
+# The torus on which spectral_reference periodizes its payoff.
+SPECTRAL_GRID = TorusGrid(n=4096, length_factor=4.0)
 
 
 @dataclass(frozen=True)
@@ -129,17 +130,6 @@ def _evolve(model: SdeModel, X, t: float, scheme: SimScheme, mode: str, rng):
         dL = sample_increment(model.measure, dt, mode, rng, eps=scheme.eps, size=X.shape[0])
         X = _advance(model, X, dt, dL)
     return X
-
-
-def simulate_path(model: SdeModel, x0, t: float, scheme: SimScheme, rng, mode: str = None):
-    """Terminal state of one explicit Euler path driven by the scheme's noise.
-
-    ``mode`` overrides the scheme-derived sampling mode (e.g. "exact-stable").
-    """
-    d = model.dimension
-    X = np.asarray(x0, dtype=float).reshape(1, -1) if d == 2 else np.array([float(x0)])
-    X = _evolve(model, X, t, scheme, mode, rng)
-    return X[0] if d == 2 else float(X[0])
 
 
 def _batches(n: int, seed: int, *streams):
@@ -246,10 +236,10 @@ def mc_semigroup(
     return McEstimate(mean=mean, stderr=stderr, paths_used=int(vals.size))
 
 
-def spectral_reference(model: SdeModel, f, x0, t: float, n: int = 4096, length_factor: float = 4.0):
+def spectral_reference(model: SdeModel, f, x0, t: float):
     """Exact ``P_t f(x0)`` for x-independent coefficients via the Fourier
-    multiplier ``exp(-t a(xi))`` of the periodized payoff."""
-    grid = TorusGrid(n=n, dimension=1, length_factor=length_factor)
+    multiplier ``exp(-t a(xi))`` of the payoff periodized on ``SPECTRAL_GRID``."""
+    grid = SPECTRAL_GRID
     if constant_value(model.sigma, grid.x) is None or constant_value(model.drift, grid.x) is None:
         raise ValueError("spectral reference requires x-independent coefficients")
     gf = GridFunction(grid, f(grid.x))
@@ -303,8 +293,7 @@ def weak_error_table(
     else:
         raise ValueError("reference must be 'spectral' or 'exact-stable'")
 
-    # sampled where spectral_reference samples: one period of its default torus
-    x = TorusGrid(n=4096, length_factor=4.0).x
+    x = SPECTRAL_GRID.x  # sampled where spectral_reference samples
     sig0, drf0 = constant_value(model.sigma, x), constant_value(model.drift, x)
 
     n_total = scheme_base.paths
@@ -385,7 +374,6 @@ def strong_feller_profile(
     threshold: float,
     x_grid,
     scheme: SimScheme,
-    mode: str = None,
 ) -> FellerProfile:
     """MC profile ``x -> P_t 1_{[threshold, inf)}(x)`` on an x-grid.
 
@@ -396,14 +384,13 @@ def strong_feller_profile(
     if model.dimension != 1:
         raise NotImplementedError("profiles are 1-d")
     xs = np.asarray(x_grid, dtype=float)
-    mode = mode or scheme.mode
     n_steps = _euler_steps(t, scheme.tau)
     dt = t / n_steps
     hits = np.zeros(xs.size)
     n_total = scheme.paths
     for nb, rng in _batches(n_total, scheme.seed, 11):
         increments = [
-            sample_increment(model.measure, dt, mode, rng, eps=scheme.eps, size=nb)
+            sample_increment(model.measure, dt, scheme.mode, rng, eps=scheme.eps, size=nb)
             for _ in range(n_steps)
         ]
         for j, x in enumerate(xs):
@@ -427,19 +414,12 @@ def strong_feller_profile(
     )
 
 
-def strong_feller_growth(
-    model: SdeModel,
-    t_list,
-    threshold: float,
-    x_grid,
-    scheme: SimScheme,
-    mode: str = None,
-):
+def strong_feller_growth(model: SdeModel, t_list, threshold: float, x_grid, scheme: SimScheme):
     """Lipschitz constants of the indicator profile over a dyadic t-list and
     the fitted growth exponent of ``L(t) ~ t^{-beta}``."""
     rows = []
     for t in t_list:
-        prof = strong_feller_profile(model, t, threshold, x_grid, scheme, mode=mode)
+        prof = strong_feller_profile(model, t, threshold, x_grid, scheme)
         rows.append((float(t), prof.lipschitz))
     fit = fit_rate(rows)
     return rows, -fit.slope, fit
@@ -453,15 +433,10 @@ class DensityReport:
 
 
 def density_probe(
-    model: SdeModel,
-    x0,
-    t_list,
-    paths: int,
-    scheme: SimScheme = None,
-    mode: str = "exact-stable",
-    grid_points: int = 401,
+    model: SdeModel, x0, t_list, scheme: SimScheme, mode: str = "exact-stable"
 ) -> DensityReport:
-    """Kernel density estimates of the transition density and the growth of
+    """Kernel density estimates of the transition density, on 401 points
+    from ``scheme.paths`` terminal samples per time, and the growth of
     ``sup |d/dy p_t|`` as ``t`` decreases.
 
     Gaussian kernel with the robust bandwidth
@@ -474,18 +449,16 @@ def density_probe(
     """
     if model.dimension != 1:
         raise NotImplementedError("density derivative estimates are 1-d")
-    base = scheme or SimScheme(eps=0.1, tau=1.0, gaussian_compensation=True, paths=paths, seed=1234)
-    run = replace(base, paths=paths)
     rows = []
     for t in t_list:
-        X = terminal_samples(model, x0, float(t), run, mode=mode, stream=13)
+        X = terminal_samples(model, x0, float(t), scheme, mode=mode, stream=13)
         q1, q3 = np.quantile(X, [0.25, 0.75])
         iqr = q3 - q1
         spread = min(float(np.std(X)), iqr / 1.34) if iqr > 0 else float(np.std(X))
-        h = 0.9 * spread * paths ** (-0.2)
+        h = 0.9 * spread * scheme.paths ** (-0.2)
         # window wide enough that the kernel mass outside stays within 1%
         lo, hi = np.quantile(X, [0.001, 0.999])
-        ys = np.linspace(lo - 6 * h, hi + 6 * h, grid_points)
+        ys = np.linspace(lo - 6 * h, hi + 6 * h, 401)
         dens, slope = _kde(X, ys, h)
         integral = float(np.trapezoid(dens, ys))
         mode_y = ys[int(np.argmax(dens))]

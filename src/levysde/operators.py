@@ -157,7 +157,10 @@ def parametrix_solve(
     )
 
 
-def parametrix_probe_contraction(a: SymbolGrid, R: float, iters: int = 4) -> float:
+_PROBE_ITERS = 4  # parametrix steps measured by the contraction probe
+
+
+def parametrix_probe_contraction(a: SymbolGrid, R: float) -> float:
     """Measured contraction of the parametrix iteration on an in-range probe.
 
     The probe right-hand side is ``p_R(x, D) w`` for a fixed-seed random ``w``
@@ -182,7 +185,7 @@ def parametrix_probe_contraction(a: SymbolGrid, R: float, iters: int = 4) -> flo
     f_full = apply_symbol(split.p_high, w)
     f_high = GridFunction.from_coeffs(grid, f_full.coeffs * (split.chi > 0.0))
     norms = []
-    for it, (_, residual) in zip(range(iters + 1), _parametrix_iterates(split, f_high)):
+    for it, (_, residual) in zip(range(_PROBE_ITERS + 1), _parametrix_iterates(split, f_high)):
         norms.append(residual.norm_l2())
         if it and norms[-1] <= 1e-14 * norms[0]:
             break
@@ -193,6 +196,9 @@ def parametrix_probe_contraction(a: SymbolGrid, R: float, iters: int = 4) -> flo
 # ---------------------------------------------------------------------------
 # resolvent
 # ---------------------------------------------------------------------------
+
+
+_MIN_DISTANCE = 1e-8  # closest approach of -lambda to the symbol range a solve accepts
 
 
 def _check_cap(maxit: int):
@@ -206,7 +212,6 @@ def resolvent_apply(
     v: GridFunction,
     tol: float | np.ndarray = 1e-10,
     maxit: int = 400,
-    min_distance: float = 1e-8,
 ) -> GridFunction | list:
     """Apply ``(lambda + a(x, D))^{-1}`` by a preconditioned fixed point.
 
@@ -226,7 +231,7 @@ def resolvent_apply(
     one per shift), and the result is a list with one function per shift.
 
     Raises :class:`SpectralDistanceError` carrying the lattice point when
-    ``-lambda`` lies within ``min_distance`` of a table entry (or of
+    ``-lambda`` lies within ``_MIN_DISTANCE`` of a table entry (or of
     ``a_bar``), :class:`ContractionError` when ``maxit`` steps do not reach
     ``tol`` (both name the shift that failed), and :class:`ConfigError`
     naming ``maxit`` when it is below one.
@@ -237,15 +242,15 @@ def resolvent_apply(
     _check_cap(maxit)
     lams = np.atleast_1d(np.asarray(lam, dtype=complex))
     tols = np.broadcast_to(np.asarray(tol, dtype=float), lams.shape)
-    # a -lambda farther than min_distance from the range box along one axis is
+    # a -lambda farther than _MIN_DISTANCE from the range box along one axis is
     # that far from every entry: the exact pass over the table can be skipped
     lo, hi = a.range_box
     gap = np.max([lo.real + lams.real, -lams.real - hi.real,
                   lo.imag + lams.imag, -lams.imag - hi.imag], axis=0)
-    for shift, near in zip(lams, gap < min_distance):
+    for shift, near in zip(lams, gap < _MIN_DISTANCE):
         for table in (a.values, a.x_mean) if near else (a.x_mean,):
             dist = np.abs(table + shift)
-            if dist.min() < min_distance:
+            if dist.min() < _MIN_DISTANCE:
                 raise SpectralDistanceError(
                     f"shift {shift} is within {dist.min():.2e} of the symbol range",
                     point=np.unravel_index(int(np.argmin(dist)), dist.shape),
@@ -415,67 +420,29 @@ def contour_for_time(
     return build_contour(alpha, mu_t * n / t, L / n, n, residue_tol, t_check=t)
 
 
-def semigroup_apply(
-    t: float,
-    a: SymbolGrid,
-    u: GridFunction,
-    contour: ContourSpec = None,
-    tol: float = 1e-8,
-) -> GridFunction:
+def semigroup_apply(t: float, a: SymbolGrid, u: GridFunction, tol: float = 1e-8) -> GridFunction:
     """Evaluate ``P_t u`` by contour quadrature of the resolvent.
 
     ``P_t u = (1/2 pi i) int_Gamma e^{lambda t} (lambda + a(x,D))^{-1} u dlambda``
-    over the hyperbola, by default ``contour_for_time(t, a.sector_angle,
-    min(tol, 1e-8))``.  The nodes are solved in batches
-    (:func:`resolvent_apply`) whose iteration arrays take at most
-    ``_BATCH_BYTES``, so memory does not grow with the node count.  Node k of
-    K, weighted ``c_k = w_k e^{lambda_k t}``, is solved to the relative
-    residual ``tol d_k / (K |c_k|)`` with ``d_k = min |lambda_k + a_bar|``:
-    ``1 / d_k`` is the norm of the preconditioner standing in for the
-    resolvent's, so each node adds at most ``tol / K`` to the sum's error, and
-    the heavy nodes near the real axis, far from the spectrum, carry the
-    tight tolerances.  An x-independent symbol takes the exact multiplier
-    instead.  When the
-    operator is real (:attr:`SymbolGrid.real_operator`) and ``u`` is real,
-    only the nodes on or above the real axis are solved:
-    ``R(conj lambda) u = conj(R(lambda) u)``.
+    over the hyperbola ``contour_for_time(t, a.sector_angle, min(tol, 1e-8))``.
+    The nodes are solved in batches (:func:`resolvent_apply`) whose iteration
+    arrays take at most ``_BATCH_BYTES``, so memory does not grow with the
+    node count.  Node k of K, weighted ``c_k = w_k e^{lambda_k t}``, is solved
+    to the relative residual ``tol d_k / (K |c_k|)`` with
+    ``d_k = min |lambda_k + a_bar|``: ``1 / d_k`` is the norm of the
+    preconditioner standing in for the resolvent's, so each node adds at most
+    ``tol / K`` to the sum's error, and the heavy nodes near the real axis,
+    far from the spectrum, carry the tight tolerances.  An x-independent
+    symbol takes the exact multiplier instead.  When the operator is real
+    (:attr:`SymbolGrid.real_operator`) and ``u`` is real, only the nodes on or
+    above the real axis are solved: ``R(conj lambda) u = conj(R(lambda) u)``.
 
-    A caller's contour whose error terms (:func:`_hyperbola_params`) exceed
-    ``tol`` at ``t`` is refused with :class:`ConfigError` naming
-    ``contour.alpha`` (the angle does not fit the symbol's sector) or
-    ``contour.mu`` (the scale does not fit ``t``).  Sectoriality of the
-    symbol is required (negative real parts are rejected).
+    Sectoriality of the symbol is required: :attr:`SymbolGrid.sector_angle`
+    rejects negative real parts.
     """
     if t <= 0:
         raise ValueError("time must be positive")
-    scale = max(float(np.abs(a.values).max()), 1.0)
-    if float(a.values.real.min()) < -1e-10 * scale:
-        raise ValueError("symbol has negative real part: not sectorial")
-    theta = a.sector_angle
-    if contour is None:
-        contour = contour_for_time(t, theta, min(tol, 1e-8))
-    else:
-        args = f"{float(t)!r}, {theta!r}" + (f", {tol!r}" if tol < 1e-8 else "")
-        fix = f"use contour_for_time({args})"
-        # the three error exponents of _hyperbola_params for this contour at t
-        alpha, h, mu_t, n = contour.alpha, contour.h, contour.mu * t, len(contour.nodes) // 2
-        upper = -2.0 * math.pi * (theta - alpha) / h
-        lower = mu_t - 2.0 * math.pi * alpha / h
-        truncation = mu_t * (1.0 - math.sin(alpha) * math.cosh(n * h))
-        if alpha >= theta or upper > math.log(tol):
-            raise ConfigError(
-                f"contour angle alpha={contour.alpha:.4g} at step h={h:.4g} leaves the "
-                f"strip of analyticity too narrow for the symbol's sector angle "
-                f"{theta:.4g} at tol={tol:g}; {fix}",
-                field="contour.alpha",
-            )
-        if max(lower, truncation) > math.log(tol):
-            raise ConfigError(
-                f"contour scale mu={contour.mu:.4g} is off scale at t={t:g} "
-                f"(error terms e^{lower:.3g}, e^{truncation:.3g} above tol={tol:g}); {fix}",
-                field="contour.mu",
-            )
-
+    contour = contour_for_time(t, a.sector_angle, min(tol, 1e-8))
     lams = contour.nodes
     c = contour.weights * np.exp(lams * t)
     u_real = np.abs(u.values.imag).max() <= X_INDEPENDENT_RTOL * np.abs(u.values).max()

@@ -167,7 +167,12 @@ class SymbolGrid:
         largest ``|Im a| / Re a`` over every entry (as
         :attr:`models.SectorReport.theta`): every entry lies in
         ``|arg z| <= pi/2 - theta``, so ``-lambda`` avoids them all on
-        ``|arg lambda| < pi/2 + theta``."""
+        ``|arg lambda| < pi/2 + theta``.  Raises ``ValueError`` when an entry's
+        real part lies below ``-1e-10 max(max|a|, 1)``: the table is not
+        sectorial."""
+        scale = max(float(np.abs(self.values).max()), 1.0)
+        if float(self.values.real.min()) < -1e-10 * scale:
+            raise ValueError("symbol has negative real part: not sectorial")
         ratio = np.abs(self.values.imag) / np.maximum(self.values.real, 1e-300)
         return math.atan(1.0 / max(float(ratio.max()), 1e-300))
 
@@ -198,8 +203,8 @@ class SymbolGrid:
         write_gauge_csv(path, self.csv_rows(), header_comment, self.CSV_COLUMNS)
 
 
-def tabulate(model: SdeModel, grid: TorusGrid, shift: complex = 0.0) -> SymbolGrid:
-    """Tabulate ``shift + a(x_i, xi_k)`` on the grid's product lattice."""
+def tabulate(model: SdeModel, grid: TorusGrid) -> SymbolGrid:
+    """Tabulate ``a(x_i, xi_k)`` on the grid's product lattice."""
     if model.dimension != grid.dimension:
         raise ValueError("model and grid dimensions differ")
     if grid.dimension == 1:
@@ -215,7 +220,7 @@ def tabulate(model: SdeModel, grid: TorusGrid, shift: complex = 0.0) -> SymbolGr
         kpts = np.stack([kx, ky], axis=-1).reshape(-1, 2)  # (Nk, 2)
         vals = state_symbol(model, xpts[:, None, :], kpts[None, :, :])
         vals = vals.reshape(grid.shape + grid.shape)
-    return SymbolGrid(grid, np.asarray(vals, dtype=complex) + shift, order=_declared_order(model))
+    return SymbolGrid(grid, np.asarray(vals, dtype=complex), order=_declared_order(model))
 
 
 def _declared_order(model: SdeModel) -> float:
@@ -427,13 +432,11 @@ def recompute_witness(sym: SymbolGrid, report: SeminormReport) -> float:
 # ---------------------------------------------------------------------------
 
 
-def choose_R(
-    a: SymbolGrid,
-    kappa: float,
-    hyp_radius: float = 4.0,
-    probe_contraction: bool = True,
-    contraction_cap: float = 5.0 / 6.0,
-) -> float:
+_HYP_RADIUS = 4.0  # inner radius of the hypoellipticity seminorm behind the floor
+_CONTRACTION_CAP = 5.0 / 6.0  # largest parametrix contraction choose_R accepts
+
+
+def choose_R(a: SymbolGrid, kappa: float) -> float:
     """Select the dyadic cutoff radius for the parametrix splitting.
 
     Three gates, in order:
@@ -448,7 +451,7 @@ def choose_R(
        are not representable at desk scale, so first-order norms set the
        floor and gate 3 guarantees the operative property);
     3. *measured contraction*: the parametrix fixed point on a band-limited
-       probe must contract with factor < ``contraction_cap``; R doubles until
+       probe must contract with factor < ``_CONTRACTION_CAP``; R doubles until
        it does.
 
     Raises :class:`EllipticityError` when gate 1 fails and
@@ -482,7 +485,7 @@ def choose_R(
 
     na1 = seminorm(a, AClass(m=kappa, k1=1, k2=1, min_alpha=1)).value
     nh1 = seminorm(
-        a, HypClass(m=kappa, k1=1, k2=0, radius=min(hyp_radius, xi_max / 4.0))
+        a, HypClass(m=kappa, k1=1, k2=0, radius=min(_HYP_RADIUS, xi_max / 4.0))
     ).value
     floor = na1 * nh1
     r_cand = 1.0
@@ -494,14 +497,12 @@ def choose_R(
             f"no admissible cutoff radius below the Nyquist bound "
             f"(need R >= {floor:.3g}, limit {r_limit:.3g}): grid too coarse"
         )
-    if not probe_contraction:
-        return r_cand
 
     from .operators import parametrix_probe_contraction  # local import; no cycle
 
     while r_cand <= r_limit:
         rate = parametrix_probe_contraction(a, r_cand)
-        if rate < contraction_cap:
+        if rate < _CONTRACTION_CAP:
             return r_cand
         r_cand *= 2.0
     raise ContractionError(

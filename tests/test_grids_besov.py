@@ -1,4 +1,4 @@
-"""Torus grids, transforms, dyadic blocks, and Besov norms."""
+"""Torus grids, synthesis spectra, dyadic blocks, and Besov norms."""
 
 import numpy as np
 import pytest
@@ -10,32 +10,26 @@ from conftest import make_mode
 
 
 class TestTransform:
+    # the synthesis coefficients: u(x) = sum_k coeffs[k] e^{i <x, xi_k>}
     def test_constant_concentrates_at_zero(self, grid256):
         u = lv.GridFunction(grid256, np.ones(256, dtype=complex))
-        spec = lv.transform(u, "forward")
-        assert abs(spec.values[0]) == pytest.approx(16.0)  # sqrt(256) * mean
-        assert np.abs(spec.values[1:]).max() <= 1e-12
+        assert u.coeffs[0] == pytest.approx(1.0)  # the mean
+        assert np.abs(u.coeffs[1:]).max() <= 1e-12
 
     def test_single_mode_single_coefficient(self):
         grid = lv.TorusGrid(n=64, dimension=1, length_factor=1.0)
         u = lv.GridFunction.from_callable(grid, lambda x: np.exp(3j * x))
-        spec = lv.transform(u, "forward")
         k3 = int(np.argmin(np.abs(grid.xi - 3.0)))
         mask = np.ones(64, dtype=bool)
         mask[k3] = False
-        assert abs(spec.values[k3]) == pytest.approx(8.0)
-        assert np.abs(spec.values[mask]).max() <= 1e-12
+        assert u.coeffs[k3] == pytest.approx(1.0)
+        assert np.abs(u.coeffs[mask]).max() <= 1e-12
 
     def test_round_trip(self, grid256):
         rng = np.random.default_rng(9)
         u = lv.GridFunction(grid256, rng.standard_normal(256) + 1j * rng.standard_normal(256))
-        back = lv.transform(lv.transform(u, "forward"), "inverse")
+        back = lv.GridFunction.from_coeffs(grid256, u.coeffs)
         assert np.abs(back.values - u.values).max() <= 1e-12 * np.abs(u.values).max()
-
-    def test_bad_direction(self, grid256):
-        u = lv.GridFunction(grid256, np.zeros(256, dtype=complex))
-        with pytest.raises(ValueError):
-            lv.transform(u, "sideways")
 
     def test_size_mismatch(self, grid256):
         with pytest.raises(ValueError):
@@ -50,15 +44,6 @@ class TestGridFunction:
         assert u.check_spectrum(rtol=1e-12)
         u.values[10] += 1.0  # silent mutation invalidates the cache
         assert not u.check_spectrum(rtol=1e-12)
-
-    def test_csv_round_trip(self, grid256, tmp_path):
-        rng = np.random.default_rng(4)
-        u = lv.GridFunction(grid256, rng.standard_normal(256) + 1j * rng.standard_normal(256))
-        path = tmp_path / "u.csv"
-        u.to_csv(path, header_comment="demo")
-        back = lv.GridFunction.from_csv(grid256, path)
-        # 17 significant digits reproduce doubles exactly
-        assert np.array_equal(back.values, u.values)
 
     def test_norms(self, grid256):
         u = lv.GridFunction(grid256, np.ones(256, dtype=complex))

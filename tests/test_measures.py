@@ -65,6 +65,19 @@ class TestLevyExponent:
             tail = 2 * c * r[-1] ** (-alpha) / alpha
             assert abs(lv.levy_exponent(tab, xi) - closed) <= 2 * tail + 1e-8 * closed
 
+    @settings(max_examples=15, deadline=None)
+    @given(alpha=st.floats(0.3, 1.9), log_xi=st.floats(-2.0, 3.0), sign=st.sampled_from([-1, 1]))
+    def test_tabulated_quadrature_sweep(self, alpha, log_xi, sign):
+        # the stable closed form across alpha and five decades of |xi|, with
+        # the error bound of test_tabulated_quadrature_matches_stable
+        c = lv.stable_normalizer(alpha)
+        r = np.geomspace(1e-7, 400.0, 600)
+        tab = lv.TabulatedMeasure(radii=tuple(r), density=tuple(c * r ** (-1 - alpha)))
+        xi = sign * 10.0**log_xi
+        closed = abs(xi) ** alpha
+        tail = 2 * c * r[-1] ** (-alpha) / alpha
+        assert abs(lv.levy_exponent(tab, xi) - closed) <= 2 * tail + 1e-8 * closed
+
     def test_divergent_tabulated_density_rejected(self):
         r = np.geomspace(1e-4, 10.0, 50)
         with pytest.raises(ValueError):

@@ -31,8 +31,9 @@ class TestSimulatePath:
             sigma_lower_bound=0.0,
         )
         scheme = lv.SimScheme(eps=0.1, tau=0.25, gaussian_compensation=False, paths=1, seed=1)
-        X = lv.simulate_path(model, 0.0, 1.0, scheme, np.random.default_rng(0), mode="truncated")
-        assert X == pytest.approx(1.0, abs=1e-14)
+        X = lv.terminal_samples(model, 0.0, 1.0, scheme, mode="truncated")
+        assert X.shape == (1,)
+        assert X[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_stable_marginal_kolmogorov_smirnov(self, constant_model):
         # X(t) - x0 is alpha-stable with scale t^{1/alpha}; KS at level 0.01
@@ -382,9 +383,10 @@ class TestStrongFeller:
 
 class TestDensityProbe:
     def test_normalization_symmetry_and_growth(self, constant_model):
-        rep = lv.density_probe(
-            constant_model, 0.0, [1.0, 0.5, 0.25, 0.125, 0.0625], paths=30_000
+        scheme = lv.SimScheme(
+            eps=0.1, tau=1.0, gaussian_compensation=True, paths=30_000, seed=1234
         )
+        rep = lv.density_probe(constant_model, 0.0, [1.0, 0.5, 0.25, 0.125, 0.0625], scheme)
         for t, h, sup_slope, integral, flagged in rep.rows:
             assert abs(integral - 1.0) <= 0.01
             assert not flagged
@@ -402,7 +404,10 @@ class TestDensityProbe:
         assert abs(np.median(X) - 2.0) <= 6 * se
 
     def test_bandwidth_flagging(self, constant_model):
-        rep = lv.density_probe(constant_model, 0.0, [1.0], paths=40)
+        scheme = lv.SimScheme(
+            eps=0.1, tau=1.0, gaussian_compensation=True, paths=40, seed=1234
+        )
+        rep = lv.density_probe(constant_model, 0.0, [1.0], scheme)
         assert rep.rows[0][-1]  # under-resolved: flagged
 
     @settings(max_examples=80, deadline=None)

@@ -172,8 +172,21 @@ class TestTabulate:
         assert not lv.SymbolGrid(grid, vals, 1.5).x_independent
 
     def test_shift_by_one(self, constant_model, grid256, symbol_const_256):
-        shifted = lv.tabulate(constant_model, grid256, shift=1.0)
+        shifted = lv.tabulate(constant_model, grid256).shifted(1.0)
         assert np.allclose(shifted.values, symbol_const_256.values + 1.0, atol=0.0)
+
+    def test_sector_angle_refuses_negative_real_part(self):
+        # entries may dip below zero by 1e-10 of max(max|a|, 1), no further
+        grid = lv.TorusGrid(n=16, dimension=1, length_factor=1.0)
+        vals = np.tile(np.abs(grid.xi) ** 1.5, (16, 1)).astype(complex)
+        scale = np.abs(vals).max()
+        vals[3, 0] = -0.5e-10 * scale
+        assert lv.SymbolGrid(grid, vals, 1.5).sector_angle == pytest.approx(math.pi / 2)
+        vals[3, 0] = -2e-10 * scale
+        sym = lv.SymbolGrid(grid, vals, 1.5)
+        for _ in range(2):  # a refusal is not cached as an angle
+            with pytest.raises(ValueError, match="negative real part: not sectorial"):
+                sym.sector_angle
 
     def test_variable_sigma_range(self, symbol_var_256, grid256):
         # values at fixed xi vary between |1.8 xi|^{1.5} and |2.2 xi|^{1.5}

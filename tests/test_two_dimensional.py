@@ -1,6 +1,8 @@
 """Two-dimensional path: axis-product measures, 2-d grids, symbols,
 quantization, semigroup, and sampling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -130,9 +132,8 @@ class TestSimulation2d:
         scheme = lv.SimScheme(eps=0.1, tau=0.5, gaussian_compensation=True, paths=20_000, seed=3)
         X = lv.terminal_samples(model2, np.array([0.0, 0.0]), 1.0, scheme)
         assert X.shape == (20_000, 2)
-        rng = np.random.default_rng(1)
-        one = lv.simulate_path(model2, np.array([0.5, -0.5]), 1.0, scheme, rng)
-        assert one.shape == (2,)
+        one = lv.terminal_samples(model2, np.array([0.5, -0.5]), 1.0, replace(scheme, paths=1))
+        assert one.shape == (1, 2)
         est = lv.mc_semigroup(
             lambda X: np.cos(X[:, 0] / 1.0), model2, np.array([0.0, 0.0]), 1.0, scheme
         )
