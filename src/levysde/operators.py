@@ -199,11 +199,21 @@ def parametrix_probe_contraction(a: SymbolGrid, R: float) -> float:
 
 
 _MIN_DISTANCE = 1e-8  # closest approach of -lambda to the symbol range a solve accepts
+_ANDERSON_DEPTH = 20  # steps of history the resolvent iteration mixes
+_ANDERSON_RIDGE = 1e-12  # ridge of the mixing least squares, relative to the Gram trace
 
 
 def _check_cap(maxit: int):
     if maxit < 1:
         raise ConfigError(f"iteration cap maxit={maxit} must be at least 1", field="maxit")
+
+
+def _keep_history(hist: np.ndarray, keep: np.ndarray, filled: int) -> np.ndarray:
+    """Rows ``keep`` of an Anderson history ``(shifts, depth, M)``, copying only
+    its ``filled`` slots: the slots not yet written are never touched."""
+    kept = np.empty((int(keep.sum()),) + hist.shape[1:], dtype=hist.dtype)
+    kept[:, :filled] = hist[keep, :filled]
+    return kept
 
 
 def resolvent_apply(
@@ -220,14 +230,18 @@ def resolvent_apply(
     (:attr:`SymbolGrid.x_mean`).  The iteration runs on the synthesis
     coefficients: ``u_hat <- u_hat + r_hat / (lambda + a_bar)`` with the
     residual ``r = v - (lambda + a(x, D)) u`` (one application of the table's
-    factors, as in :func:`apply_symbol`), and a one-term Anderson mixing of
-    the last two updates accelerates it.  The multiplier is exact for an
-    x-independent symbol, so there the first residual check returns.  Stops
-    at relative residual ``tol``.
+    factors, as in :func:`apply_symbol`), accelerated by Anderson mixing over
+    the last ``_ANDERSON_DEPTH`` steps.  The plain step alone diverges where
+    the symbol's x-variation exceeds ``|lambda + a_bar|``, as for ``-lambda``
+    near a strongly x-dependent range; mixing over one step then takes
+    hundreds of steps or diverges as well, the longer history converges
+    there in about 200.  The multiplier is exact for an x-independent symbol,
+    so there the first residual check returns.  Stops at relative residual
+    ``tol``.
 
     ``lam`` may be a 1-d array of shifts, solved as one batch: each iteration
     applies the factors to every shift still running in one call, each shift
-    keeps its own Anderson weight and stops at its own ``tol`` (a scalar or
+    keeps its own Anderson weights and stops at its own ``tol`` (a scalar or
     one per shift), and the result is a list with one function per shift.
 
     Raises :class:`SpectralDistanceError` carrying the lattice point when
@@ -265,9 +279,12 @@ def resolvent_apply(
     out = np.empty(lams.shape + grid.shape, dtype=complex)
     live = np.arange(lams.size)  # shifts still iterating
     u_hat = mult * v_hat
-    res_prev = plain_prev = None
     f, g, M = a.factors.f, a.factors.g, math.prod(grid.shape)
-    for _ in range(maxit):
+    # Anderson history, a ring of the last _ANDERSON_DEPTH steps: differences of
+    # consecutive residuals and of consecutive plain updates, and the Gram
+    # matrix of the residual differences; all live shifts have taken as many steps
+    d_res = d_plain = gram = None
+    for it in range(maxit):
         applied = grid.fft(_apply_factors(grid, f, g, u_hat).reshape(u_hat.shape)) / M
         r_hat = v_hat - lam_col[live] * u_hat - applied
         rel = np.sqrt(np.sum(r_hat.real**2 + r_hat.imag**2, axis=axes)) / v_norm
@@ -276,20 +293,40 @@ def resolvent_apply(
             break
         done = rel <= tols[live]
         out[live[done]] = u_hat[done]
-        keep = ~done
-        live, u_hat, r_hat, rel = live[keep], u_hat[keep], r_hat[keep], rel[keep]
+        if done.any():
+            keep = ~done
+            live, u_hat, r_hat, rel = live[keep], u_hat[keep], r_hat[keep], rel[keep]
+            if it > 1:
+                filled = min(it - 1, _ANDERSON_DEPTH)
+                d_res, d_plain = (_keep_history(d, keep, filled) for d in (d_res, d_plain))
+                gram = gram[keep]
+            if it:
+                res_prev, plain_prev = res_prev[keep], plain_prev[keep]
         if not live.size:
             break
         plain = u_hat + mult[live] * r_hat
         u_next = plain
-        if res_prev is not None:
-            # Anderson(1), one weight per shift: mix its last two plain updates
-            dr = r_hat - res_prev[keep]
-            denom = np.sum(dr.real**2 + dr.imag**2, axis=axes)
-            num = np.sum(dr.conj() * r_hat, axis=axes)
-            theta = np.divide(num, denom, out=np.zeros_like(num), where=denom > 0)
-            theta = theta.reshape(lam_col[live].shape)
-            u_next = (1 - theta) * plain + theta * plain_prev[keep]
+        if it:
+            # Anderson mixing, one set of weights per shift: the plain update less
+            # the combination of plain-update differences whose residual
+            # differences come closest to r in least squares
+            if d_res is None:
+                d_res = np.empty((live.size, _ANDERSON_DEPTH, M), dtype=complex)
+                d_plain = np.empty_like(d_res)
+                gram = np.zeros((live.size, _ANDERSON_DEPTH, _ANDERSON_DEPTH), dtype=complex)
+            k, slot = min(it, _ANDERSON_DEPTH), (it - 1) % _ANDERSON_DEPTH
+            d_res[:, slot] = (r_hat - res_prev).reshape(live.size, M)
+            d_plain[:, slot] = (plain - plain_prev).reshape(live.size, M)
+            col = np.einsum("bjk,bk->bj", d_res[:, :k], d_res[:, slot].conj()).conj()
+            gram[:, :k, slot], gram[:, slot, :k] = col, col.conj()
+            rhs = np.einsum("bjk,bk->bj", d_res[:, :k], r_hat.reshape(live.size, M).conj())
+            # a relative ridge keeps the nearly dependent differences of a long
+            # history solvable; any weights give an iterate whose residual is exact
+            ridge = _ANDERSON_RIDGE * np.trace(gram[:, :k, :k], axis1=1, axis2=2).real + 1e-300
+            system = gram[:, :k, :k] + ridge[:, None, None] * np.eye(k)
+            gamma = np.linalg.solve(system, rhs.conj()[..., None])[..., 0]
+            mix = np.einsum("bj,bjk->bk", gamma, d_plain[:, :k])
+            u_next = plain - mix.reshape(plain.shape)
         res_prev, plain_prev, u_hat = r_hat, plain, u_next
     if live.size:
         worst = int(np.argmax(rel))
@@ -458,8 +495,9 @@ def semigroup_apply(t: float, a: SymbolGrid, u: GridFunction, tol: float = 1e-8)
         mult = np.tensordot(c, 1.0 / (lams.reshape((-1,) + (1,) * sym.ndim) + sym), axes=1)
         values = GridFunction.from_coeffs(u.grid, mult * u.coeffs).values
     else:
-        # each shift of a batch holds about 2 r + 12 arrays of M complex values
-        per_shift = 16 * u.values.size * (2 * a.factors.g.shape[0] + 12)
+        # each shift of a batch holds about 2 r + 12 arrays of M complex values,
+        # and its Anderson history two more per step kept
+        per_shift = 16 * u.values.size * (2 * a.factors.g.shape[0] + 12 + 2 * _ANDERSON_DEPTH)
         step = max(1, _BATCH_BYTES // per_shift)
         values, a_bar = 0, a.x_mean.ravel()
         for k in range(0, lams.size, step):

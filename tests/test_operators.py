@@ -6,11 +6,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 import levysde as lv
 from levysde.operators import (
+    _ANDERSON_DEPTH,
     _hyperbola_optimum,
     _hyperbola_params,
     build_contour,
@@ -268,6 +269,18 @@ class TestResolvent:
         magnitude=st.floats(0.1, 1e4),
         side=st.sampled_from([1.0, -1.0]),
     )
+    # edges of the sweep where the plain step diverges: one-step mixing took
+    # over 400 steps on the first and diverged on the second
+    @example(
+        s=lv.tabulate(swept_model(2, 1.4375, 0.796875, 0.0),
+                      lv.TorusGrid(n=16, dimension=2, length_factor=1.0)),
+        seed=0, magnitude=11.0, side=1.0,
+    )
+    @example(
+        s=lv.tabulate(swept_model(2, 1.9, 0.8, 0.0),
+                      lv.TorusGrid(n=32, dimension=2, length_factor=1.0)),
+        seed=1, magnitude=300.0, side=1.0,
+    )
     def test_against_dense_solve(self, s, seed, magnitude, side):
         # lambda on an asymptote of the default hyperbola: angle pi/2 + alpha
         # off the sector of the symbol, the direction semigroup_apply's far
@@ -516,7 +529,7 @@ class TestSemigroup:
                            or lv.resolvent_apply(lam, *args, **kw))
                 runs[budget] = lv.semigroup_apply(0.5, sym, u).values
             assert sum(sizes) == nodes
-            per_shift = 16 * grid256.n * (2 * sym.factors.g.shape[0] + 12)
+            per_shift = 16 * grid256.n * (2 * sym.factors.g.shape[0] + 12 + 2 * _ANDERSON_DEPTH)
             assert max(sizes) == min(nodes, budget // per_shift)
         assert len(sizes) > 1
         rel = np.linalg.norm(runs[2**19] - runs[2**25]) / np.linalg.norm(runs[2**25])
