@@ -64,6 +64,19 @@ _SIGN_BLOCK = 1 << 16
 _OWNER_BLOCK = 1 << 12
 
 
+def _set_signs(jumps, rng):
+    """Negate the positive float64s ``jumps`` in place where a fair bit from
+    ``rng`` is 0: bit for bit, and in the generator state left behind,
+    ``jumps * (rng.integers(0, 2, jumps.size) * 2 - 1)``.  uint32 draws of
+    {0, 1} take int64's 32-bit path, and bit 63 of a positive float is its
+    sign; the bits are drawn a block at a time, the same stream as one draw."""
+    bits = jumps.view(np.uint64)
+    for lo in range(0, bits.size, _SIGN_BLOCK):
+        part = bits[lo : lo + _SIGN_BLOCK]
+        heads = rng.integers(0, 2, part.size, dtype=np.uint32)
+        part |= np.left_shift(heads ^ 1, 63, dtype=np.uint64)
+
+
 def _verify(pieces, mags=None):
     """Raise :class:`QuadratureError` at the first value whose 12-point rule
     disagrees with its 6-point companion beyond the tolerance on any piece
@@ -205,19 +218,16 @@ class StableMeasure:
             np.subtract(1.0, out, out=out)
             out **= -1.0 / self.alpha
             out *= eps
-            # the signs a block at a time: the same stream as one draw
-            for lo in range(0, size, _SIGN_BLOCK):
-                part = out[lo : lo + _SIGN_BLOCK]
-                np.negative(part, out=part, where=rng.integers(0, 2, part.size) == 0)
+            _set_signs(out, rng)
             return out
         masses = np.array([2.0 * w * eps ** (-self.alpha) / self.alpha for w in self.axis_coeffs])
         axis = rng.random(size) < masses[0] / masses.sum()
         u = rng.random(size)
-        mag = eps * (1.0 - u) ** (-1.0 / self.alpha)
-        signs = rng.integers(0, 2, size) * 2 - 1
+        jumps = eps * (1.0 - u) ** (-1.0 / self.alpha)
+        _set_signs(jumps, rng)
         out = np.zeros((size, 2))
-        out[axis, 0] = (mag * signs)[axis]
-        out[~axis, 1] = (mag * signs)[~axis]
+        out[axis, 0] = jumps[axis]
+        out[~axis, 1] = jumps[~axis]
         return out
 
     def sample_exact(self, tau: float, size: int, rng) -> np.ndarray:
@@ -524,9 +534,12 @@ class TabulatedMeasure:
         pdf = dens(grid)
         cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))])
         cdf /= cdf[-1]
-        mag = np.interp(rng.random(size), cdf, grid)
-        signs = rng.integers(0, 2, size) * 2 - 1
-        return np.multiply(mag, signs, out=None if out is None else out[:size])
+        jumps = np.interp(rng.random(size), cdf, grid)
+        _set_signs(jumps, rng)
+        if out is None:
+            return jumps
+        out[:size] = jumps
+        return out[:size]
 
 
 def _geometric_gl_rule(hi: float, n_panels: int = 48, n_per_panel: int = 10):

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 __all__ = ["RateFit", "fit_rate"]
 
@@ -59,7 +59,7 @@ def fit_rate(points) -> RateFit:
     sxx = float(np.sum(ws * (lx - np.sum(ws * lx) / np.sum(ws)) ** 2))
     if dof > 0 and sxx > 0 and ss_res > 0:
         se = np.sqrt(ss_res / dof / sxx)
-        half = float(stats.t.ppf(0.975, dof)) * se
+        half = float(stdtrit(dof, 0.975)) * se
     else:
         half = 0.0
     return RateFit(slope=slope, intercept=intercept, r_squared=r2, ci95=(slope - half, slope + half))

@@ -2,7 +2,9 @@
 
 import importlib.util
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -70,6 +72,37 @@ class TestFitRate:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             lv.fit_rate([(1.0, 1.0), (2.0, -2.0), (3.0, 3.0), (4.0, 4.0)])
+
+    @pytest.mark.parametrize("n", [4, 5, 9, 41])
+    def test_confidence_half_width_is_students_t(self, n):
+        from scipy import stats
+
+        rng = np.random.default_rng(n)
+        xs = np.geomspace(0.5, 64.0, n)
+        ys = xs**0.7 * np.exp(0.05 * rng.standard_normal(n))
+        ws = rng.uniform(0.5, 2.0, n)
+        fit = lv.fit_rate(list(zip(xs, ys, ws)))
+        lx = np.log(xs)
+        resid = np.log(ys) - (fit.slope * lx + fit.intercept)
+        sxx = np.sum(ws * (lx - np.average(lx, weights=ws)) ** 2)
+        half = stats.t.ppf(0.975, n - 2) * np.sqrt(np.sum(ws * resid**2) / (n - 2) / sxx)
+        assert fit.ci95[1] - fit.slope == pytest.approx(half, rel=1e-9)
+        assert fit.slope - fit.ci95[0] == pytest.approx(half, rel=1e-9)
+
+    def test_students_t_quantile_is_the_stats_one(self):
+        from scipy import special, stats
+
+        for dof in range(1, 40):
+            assert float(special.stdtrit(dof, 0.975)) == float(stats.t.ppf(0.975, dof))
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs about 0.4 s of import time in every process
+        code = ("import sys, levysde, levysde.harness.cli; "
+                "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'")
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestConfig:

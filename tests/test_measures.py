@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 import levysde as lv
@@ -20,6 +20,20 @@ def lk_integrand_oracle(atoms, xi):
         comp = 1j * xi * z if abs(z) <= 1.0 else 0.0
         total += r * (1.0 - np.exp(1j * xi * z) + comp)
     return total
+
+
+def seeded_after_bits(seed, lead):
+    """A generator that has drawn ``lead`` fair bits: after an odd count a
+    32-bit half-word is buffered, and the next integer draw takes it first."""
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 2, lead)
+    return rng
+
+
+def assert_same_stream_after(rng, literal_rng):
+    """Both generators go on with the same integer and float draws."""
+    assert np.array_equal(rng.integers(0, 2, 5), literal_rng.integers(0, 2, 5))
+    assert rng.random() == literal_rng.random()
 
 
 class TestLevyExponent:
@@ -299,21 +313,59 @@ class TestSampling:
         se = math.sqrt(2.0 / n) * diff_var
         assert abs(diff_var - var_add) <= 4 * se
 
+    # The literal formulas draw the signs as int64 and multiply by +-1: the
+    # samplers must give the same floats, sign bits included, and leave the
+    # generator where the literal draws leave it.
     @settings(max_examples=60, deadline=None)
     @given(
         alpha=st.floats(0.05, 1.99) | st.sampled_from([0.5, 1.0, 1.5]),
         eps=st.floats(1e-3, 1.0),
         size=st.integers(0, 3000) | st.just(150_001),  # signs span three blocks
         seed=st.integers(0, 2**32 - 1),
+        lead=st.integers(0, 3),
     )
-    def test_stable_tail_draws_match_literal_formula(self, alpha, eps, size, seed):
+    @example(alpha=1.5, eps=0.05, size=150_001, seed=11, lead=1)
+    def test_stable_tail_draws_match_literal_formula(self, alpha, eps, size, seed, lead):
         measure = lv.StableMeasure.normalized(alpha)
-        draws = measure.sample_tail(eps, size, np.random.default_rng(seed))
-        rng = np.random.default_rng(seed)
-        u = rng.random(size)
-        literal = eps * (1.0 - u) ** (-1.0 / alpha) * (rng.integers(0, 2, size) * 2 - 1)
-        # bitwise, sign bits included
+        rng = seeded_after_bits(seed, lead)
+        draws = measure.sample_tail(eps, size, rng)
+        literal_rng = seeded_after_bits(seed, lead)
+        u = literal_rng.random(size)
+        literal = eps * (1.0 - u) ** (-1.0 / alpha) * (literal_rng.integers(0, 2, size) * 2 - 1)
         assert np.array_equal(draws.view(np.int64), literal.view(np.int64))
+        assert_same_stream_after(rng, literal_rng)
+
+    @pytest.mark.parametrize("size", [0, 1, 2999, 150_001])
+    @pytest.mark.parametrize("lead", [0, 1])
+    def test_stable_2d_tail_draws_match_literal_formula(self, size, lead):
+        alpha, eps = 1.3, 0.07
+        measure = lv.StableMeasure.normalized(alpha, dimension=2)
+        rng = seeded_after_bits(17, lead)
+        draws = measure.sample_tail(eps, size, rng)
+        literal_rng = seeded_after_bits(17, lead)
+        masses = [2.0 * w * eps ** (-alpha) / alpha for w in measure.axis_coeffs]
+        axis = literal_rng.random(size) < masses[0] / sum(masses)
+        u = literal_rng.random(size)
+        jumps = eps * (1.0 - u) ** (-1.0 / alpha) * (literal_rng.integers(0, 2, size) * 2 - 1)
+        literal = np.zeros((size, 2))
+        literal[axis, 0] = jumps[axis]
+        literal[~axis, 1] = jumps[~axis]
+        assert np.array_equal(draws.view(np.int64), literal.view(np.int64))
+        assert_same_stream_after(rng, literal_rng)
+
+    @pytest.mark.parametrize("size", [0, 1, 2999, 150_001])
+    @pytest.mark.parametrize("lead", [0, 1])
+    def test_tabulated_tail_signs_match_literal_formula(self, size, lead):
+        radii = np.geomspace(0.01, 10, 30)
+        measure = lv.TabulatedMeasure(radii=tuple(radii), density=tuple(radii**-2.2))
+        rng = seeded_after_bits(23, lead)
+        draws = measure.sample_tail(0.1, size, rng)
+        literal_rng = seeded_after_bits(23, lead)
+        literal_rng.random(size)  # the magnitudes' uniforms
+        literal = np.abs(draws) * (literal_rng.integers(0, 2, size) * 2 - 1)
+        assert np.all(np.abs(draws) >= 0.1)
+        assert np.array_equal(draws.view(np.int64), literal.view(np.int64))
+        assert_same_stream_after(rng, literal_rng)
 
     @pytest.mark.parametrize(
         "measure",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import levysde as lv
+from levysde.models import X_INDEPENDENT_RTOL
 from levysde.symbols import FACTOR_RTOL, AClass, HypClass, _mixed_derivative, _multi_indices
 
 from conftest import make_mode, swept_model, swept_symbols
@@ -86,6 +87,15 @@ def composition_cases():
         "random-first": (rand, sym, u),
         "random-second": (sym, rand, u),
     }
+
+
+def gathered_real_operator(sym):
+    """``SymbolGrid.real_operator`` by the mirrored table ``a(x, -xi)`` (test
+    oracle): one fancy-index gather of the whole table."""
+    neg = np.mod(-np.arange(sym.grid.n), sym.grid.n)
+    mirrored = sym.values[(Ellipsis,) + np.ix_(*[neg] * sym.dimension)]
+    scale = max(float(np.abs(sym.values).max()), 1e-300)
+    return bool(np.abs(mirrored - sym.values.conj()).max() <= X_INDEPENDENT_RTOL * scale)
 
 
 def ascending_multi_indices(total_max, d):
@@ -170,6 +180,29 @@ class TestTabulate:
         assert lv.SymbolGrid(grid, vals, 1.5).x_independent
         vals[(3,) * d] *= 1.0 + 1e-10  # one x-row off by 1e-10 relative
         assert not lv.SymbolGrid(grid, vals, 1.5).x_independent
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("drift", [0.0, 1.0])
+    def test_real_operator_matches_gathered_mirror(self, d, drift):
+        # a real symbol, and a drift -i b xi that is not real
+        sym = lv.tabulate(swept_model(d, 1.5, 0.8, drift), lv.TorusGrid(n=16, dimension=d))
+        assert sym.real_operator == gathered_real_operator(sym) == (drift == 0.0)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("k", [0, 1, 7, 8, 9, 15])  # 8 is the Nyquist index
+    @pytest.mark.parametrize("size", [0.4, 2.0])  # in units of the tolerance
+    def test_real_operator_sees_every_lattice_pair(self, d, k, size):
+        # one entry of a real symbol's table moved by i * size * tol * max|a|:
+        # a self-paired entry (xi = 0, Nyquist) breaks the symmetry by twice
+        # that, any other entry by that much; an imaginary Nyquist entry is
+        # the case k = 8
+        sym = lv.tabulate(swept_model(d, 1.5, 0.8, 0.0), lv.TorusGrid(n=16, dimension=d))
+        scale = np.abs(sym.values).max()
+        for xi in {(k,) * d, (k, 0)[:d], (0, k)[:d], (3, k)[:d]}:
+            vals = sym.values.copy()
+            vals[(2,) * d + xi] += 1j * size * X_INDEPENDENT_RTOL * scale
+            moved = lv.SymbolGrid(sym.grid, vals, sym.order)
+            assert moved.real_operator == gathered_real_operator(moved) == (size < 1.0), xi
 
     def test_shift_by_one(self, constant_model, grid256, symbol_const_256):
         shifted = lv.tabulate(constant_model, grid256).shifted(1.0)
