@@ -24,7 +24,6 @@ from .measures import (
     AtomicMeasure,
     StableMeasure,
     TabulatedMeasure,
-    TruncatedStableMeasure,
     bg_index,
     compensator_drift,
     levy_exponent,
@@ -32,7 +31,6 @@ from .measures import (
     small_jump_symbol_error,
     small_jump_variance,
     stable_normalizer,
-    truncated_measure,
 )
 from .models import SdeModel, SectorReport, coefficient_preset, sector_report, state_symbol
 from .montecarlo import (

@@ -341,7 +341,9 @@ def run_density(cfg: ExperimentConfig):
     scheme = build_scheme(cfg.scheme)
     rep = density_probe(model, cfg.params["x0"], cfg.params["times"], scheme,
                         mode=cfg.params["mode"])
-    cap = cfg.gates["growth_exponent_max"] or (2.0 / getattr(model.measure, "alpha", 1.5) + 0.5)
+    cap = cfg.gates["growth_exponent_max"]
+    if cap is None:
+        cap = 2.0 / getattr(model.measure, "alpha", 1.5) + 0.5
     integrals_ok = all(abs(row[3] - 1.0) <= cfg.gates["integral_tol"] for row in rep.rows)
     ok = integrals_ok and rep.growth_exponent <= cap
     summary = {"growth_exponent": rep.growth_exponent, "rows": [list(r) for r in rep.rows]}

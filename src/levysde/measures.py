@@ -18,8 +18,11 @@ Supported measure kinds:
 * ``TabulatedMeasure`` -- symmetric radial density given by samples,
   log-log interpolated, exponent evaluated by a batched composite
   Gauss-Legendre rule with an embedded error test.
-* ``TruncatedStableMeasure`` -- restriction of a stable measure to
-  ``|z| > eps`` (returned by :func:`truncated_measure`).
+
+Truncation is the ``eps`` argument, not a measure: every kind's
+``tail_mass(eps)`` and ``sample_tail(eps, size, rng)`` act on ``nu``
+restricted to ``|z| > eps``, and the truncated exponent is
+``psi_eps = psi - small_jump_symbol_error(spec, eps, xi, compensated=False)``.
 """
 
 from __future__ import annotations
@@ -36,11 +39,9 @@ __all__ = [
     "StableMeasure",
     "AtomicMeasure",
     "TabulatedMeasure",
-    "TruncatedStableMeasure",
     "stable_cosine_constant",
     "stable_normalizer",
     "levy_exponent",
-    "truncated_measure",
     "small_jump_variance",
     "compensator_drift",
     "sample_increment",
@@ -288,7 +289,7 @@ class AtomicMeasure:
         out = np.tensordot(terms, rates, axes=([-1], [0]))
         return out[0] if scalar else out
 
-    def tail_mass(self, eps: float = 0.0) -> float:
+    def tail_mass(self, eps: float) -> float:
         locs, rates = self._locs_rates()
         return float(rates[np.linalg.norm(locs, axis=1) > eps].sum())
 
@@ -306,7 +307,7 @@ class AtomicMeasure:
         band = (norms > eps) & (norms <= 1.0)
         return locs[band].T @ rates[band] if band.any() else np.zeros(self.dimension)
 
-    def sample_tail(self, eps: float = 0.0, size: int = 1, rng=None, out=None) -> np.ndarray:
+    def sample_tail(self, eps: float, size: int, rng, out=None) -> np.ndarray:
         locs, rates = self._locs_rates()
         keep = np.linalg.norm(locs, axis=1) > eps
         locs, rates = locs[keep], rates[keep]
@@ -351,7 +352,6 @@ class TabulatedMeasure:
     radii: tuple
     density: tuple
     dimension: int = 1
-    support_min: float = 0.0  # density forced to zero below this radius
 
     def __post_init__(self):
         r = np.asarray(self.radii, dtype=float)
@@ -364,21 +364,12 @@ class TabulatedMeasure:
             raise ConfigError("density samples must be positive and finite", field="density")
         object.__setattr__(self, "radii", tuple(r))
         object.__setattr__(self, "density", tuple(g))
-        interp, slope0 = _loglog_density(r, g)
-        if self.support_min <= 0.0 and slope0 <= -(2.0 + self.dimension):
+        dens, slope0 = _loglog_density(r, g)
+        if slope0 <= -(2.0 + self.dimension):
             raise ConfigError(
                 "density grows too fast at zero: integral of min(1,|z|^2) diverges",
                 field="density",
             )
-        if self.support_min > 0.0:
-            cut = self.support_min
-
-            def dens(rr, _interp=interp, _cut=cut):
-                vals = _interp(rr)
-                return np.where(np.asarray(rr) >= _cut, vals, 0.0)
-
-        else:
-            dens = interp
         object.__setattr__(self, "_dens", dens)
         object.__setattr__(self, "_slope0", slope0)
         object.__setattr__(self, "_surface", 2.0 if self.dimension == 1 else 2.0 * math.pi)
@@ -423,18 +414,14 @@ class TabulatedMeasure:
 
     def _moment(self, power: int, edge: float) -> float:
         """``surf int_0^edge g(r) r^power dr`` in closed form: below the first
-        node ``g`` is the power law ``g0 (r / r0)^s`` (zero below
-        ``support_min``).  Infinite when the integral diverges at 0."""
-        lo = max(self.support_min, 0.0)
-        if edge <= lo:
+        node ``g`` is the power law ``g0 (r / r0)^s``.  Infinite when the
+        integral diverges at 0."""
+        if edge <= 0.0:
             return 0.0
         r0, q = self.radii[0], self._slope0 + power + 1.0
-        scale = self._surface * self.density[0] * r0 ** (power + 1.0)
-        if q == 0.0:
-            return scale * math.log(edge / lo) if lo > 0.0 else math.inf
-        if q < 0.0 and lo == 0.0:
+        if q <= 0.0:
             return math.inf
-        return scale * ((edge / r0) ** q - (lo / r0) ** q) / q
+        return self._surface * self.density[0] * r0 ** (power + 1.0) * (edge / r0) ** q / q
 
     def _integrate(self, lo: float, hi: float, power: int, mags=None, osc_scale: float = 0.0):
         """``surf int_lo^hi k(m r) g(r) r^power dr`` for each magnitude ``m``
@@ -506,10 +493,10 @@ class TabulatedMeasure:
         out = vals[inverse].reshape(mags.shape).astype(complex)
         return out[0] if scalar else out
 
-    def tail_mass(self, eps: float = 0.0) -> float:
+    def tail_mass(self, eps: float) -> float:
         if eps >= self.radii[-1]:
             return 0.0
-        piece = self._integrate(max(eps, self.support_min), self.radii[-1], self.dimension - 1)
+        piece = self._integrate(eps, self.radii[-1], self.dimension - 1)
         _verify([piece])
         return float(piece[2][0])
 
@@ -525,13 +512,11 @@ class TabulatedMeasure:
     def compensator_drift(self, eps: float) -> np.ndarray:
         return np.zeros(self.dimension)
 
-    def sample_tail(self, eps: float = 0.0, size: int = 1, rng=None, out=None) -> np.ndarray:
+    def sample_tail(self, eps: float, size: int, rng, out=None) -> np.ndarray:
         if self.dimension != 1:
             raise NotImplementedError("tail sampling of tabulated measures is 1-d only")
-        dens = self._dens
-        lo, hi = max(eps, self.support_min, 1e-12), self.radii[-1]
-        grid = np.geomspace(lo, hi, 2048)
-        pdf = dens(grid)
+        grid = np.geomspace(max(eps, 1e-12), self.radii[-1], 2048)
+        pdf = self._dens(grid)
         cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))])
         cdf /= cdf[-1]
         jumps = np.interp(rng.random(size), cdf, grid)
@@ -542,13 +527,16 @@ class TabulatedMeasure:
         return out[:size]
 
 
-def _geometric_gl_rule(hi: float, n_panels: int = 48, n_per_panel: int = 10):
-    """Gauss-Legendre nodes/weights on (0, hi] with geometric panels toward 0.
+def _geometric_gl_rule(hi: float, breaks=(), n_panels: int = 48, n_per_panel: int = 10):
+    """Gauss-Legendre nodes/weights on (0, hi] with geometric panels toward 0,
+    split further at the ``breaks`` below ``hi``.
 
     Power-law singular integrands (stable-like densities) integrate to near
-    machine accuracy on this rule; a single global panel loses 3-4 digits.
+    machine accuracy on this rule; a single global panel loses 3-4 digits, and
+    a kink of the integrand inside a panel about 5 digits.
     """
     bounds = hi * 0.5 ** np.arange(n_panels, -1, -1.0)
+    bounds = np.union1d(bounds, [b for b in breaks if b < hi])
     xg, wg = np.polynomial.legendre.leggauss(n_per_panel)
     lefts, rights = bounds[:-1], bounds[1:]
     half = 0.5 * (rights - lefts)
@@ -556,57 +544,6 @@ def _geometric_gl_rule(hi: float, n_panels: int = 48, n_per_panel: int = 10):
     r = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
     w = (half[:, None] * wg[None, :]).ravel()
     return r, w
-
-
-@dataclass(frozen=True)
-class TruncatedStableMeasure:
-    """Stable measure restricted to ``|z| > eps`` (finite total mass)."""
-
-    base: StableMeasure
-    eps: float
-
-    def __post_init__(self):
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError(f"truncation radius must lie in (0,1), got {self.eps}")
-
-    @property
-    def dimension(self) -> int:
-        return self.base.dimension
-
-    @property
-    def is_symmetric(self) -> bool:
-        return True
-
-    def exponent(self, xi):
-        # psi_eps = psi - (small-jump cosine integral on [0, eps])
-        xi_arr, scalar = _as_xi_array(xi, self.dimension)
-        r, w = _geometric_gl_rule(self.eps)
-        a = self.base.alpha
-        out = np.asarray(self.base.exponent(xi_arr), dtype=complex).copy()
-        for i, c in enumerate(self.base.axis_coeffs):
-            comp = xi_arr if self.dimension == 1 else xi_arr[..., i]
-            phase = np.abs(comp)[..., None] * r
-            small = 2.0 * c * np.sum(
-                2.0 * np.sin(phase / 2.0) ** 2 * r ** (-1.0 - a) * w, axis=-1
-            )
-            out -= small
-        return out[0] if scalar else out
-
-    def tail_mass(self, eps: float = None) -> float:
-        return self.base.tail_mass(self.eps if eps is None else max(eps, self.eps))
-
-    def small_jump_variance(self, eps: float) -> np.ndarray:
-        if eps <= self.eps:
-            d = self.dimension
-            return np.zeros((d, d))
-        return self.base.small_jump_variance(eps) - self.base.small_jump_variance(self.eps)
-
-    def compensator_drift(self, eps: float = None) -> np.ndarray:
-        return np.zeros(self.dimension)
-
-    def sample_tail(self, eps: float = None, size: int = 1, rng=None, out=None) -> np.ndarray:
-        e = self.eps if eps is None else max(eps, self.eps)
-        return self.base.sample_tail(e, size, rng, out)
 
 
 def levy_exponent(spec, xi):
@@ -626,44 +563,6 @@ def levy_exponent(spec, xi):
     point), or an array of points.
     """
     return spec.exponent(xi)
-
-
-def truncated_measure(spec, eps: float):
-    """Restriction of ``spec`` to jumps ``|z| > eps``; total mass is finite."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"truncation radius must lie in (0,1), got {eps}")
-    if isinstance(spec, StableMeasure):
-        return TruncatedStableMeasure(base=spec, eps=eps)
-    if isinstance(spec, TruncatedStableMeasure):
-        return TruncatedStableMeasure(base=spec.base, eps=max(eps, spec.eps))
-    if isinstance(spec, AtomicMeasure):
-        kept = tuple(
-            (z, r) for z, r in spec.atoms if np.linalg.norm(np.atleast_1d(z)) > eps
-        )
-        if not kept:
-            raise ValueError(f"all atoms lie inside |z| <= {eps}")
-        return AtomicMeasure(atoms=kept, dimension=spec.dimension)
-    if isinstance(spec, TabulatedMeasure):
-        r = np.asarray(spec.radii)
-        g = np.asarray(spec.density)
-        keep = r > eps
-        if keep.sum() < 2:
-            raise ValueError("truncation removes nearly all tabulated support")
-        rr, gg = r[keep], g[keep]
-        if rr[0] > eps * (1 + 1e-6):
-            # pin a node just above the cut so the interpolant is anchored there
-            edge = eps * (1 + 1e-9)
-            val = spec._dens(np.array([edge]))[0]
-            if val > 0:
-                rr = np.concatenate([[edge], rr])
-                gg = np.concatenate([[val], gg])
-        return TabulatedMeasure(
-            radii=tuple(rr),
-            density=tuple(gg),
-            dimension=spec.dimension,
-            support_min=eps,
-        )
-    raise TypeError(f"unsupported measure kind: {type(spec).__name__}")
 
 
 def small_jump_variance(spec, eps: float) -> np.ndarray:
@@ -721,7 +620,7 @@ def path_sums(counts, sizes, n: int, d: int = 1, cuts=()) -> np.ndarray:
     return out.reshape(n, m) if cuts else out
 
 
-def sample_increment(spec, tau: float, mode: str, rng, eps: float = None, size: int = None):
+def sample_increment(spec, tau: float, mode: str, rng, eps: float = None, *, size: int):
     """Draw increments of the driving noise over a time step ``tau``.
 
     Modes
@@ -734,14 +633,12 @@ def sample_increment(spec, tau: float, mode: str, rng, eps: float = None, size: 
     ``"truncated+gaussian"``
         same, plus a centered normal with covariance ``Sigma(eps) tau``.
 
-    Returns an array of shape ``(size,)`` (d=1) or ``(size, d)``; with
-    ``size=None`` a single increment is returned.
+    Returns an array of shape ``(size,)`` (d=1) or ``(size, d)``.
     """
     if tau <= 0:
         raise ValueError("step must be positive")
-    squeeze = size is None
-    n = 1 if squeeze else int(size)
-    d = spec.dimension if hasattr(spec, "dimension") else 1
+    n = int(size)
+    d = spec.dimension
 
     if mode == "exact-stable":
         if not isinstance(spec, StableMeasure):
@@ -763,7 +660,7 @@ def sample_increment(spec, tau: float, mode: str, rng, eps: float = None, size: 
                 out = out + rng.standard_normal((n, d)) @ chol.T
     else:
         raise ValueError(f"unknown sampling mode: {mode!r}")
-    return out[0] if squeeze else out
+    return out
 
 
 def small_jump_symbol_error(spec, eps: float, eta, compensated: bool = True):
@@ -774,13 +671,15 @@ def small_jump_symbol_error(spec, eps: float, eta, compensated: bool = True):
 
     1-d symmetric measures only; ``eta`` may be an array.
     """
-    if getattr(spec, "dimension", 1) != 1 or not getattr(spec, "is_symmetric", False):
+    if spec.dimension != 1 or not spec.is_symmetric:
         raise NotImplementedError("symbol differences are for 1-d symmetric measures")
     eta_arr = np.atleast_1d(np.asarray(eta, dtype=float))
-    r, w = _geometric_gl_rule(eps)
     if isinstance(spec, StableMeasure):
+        r, w = _geometric_gl_rule(eps)
         dens_vals = spec.c * r ** (-1.0 - spec.alpha)
     elif isinstance(spec, TabulatedMeasure):
+        # panels end at the density nodes, where the interpolant has kinks
+        r, w = _geometric_gl_rule(eps, spec.radii)
         dens_vals = spec._dens(r)
     else:
         raise NotImplementedError(f"unsupported measure kind {type(spec).__name__}")
@@ -836,7 +735,7 @@ def bg_index(spec, k: int, fit_range: tuple = (2.0, 512.0)) -> float:
         )
 
     if hasattr(spec, "exponent"):
-        if getattr(spec, "dimension", 1) == 2:
+        if spec.dimension == 2:
             psi = lambda s: spec.exponent(np.array([s, 0.0]))
         else:
             psi = lambda s: spec.exponent(s)

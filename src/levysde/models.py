@@ -101,7 +101,7 @@ class SdeModel:
             raise ConfigError("sigma_lower_bound must be nonnegative", field="sigma_lower_bound")
         if self.dimension not in (1, 2):
             raise ConfigError("dimension must be 1 or 2", field="dimension")
-        if getattr(self.measure, "dimension", 1) != self.dimension:
+        if self.measure.dimension != self.dimension:
             raise ValueError("measure dimension does not match model dimension")
 
     def sigma_at(self, x):
@@ -201,9 +201,7 @@ def sector_report(target, lattice, x_nodes=None) -> SectorReport:
             vals = np.stack([state_symbol(target, np.asarray(x), lat) for x in xs])
         point_of = lambda flat: (int(flat // lat.shape[0]), int(flat % lat.shape[0]))
     else:
-        mags = np.abs(lat) if getattr(target, "dimension", 1) == 1 else np.linalg.norm(
-            lat, axis=-1
-        )
+        mags = np.abs(lat) if target.dimension == 1 else np.linalg.norm(lat, axis=-1)
         if np.any(mags == 0):
             raise ValueError("lattice must exclude xi = 0")
         vals = np.atleast_1d(levy_exponent(target, lat))

@@ -35,7 +35,6 @@ from .measures import (
     path_sums,
     sample_increment,
     small_jump_variance,
-    truncated_measure,
 )
 from .models import SdeModel, constant_value, state_symbol
 from .ratefit import RateFit, fit_rate
@@ -283,6 +282,8 @@ def weak_error_table(
     noise-dominated and no rate is fitted.
     """
     eps_list = sorted(float(e) for e in eps_list)
+    if not 0.0 < eps_list[0] <= eps_list[-1] < 1.0:
+        raise ConfigError(f"truncation levels must lie in (0,1), got {eps_list}", field="eps_list")
     if model.dimension != 1:
         raise NotImplementedError("weak-error tables are 1-d")
     if reference == "spectral":
@@ -299,12 +300,12 @@ def weak_error_table(
     n_total = scheme_base.paths
     if sig0 is not None and drf0 is not None:
         n_levels = len(eps_list)
-        trunc_min = truncated_measure(model.measure, eps_list[0])
-        rate = trunc_min.tail_mass() * t
-        shifts = [compensator_drift(model.measure, e)[0] * t for e in eps_list]
+        measure = model.measure
+        rate = measure.tail_mass(eps_list[0]) * t
+        shifts = [compensator_drift(measure, e)[0] * t for e in eps_list]
         scales = None
         if scheme_base.gaussian_compensation:
-            scales = [math.sqrt(small_jump_variance(model.measure, e)[0, 0] * t) for e in eps_list]
+            scales = [math.sqrt(small_jump_variance(measure, e)[0, 0] * t) for e in eps_list]
         # every batch draws its jumps into a block of one size (the mean count
         # plus eight standard deviations), so the block a batch frees fits the
         # next one and the memory peak does not depend on the thread timing
@@ -313,7 +314,7 @@ def weak_error_table(
         def batch(nb, rng):
             """Payoff sums and sums of squares, shape ``(2, levels)``."""
             buf = np.empty(room)
-            draw = lambda k: trunc_min.sample_tail(size=k, rng=rng, out=buf if k <= room else None)
+            draw = lambda k: measure.sample_tail(eps_list[0], k, rng, buf if k <= room else None)
             counts, jumps = jump_stream(rate, nb, draw, rng)
             z = rng.standard_normal(nb)
             # a jump's band counts the higher levels it clears, so level k
@@ -528,8 +529,8 @@ def jump_split_check(
     x0,
     t: float,
     paths: int,
-    eps: float = None,
-    seed: int = 202,
+    eps: float,
+    seed: int,
     payoffs=None,
 ) -> JumpSplitReport:
     """Simulate once with the unsplit truncated driver and once with
@@ -545,10 +546,10 @@ def jump_split_check(
     """
     if model.dimension != 1:
         raise NotImplementedError("the split check is 1-d")
-    eps = eps if eps is not None else 0.05
     measure = model.measure
-    trunc = truncated_measure(measure, eps)
-    mass_all = trunc.tail_mass()
+    mass_all = measure.tail_mass(eps) if 0.0 < eps < 1.0 else 0.0
+    if not mass_all > 0.0:
+        raise ConfigError(f"the split check needs jumps beyond eps in (0,1), got {eps}", field="eps")
     mass_large = measure.tail_mass(1.0)
     keep_rate = (mass_all - mass_large) / mass_all  # share of the jumps in (eps, 1]
     z0 = compensator_drift(measure, eps)[0]
@@ -561,18 +562,18 @@ def jump_split_check(
 
     for nb, rng_u, rng_s in _batches(paths, seed, 0, 1):
         # unsplit: one compound Poisson stream from nu restricted to |z| > eps
-        draw = lambda k: trunc.sample_tail(size=k, rng=rng_u)
+        draw = lambda k: measure.sample_tail(eps, k, rng_u)
         counts, jumps = jump_stream(mass_all * t, nb, draw, rng_u)
         dL_u = path_sums(counts, jumps, nb) - z0 * t
         del counts, jumps  # free each stream before the next one draws
 
         # split: independent small-jump (eps < |z| <= 1, compensated) and
         # large-jump (|z| > 1, plain compound Poisson) drivers
-        draw = lambda k: _sample_band(trunc, eps, 1.0, k, rng_s, keep_rate)
+        draw = lambda k: _sample_band(measure, eps, 1.0, k, rng_s, keep_rate)
         counts, small = jump_stream((mass_all - mass_large) * t, nb, draw, rng_s)
         dL_s = path_sums(counts, small, nb) - z0 * t
         del counts, small
-        draw = lambda k: trunc.sample_tail(eps=1.0, size=k, rng=rng_s)
+        draw = lambda k: measure.sample_tail(1.0, k, rng_s)
         counts, large = jump_stream(mass_large * t, nb, draw, rng_s)
         n_large_total += float(large.size)
         dL_s = dL_s + path_sums(counts, large, nb)
@@ -612,8 +613,8 @@ def jump_split_check(
     )
 
 
-def _sample_band(trunc, lo: float, hi: float, size: int, rng, keep_rate: float) -> np.ndarray:
-    """Jump sizes from the truncated measure conditioned on lo < |z| <= hi.
+def _sample_band(measure, lo: float, hi: float, size: int, rng, keep_rate: float) -> np.ndarray:
+    """Jump sizes from ``measure`` conditioned on lo < |z| <= hi.
 
     ``keep_rate`` is the share of the band in the mass beyond ``lo``; each
     round draws about 1% more candidates than it expects to need and moves the
@@ -625,7 +626,7 @@ def _sample_band(trunc, lo: float, hi: float, size: int, rng, keep_rate: float) 
         raise ConfigError(f"the jump band ({lo}, {hi}] carries no mass", field="eps")
     parts, need = [], size
     while need > 0:
-        draw = trunc.sample_tail(eps=lo, size=int(need / keep_rate * 1.01) + 16, rng=rng)
+        draw = measure.sample_tail(lo, int(need / keep_rate * 1.01) + 16, rng)
         kept = 0
         for start in range(0, draw.size, _BATCH):
             block = draw[start : start + _BATCH]

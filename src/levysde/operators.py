@@ -554,7 +554,8 @@ def smoothing_gauge(
     fall below -1.  Returns the slope and the fitted constant
     ``C = exp(intercept)``.
     """
-    if len(list(t_list)) < 4:
+    t_list = list(t_list)
+    if len(t_list) < 4:
         raise ValueError("smoothing fits need at least 4 time points")
     part = partition if partition is not None else DyadicPartition(u.grid)
     times, norms = [], []

@@ -236,8 +236,6 @@ def tabulate(model: SdeModel, grid: TorusGrid) -> SymbolGrid:
 
 def _declared_order(model: SdeModel) -> float:
     alpha = getattr(model.measure, "alpha", None)
-    if alpha is None:
-        alpha = getattr(getattr(model.measure, "base", None), "alpha", None)
     return float(alpha) if alpha is not None else 0.0
 
 

@@ -425,6 +425,21 @@ class TestRemainingExperiments:
         result = run_experiment(validate_config(tree))
         assert result.ok
 
+    def test_density_zero_growth_gate_is_kept(self, tmp_path):
+        # a configured cap of 0.0 is a cap, not a request for the 2/alpha + 1/2 default
+        tree = {
+            "experiment": "density",
+            "output": str(tmp_path / "out"),
+            "model": base_model(),
+            "scheme": {"eps": 0.1, "tau": 1.0, "gaussian_compensation": True,
+                       "paths": 2_000, "seed": 9},
+            "params": {"times": [1.0, 0.5, 0.25, 0.125]},
+            "gates": {"growth_exponent_max": 0.0},
+        }
+        result = run_experiment(validate_config(tree))
+        assert result.summary["growth_exponent"] > 0.0
+        assert not result.ok
+
     def test_composition(self, tmp_path):
         tree = {
             "experiment": "composition",

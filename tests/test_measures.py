@@ -220,26 +220,24 @@ class TestTruncation:
     def test_stable_tail_mass_closed_form_vs_quadrature(self):
         alpha, c = 1.5, lv.stable_normalizer(1.5)
         spec = lv.StableMeasure(alpha=alpha, c=c)
-        trunc = lv.truncated_measure(spec, 0.1)
         closed = 2 * c * 0.1 ** (-alpha) / alpha
         quad = 2 * c * integrate.quad(lambda z: z ** (-1 - alpha), 0.1, np.inf)[0]
-        assert trunc.tail_mass() == pytest.approx(closed, rel=1e-12)
-        assert trunc.tail_mass() == pytest.approx(quad, rel=1e-9)
+        assert spec.tail_mass(0.1) == pytest.approx(closed, rel=1e-12)
+        assert spec.tail_mass(0.1) == pytest.approx(quad, rel=1e-9)
 
     def test_atoms_beyond_radius_unchanged(self):
+        # the tail beyond eps keeps exactly the atoms beyond eps, at their rates
         spec = lv.AtomicMeasure(atoms=(((2.0,), 1.0), ((-1.5,), 0.5)))
-        assert lv.truncated_measure(spec, 0.3).atoms == spec.atoms
+        assert spec.tail_mass(0.3) == 1.5
+        assert spec.tail_mass(1.7) == 1.0
+        assert np.all(spec.sample_tail(1.7, 100, np.random.default_rng(3)) == 2.0)
 
     def test_mass_monotone_in_radius(self):
         spec = lv.StableMeasure.normalized(1.5)
-        masses = [lv.truncated_measure(spec, e).tail_mass() for e in (0.1, 0.3, 0.6, 0.99)]
+        masses = [spec.tail_mass(e) for e in (0.1, 0.3, 0.6, 0.99)]
         assert all(m1 >= m2 for m1, m2 in zip(masses, masses[1:]))
         # at eps -> 1 the mass approaches nu(|z| > 1)
         assert masses[-1] == pytest.approx(spec.tail_mass(1.0), rel=0.05)
-
-    def test_invalid_radius(self):
-        with pytest.raises(ValueError):
-            lv.truncated_measure(lv.StableMeasure.normalized(1.5), 1.5)
 
 
 class TestSmallJumpVariance:
@@ -293,7 +291,7 @@ class TestSampling:
         )
         counts = draws / 2.0
         assert np.allclose(counts, np.round(counts))  # pure multiples of the atom
-        mass = lv.truncated_measure(spec, 0.1).tail_mass()
+        mass = spec.tail_mass(0.1)
         assert mass == rate
         se = math.sqrt(mass * tau / n)
         assert abs(counts.mean() - mass * tau) <= 4 * se
@@ -371,12 +369,11 @@ class TestSampling:
         "measure",
         [
             lv.StableMeasure.normalized(1.5),
-            lv.truncated_measure(lv.StableMeasure.normalized(1.2), 0.3),
             lv.AtomicMeasure(atoms=(((0.5,), 2.0), ((-2.0,), 1.0))),
             lv.TabulatedMeasure(radii=tuple(np.geomspace(0.01, 10, 30)),
                                 density=tuple(np.geomspace(0.01, 10, 30) ** -2.2)),
         ],
-        ids=["stable", "truncated", "atomic", "tabulated"],
+        ids=["stable", "atomic", "tabulated"],
     )
     def test_tail_draws_into_buffer_match_fresh_draws(self, measure):
         # 70,000 draws span two blocks of stable sign draws
@@ -393,14 +390,14 @@ class TestSampling:
         rng = np.random.default_rng(0)
         atom = lv.AtomicMeasure(atoms=(((2.0,), 1.0),))
         with pytest.raises(ValueError):
-            lv.sample_increment(atom, 1.0, "exact-stable", rng)
+            lv.sample_increment(atom, 1.0, "exact-stable", rng, size=1)
 
     def test_invalid_mode_and_eps(self, stable_measure):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            lv.sample_increment(stable_measure, 1.0, "bogus", rng)
+            lv.sample_increment(stable_measure, 1.0, "bogus", rng, size=1)
         with pytest.raises(ValueError):
-            lv.sample_increment(stable_measure, 1.0, "truncated", rng, eps=1.2)
+            lv.sample_increment(stable_measure, 1.0, "truncated", rng, eps=1.2, size=1)
 
     def test_compensator_drift_symmetric_zero(self, stable_measure):
         assert lv.compensator_drift(stable_measure, 0.1)[0] == 0.0
@@ -490,11 +487,11 @@ class TestBgIndex:
 
 
 class TestTruncatedExponent:
+    # psi_eps = psi - small_jump_symbol_error(..., compensated=False)
     def test_against_small_jump_quadrature(self, stable_measure):
         # independent oracle: closed-form full exponent minus the adaptive
         # quadrature of the removed small-jump cosine integral on [0, eps]
         eps = 0.1
-        trunc = lv.truncated_measure(stable_measure, eps)
         c, alpha = stable_measure.c, stable_measure.alpha
         for xi in (0.5, 2.0, 10.0):
             small = 2 * c * integrate.quad(
@@ -504,14 +501,16 @@ class TestTruncatedExponent:
                 limit=400,
             )[0]
             oracle = abs(xi) ** alpha - small
-            got = lv.levy_exponent(trunc, xi)
+            got = lv.levy_exponent(stable_measure, xi) - lv.small_jump_symbol_error(
+                stable_measure, eps, xi, compensated=False
+            )
             assert got.real == pytest.approx(oracle, rel=1e-6)
             assert abs(got.imag) <= 1e-12
 
     def test_truncation_reduces_exponent(self, stable_measure):
         xi = np.linspace(0.5, 30.0, 60)
         full = lv.levy_exponent(stable_measure, xi).real
-        trunc = lv.levy_exponent(lv.truncated_measure(stable_measure, 0.2), xi).real
+        trunc = full - lv.small_jump_symbol_error(stable_measure, 0.2, xi, compensated=False)
         assert np.all(trunc <= full + 1e-12)
         assert np.all(trunc >= 0.0)
 
@@ -529,3 +528,20 @@ class TestSymbolError:
         comp = abs(lv.small_jump_symbol_error(stable_measure, eps, eta, compensated=True))
         uncomp = abs(lv.small_jump_symbol_error(stable_measure, eps, eta, compensated=False))
         assert comp <= 1e-2 * uncomp
+
+    @pytest.mark.parametrize("compensated", [False, True])
+    def test_tabulated_against_quadrature(self, compensated):
+        # independent oracle: adaptive quadrature of 2 int_0^eps k(eta r) g(r) dr,
+        # k(u) = 1 - cos u [- u^2/2], for a density whose slope changes at the
+        # node 0.03, inside (0, eps)
+        kink = 0.03
+        radii = np.union1d(np.geomspace(0.001, 10.0, 41), [kink])
+        g = lambda r: np.where(r <= kink, r**-2.2, kink**-2.2 * (r / kink) ** -1.4)
+        measure = lv.TabulatedMeasure(radii=tuple(radii), density=tuple(g(radii)))
+        eps, etas = 0.1, np.array([0.5, 3.0, 40.0])
+        got = lv.small_jump_symbol_error(measure, eps, etas, compensated=compensated)
+        for eta, value in zip(etas, got):
+            k = lambda r: 2.0 * np.sin(eta * r / 2.0) ** 2 - compensated * (eta * r) ** 2 / 2.0
+            oracle = 2.0 * integrate.quad(lambda r: k(r) * g(r), 0.0, eps, points=radii[radii < eps],
+                                          limit=400, epsabs=0.0, epsrel=1e-13)[0]
+            assert value == pytest.approx(oracle, rel=1e-10)

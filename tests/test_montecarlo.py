@@ -181,6 +181,13 @@ class TestWeakError:
         assert all(err == 0.0 for _, err, _ in table.rows)
         assert table.noise_dominated  # zero errors: no rate to fit
 
+    @pytest.mark.parametrize("levels", [[0.4, 0.0], [1.5, 0.2], [0.4, -0.1]])
+    def test_levels_outside_unit_interval_refused(self, constant_model, levels):
+        scheme = lv.SimScheme(eps=0.4, tau=1.0, gaussian_compensation=False, paths=100, seed=2)
+        with pytest.raises(lv.ConfigError, match="truncation levels") as info:
+            lv.weak_error_table(constant_model, lambda X: X, 0.0, 1.0, levels, scheme)
+        assert info.value.field == "eps_list"
+
     def test_uncompensated_matches_spectral_oracle(self, constant_model, stable_measure):
         # independent oracle: exact multiplier difference of the truncated law
         payoff = lv.bump_payoff(center=0.0, width=2.0, period=PERIOD)
@@ -309,11 +316,10 @@ class TestWeakError:
         )
         table = lv.weak_error_table(constant_model, payoff, 0.0, 1.0, eps_list, scheme)
         levels = sorted(eps_list)
-        trunc = lv.truncated_measure(stable_measure, levels[0])
         sums = np.zeros((2, len(levels)))
         for nb, rng in montecarlo._batches(scheme.paths, scheme.seed, 7):
-            draw = lambda k: trunc.sample_tail(size=k, rng=rng)
-            counts, jumps = jump_stream(trunc.tail_mass(), nb, draw, rng)
+            draw = lambda k: stable_measure.sample_tail(levels[0], k, rng)
+            counts, jumps = jump_stream(stable_measure.tail_mass(levels[0]), nb, draw, rng)
             z = rng.standard_normal(nb)
             for k, e in enumerate(levels):
                 dL = path_sums(counts, np.where(np.abs(jumps) > e, jumps, 0.0), nb)
@@ -476,21 +482,33 @@ class TestJumpSplit:
     @pytest.mark.parametrize("hi, overstated", [(1.0, False), (0.1, True)])
     def test_band_sampler_fills_the_band(self, stable_measure, hi, overstated):
         # an overstated keep rate makes the sampler draw again for the rest
-        trunc = lv.truncated_measure(stable_measure, 0.05)
-        keep_rate = 1.0 if overstated else 1.0 - stable_measure.tail_mass(hi) / trunc.tail_mass()
+        mass = stable_measure.tail_mass(0.05)
+        keep_rate = 1.0 if overstated else 1.0 - stable_measure.tail_mass(hi) / mass
         rng = np.random.default_rng(4)
         for size in (0, 1, 17, 50_000):
-            band = montecarlo._sample_band(trunc, 0.05, hi, size, rng, keep_rate)
+            band = montecarlo._sample_band(stable_measure, 0.05, hi, size, rng, keep_rate)
             assert band.shape == (size,)
             assert np.all((np.abs(band) > 0.05) & (np.abs(band) <= hi))
 
     def test_band_sampler_refuses_an_empty_band(self):
         measure = lv.AtomicMeasure(atoms=(((0.5,), 3.0), ((2.0,), 1.0)))
-        trunc = lv.truncated_measure(measure, 0.6)
-        keep_rate = 1.0 - measure.tail_mass(1.0) / trunc.tail_mass()
+        keep_rate = 1.0 - measure.tail_mass(1.0) / measure.tail_mass(0.6)
         assert keep_rate == 0.0
         with pytest.raises(lv.ConfigError, match="no mass") as info:
-            montecarlo._sample_band(trunc, 0.6, 1.0, 10, np.random.default_rng(1), keep_rate)
+            montecarlo._sample_band(measure, 0.6, 1.0, 10, np.random.default_rng(1), keep_rate)
+        assert info.value.field == "eps"
+
+    @pytest.mark.parametrize("atoms, eps", [((((0.5,), 3.0), ((-0.5,), 3.0)), 0.6),
+                                            ((((2.0,), 1.0),), 1.5), ((((2.0,), 1.0),), 0.0)])
+    def test_refuses_a_level_without_jumps_beyond(self, atoms, eps):
+        model = lv.SdeModel(
+            sigma=lv.coefficient_preset("constant", value=1.0),
+            drift=lv.coefficient_preset("constant", value=0.0),
+            measure=lv.AtomicMeasure(atoms=atoms),
+            sigma_lower_bound=0.5,
+        )
+        with pytest.raises(lv.ConfigError, match="jumps beyond eps") as info:
+            lv.jump_split_check(model, 0.0, 1.0, paths=100, eps=eps, seed=1)
         assert info.value.field == "eps"
 
     def test_odd_payoff_near_zero(self, constant_model):

@@ -615,6 +615,13 @@ class TestGauges:
         )
         assert abs(rep.slope) <= 0.3
 
+    def test_generator_times_match_list(self, symbol_const_256, grid256):
+        u = lv.random_rough_function(grid256, 0.51, seed=1)
+        times = [2.0**-k for k in range(6)]
+        from_gen = lv.smoothing_gauge(symbol_const_256, u, 1, 1, (t for t in times))
+        assert from_gen == lv.smoothing_gauge(symbol_const_256, u, 1, 1, times)
+        assert from_gen.times == tuple(times)
+
     def test_too_few_times_rejected(self, symbol_const_256, grid256):
         u = lv.random_rough_function(grid256, 0.51, seed=1)
         with pytest.raises(ValueError):
