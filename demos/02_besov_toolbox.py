@@ -29,20 +29,20 @@ print(f"block reconstruction defect: {np.abs(recon - u.values).max():.2e}")
 
 print("\nBesov norms of the rough input (spectrum ~ <xi>^{-0.51}):")
 for s in (0.0, 0.75, 1.5):
-    print(f"  B^{s}_{{2,2}} norm = {lv.besov_norm(u, s, 2.0, 2.0):.4f}")
+    print(f"  B^{s}_{{2,2}} norm = {part.besov_norm(u, s, 2.0, 2.0):.4f}")
 
 smooth = lv.GridFunction.from_callable(
     grid, lv.bump_payoff(center=grid.period / 2, width=2.0, period=grid.period)
 )
 print("\nBesov norms of a smooth bump (all scales comparable):")
 for s in (0.0, 0.75, 1.5):
-    print(f"  B^{s}_{{2,2}} norm = {lv.besov_norm(smooth, s, 2.0, 2.0):.4f}")
+    print(f"  B^{s}_{{2,2}} norm = {part.besov_norm(smooth, s, 2.0, 2.0):.4f}")
 
 mode = lv.GridFunction.from_callable(
     lv.TorusGrid(n=128, dimension=1, length_factor=1.0), lambda x: np.exp(8j * x)
 )
 part8 = DyadicPartition(mode.grid)
-val = lv.besov_norm(mode, 1.0, np.inf, np.inf, partition=part8)
+val = part8.besov_norm(mode, 1.0, np.inf, np.inf)
 k8 = int(np.argmin(np.abs(mode.grid.xi - 8.0)))
 direct = max(2.0**j * part8.blocks[j][k8] for j in range(len(part8)))
 print(f"\nsingle mode e^(i8x): B^1_(inf,inf) = {val:.4f}, "

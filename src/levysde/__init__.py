@@ -10,7 +10,7 @@ Convention throughout: ``E e^{i<xi, L(t)>} = e^{-t psi(xi)}`` with
 multiplier ``e^{-t psi}`` in the constant-coefficient case.
 """
 
-from .besov import DyadicPartition, besov_norm, lp_project
+from .besov import DyadicPartition
 from .errors import (
     ConfigError,
     ContractionError,
@@ -25,11 +25,9 @@ from .measures import (
     StableMeasure,
     TabulatedMeasure,
     bg_index,
-    compensator_drift,
     levy_exponent,
     sample_increment,
     small_jump_symbol_error,
-    small_jump_variance,
     stable_normalizer,
 )
 from .models import SdeModel, SectorReport, coefficient_preset, sector_report, state_symbol

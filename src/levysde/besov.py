@@ -18,7 +18,7 @@ import numpy as np
 
 from .grids import GridFunction, TorusGrid
 
-__all__ = ["raised_cosine_profile", "DyadicPartition", "lp_project", "besov_norm"]
+__all__ = ["raised_cosine_profile", "DyadicPartition"]
 
 
 def raised_cosine_profile(s):
@@ -73,15 +73,3 @@ class DyadicPartition:
         if np.isinf(q):
             return float(terms.max())
         return float((np.sum(terms**q)) ** (1.0 / q))
-
-
-def lp_project(u: GridFunction, j: int, partition: DyadicPartition = None) -> GridFunction:
-    part = partition if partition is not None else DyadicPartition(u.grid)
-    return part.lp_project(u, j)
-
-
-def besov_norm(
-    u: GridFunction, s: float, p: float, q: float, partition: DyadicPartition = None
-) -> float:
-    part = partition if partition is not None else DyadicPartition(u.grid)
-    return part.besov_norm(u, s, p, q)

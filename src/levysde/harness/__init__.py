@@ -1,12 +1,9 @@
-"""Experiment harness: configuration, orchestration, rate fitting, CLI."""
+"""Experiment harness: configuration, orchestration, result files, CLI."""
 
-from ..ratefit import RateFit, fit_rate
 from .config import ExperimentConfig, config_hash, load_config, validate_config
 from .experiments import EXPERIMENTS, run_experiment
 
 __all__ = [
-    "RateFit",
-    "fit_rate",
     "ExperimentConfig",
     "config_hash",
     "load_config",

@@ -43,10 +43,14 @@ SECTIONS = ("experiment", "model", "grid", "scheme", "params", "gates", "output"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A validated config: the model, grid and scheme built from their sections
+    (``grid`` and ``scheme`` are None unless the experiment needs them) and the
+    typed params and gates."""
+
     experiment: str
-    model: dict
-    grid: dict
-    scheme: dict
+    model: SdeModel
+    grid: TorusGrid | None
+    scheme: SimScheme | None
     params: dict
     gates: dict
     output: str
@@ -140,8 +144,9 @@ def _build(cls, where: str, renamed=(), **kwargs):
 
 
 def validate_config(cfg: dict) -> ExperimentConfig:
-    """Check structure and referenced sections; returns the typed config."""
-    from .experiments import EXPERIMENTS  # experiments imports this module's builders
+    """Check structure and referenced sections; returns the typed config with
+    its model, grid and scheme built."""
+    from .experiments import EXPERIMENTS  # experiments imports ExperimentConfig from here
 
     for section in cfg:
         if section not in SECTIONS:
@@ -156,45 +161,44 @@ def validate_config(cfg: dict) -> ExperimentConfig:
             field="experiment",
         )
     entry = EXPERIMENTS[experiment]
-    model = _require(cfg, "model", "config")
-    built = build_model(model)  # raises with the offending field
-    if built.dimension != 1 and not entry.two_d:
+    raw_model = _require(cfg, "model", "config")
+    model = build_model(raw_model)  # raises with the offending field
+    if model.dimension != 1 and not entry.two_d:
         raise ConfigError(
             f"experiment {experiment!r} runs in d = 1 only (the coefficient presets "
-            f"are scalar), got model.dimension = {built.dimension}",
+            f"are scalar), got model.dimension = {model.dimension}",
             field="model.dimension",
         )
-    grid, scheme = cfg.get("grid", {}), cfg.get("scheme", {})
     if entry.needs and not cfg.get(entry.needs):
         raise ConfigError(f"experiment {experiment!r} requires a {entry.needs} section",
                           field=entry.needs)
-    if entry.needs == "grid":
-        torus = build_grid(grid)
-        if torus.dimension != built.dimension:
+    grid = build_grid(cfg["grid"]) if entry.needs == "grid" else None
+    scheme = build_scheme(cfg["scheme"]) if entry.needs == "scheme" else None
+    if grid is not None:
+        if grid.dimension != model.dimension:
             raise ConfigError(
-                f"grid.dimension must equal model.dimension = {built.dimension}",
+                f"grid.dimension must equal model.dimension = {model.dimension}",
                 field="grid.dimension",
             )
         if entry.constant_coefficients:
-            for key, coefficient in (("sigma_expr", built.sigma), ("drift_expr", built.drift)):
-                if constant_value(coefficient, torus.x) is None:
+            for key, coefficient in (("sigma_expr", model.sigma), ("drift_expr", model.drift)):
+                if constant_value(coefficient, grid.x) is None:
                     raise ConfigError(
                         f"experiment {experiment!r} checks the exact-multiplier oracle and "
                         f"needs x-independent coefficients, but model.{key} varies over the "
                         "grid; use constant presets",
                         field=f"model.{key}",
                     )
-    if entry.needs == "scheme":
-        build_scheme(scheme)
+    stable = isinstance(model.measure, StableMeasure)
     params = _declared(cfg.get("params"), "params", entry.params)
-    if params.get("mode") == "exact-stable" and not isinstance(built.measure, StableMeasure):
+    if params.get("mode") == "exact-stable" and not stable:
         raise ConfigError(
             f"params.mode 'exact-stable' samples the stable law in closed form, but "
-            f"model.kind is {model.get('kind')!r}; choose 'truncated' or 'truncated+gaussian'",
+            f"model.kind is {raw_model.get('kind')!r}; choose 'truncated' or 'truncated+gaussian'",
             field="params.mode",
         )
     if params.get("reference") == "spectral":
-        for key, coefficient in (("sigma_expr", built.sigma), ("drift_expr", built.drift)):
+        for key, coefficient in (("sigma_expr", model.sigma), ("drift_expr", model.drift)):
             if constant_value(coefficient, SPECTRAL_GRID.x) is None:
                 raise ConfigError(
                     f"params.reference 'spectral' is the exact multiplier and needs "
@@ -203,6 +207,12 @@ def validate_config(cfg: dict) -> ExperimentConfig:
                     field="params.reference",
                 )
     gates = _declared(cfg.get("gates"), "gates", entry.gates)
+    if experiment == "density" and gates["growth_exponent_max"] is None and not stable:
+        raise ConfigError(
+            f"gates.growth_exponent_max defaults to 2/alpha + 0.5 of a stable measure, but "
+            f"model.kind is {raw_model.get('kind')!r}; set the gate",
+            field="gates.growth_exponent_max",
+        )
     output = cfg.get("output", "results")
     # run_experiment creates the directory; validation leaves the filesystem as it is
     existing = Path(output).absolute()

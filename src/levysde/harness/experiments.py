@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -54,7 +54,7 @@ from ..symbols import (
     seminorm,
     tabulate,
 )
-from .config import ExperimentConfig, OneOf, build_grid, build_model, build_scheme
+from .config import ExperimentConfig, OneOf
 
 __all__ = ["EXPERIMENTS", "Experiment", "ExperimentResult", "run_experiment"]
 
@@ -95,7 +95,7 @@ class Experiment:
 
 
 def _header(cfg: ExperimentConfig) -> str:
-    scheme = json.dumps(cfg.scheme, sort_keys=True) if cfg.scheme else "{}"
+    scheme = json.dumps(asdict(cfg.scheme), sort_keys=True) if cfg.scheme else "{}"
     return f"experiment={cfg.experiment} scheme={scheme} config_hash={cfg.digest}"
 
 
@@ -122,9 +122,7 @@ def _jsonable(x):
 
 
 def run_symbol(cfg: ExperimentConfig):
-    model = build_model(cfg.model)
-    grid = build_grid(cfg.grid)
-    sym = tabulate(model, grid)
+    sym = tabulate(cfg.model, cfg.grid)
     # growth and hypoellipticity seminorms with their witness coordinates
     rep_a = seminorm(sym, AClass(m=sym.order, k1=1, k2=1))
     rep_h = seminorm(sym, HypClass(m=sym.order, k1=1, k2=0))
@@ -143,23 +141,21 @@ def run_symbol(cfg: ExperimentConfig):
 
 
 def run_bgindex(cfg: ExperimentConfig):
-    model = build_model(cfg.model)
-    stable = isinstance(model.measure, StableMeasure)
+    measure = cfg.model.measure
+    stable = isinstance(measure, StableMeasure)
     k, expected = cfg.params["k"], cfg.params["expected"]
     if k is None:
         k = 2 if stable else 0
     if expected is None:
-        expected = model.measure.alpha if stable else 0.0
-    est = bg_index(model.measure, k)
+        expected = measure.alpha if stable else 0.0
+    est = bg_index(measure, k)
     ok = abs(est - expected) <= cfg.gates["tolerance"]
     return ok, {"estimate": est, "expected": expected, "k": k}, None
 
 
 def run_sector(cfg: ExperimentConfig):
-    model = build_model(cfg.model)
-    grid = build_grid(cfg.grid)
-    lattice = grid.xi[grid.xi != 0.0]
-    rep = sector_report(model, lattice)
+    xi = cfg.grid.xi
+    rep = sector_report(cfg.model, xi[xi != 0.0])
     ok = rep.is_sectorial == cfg.gates["expect_sectorial"]
     summary = {
         "ratio_sup": rep.ratio_sup,
@@ -172,9 +168,8 @@ def run_sector(cfg: ExperimentConfig):
 
 
 def run_invert(cfg: ExperimentConfig):
-    model = build_model(cfg.model)
-    grid = build_grid(cfg.grid)
-    sym = tabulate(model, grid)
+    grid = cfg.grid
+    sym = tabulate(cfg.model, grid)
     kappa = cfg.params["kappa"]
     R = choose_R(sym, sym.order if kappa is None else kappa)
     split0 = cutoff_split(sym, R)
@@ -217,14 +212,12 @@ def run_invert(cfg: ExperimentConfig):
 
 
 def run_resolvent(cfg: ExperimentConfig):
-    model = build_model(cfg.model)
-    grid = build_grid(cfg.grid)
-    sym = tabulate(model, grid)
-    rep = sector_report(model, grid.xi[grid.xi != 0.0])
+    grid = cfg.grid
+    sym = tabulate(cfg.model, grid)
     v = GridFunction.from_callable(grid, bump_payoff(center=grid.period / 2, width=2.0, period=grid.period))
     rows = []
     for m in (10.0, 100.0, 1000.0):
-        lam = m * np.exp(1j * (np.pi / 2.0 + 0.5 * rep.theta))
+        lam = m * np.exp(1j * (np.pi / 2.0 + 0.5 * sym.sector_angle))
         u = resolvent_apply(lam, sym, v)
         rows.append((m, m * u.norm_l2() / v.norm_l2(), 0.0))
     products = [r[1] for r in rows]
@@ -234,9 +227,8 @@ def run_resolvent(cfg: ExperimentConfig):
 
 
 def run_semigroup(cfg: ExperimentConfig):
-    model = build_model(cfg.model)
-    grid = build_grid(cfg.grid)
-    sym = tabulate(model, grid)
+    grid = cfg.grid
+    sym = tabulate(cfg.model, grid)
     u = random_rough_function(grid, 0.51, seed=cfg.params["seed"])
     rows = []
     worst = 0.0
@@ -252,10 +244,9 @@ def run_semigroup(cfg: ExperimentConfig):
 
 
 def run_smoothing(cfg: ExperimentConfig):
-    model = build_model(cfg.model)
-    grid = build_grid(cfg.grid)
+    grid = cfg.grid
     gamma, delta, p, q, times = (cfg.params[k] for k in ("gamma", "delta", "p", "q", "times"))
-    sym = tabulate(model, grid)
+    sym = tabulate(cfg.model, grid)
     rough = random_rough_function(
         grid, (gamma - delta) + grid.dimension / 2.0 + 0.01, seed=cfg.params["seed"]
     )
@@ -275,9 +266,8 @@ def run_smoothing(cfg: ExperimentConfig):
 
 
 def run_analyticity(cfg: ExperimentConfig):
-    model = build_model(cfg.model)
-    grid = build_grid(cfg.grid)
-    sym = tabulate(model, grid)
+    grid = cfg.grid
+    sym = tabulate(cfg.model, grid)
     u = random_rough_function(grid, 0.5, seed=cfg.params["seed"])
     rows = analyticity_gauge(sym, u, cfg.params["times"])
     # the default contours of semigroup_apply, rebuilt (cheaply) for the record
@@ -295,12 +285,10 @@ def run_analyticity(cfg: ExperimentConfig):
 
 
 def run_weak_error(cfg: ExperimentConfig):
-    model = build_model(cfg.model)
-    scheme = build_scheme(cfg.scheme)
     x0 = cfg.params["x0"]
     payoff = bump_payoff(center=x0, width=2.0, period=2 * np.pi * 4.0)
     table = weak_error_table(
-        model, payoff, x0, cfg.params["t"], cfg.params["eps_list"], scheme,
+        cfg.model, payoff, x0, cfg.params["t"], cfg.params["eps_list"], cfg.scheme,
         reference=cfg.params["reference"],
     )
     rows = [(e, err, se) for e, err, se in table.rows]
@@ -326,24 +314,20 @@ def run_weak_error(cfg: ExperimentConfig):
 
 
 def run_strong_feller(cfg: ExperimentConfig):
-    model = build_model(cfg.model)
-    scheme = build_scheme(cfg.scheme)
     a, span = cfg.params["threshold"], cfg.params["span"]
     xs = np.linspace(a - span, a + span, cfg.params["x_points"])
-    prof = strong_feller_profile(model, cfg.params["t"], a, xs, scheme)
+    prof = strong_feller_profile(cfg.model, cfg.params["t"], a, xs, cfg.scheme)
     ok = math.isfinite(prof.lipschitz) and prof.max_jump_ratio <= cfg.gates["max_jump_ratio"]
     summary = {"lipschitz": prof.lipschitz, "max_jump_ratio": prof.max_jump_ratio}
     return ok, summary, list(zip(prof.x_grid, prof.profile, prof.stderr))
 
 
 def run_density(cfg: ExperimentConfig):
-    model = build_model(cfg.model)
-    scheme = build_scheme(cfg.scheme)
-    rep = density_probe(model, cfg.params["x0"], cfg.params["times"], scheme,
+    rep = density_probe(cfg.model, cfg.params["x0"], cfg.params["times"], cfg.scheme,
                         mode=cfg.params["mode"])
     cap = cfg.gates["growth_exponent_max"]
-    if cap is None:
-        cap = 2.0 / getattr(model.measure, "alpha", 1.5) + 0.5
+    if cap is None:  # validate_config admits None for a stable measure only
+        cap = 2.0 / cfg.model.measure.alpha + 0.5
     integrals_ok = all(abs(row[3] - 1.0) <= cfg.gates["integral_tol"] for row in rep.rows)
     ok = integrals_ok and rep.growth_exponent <= cap
     summary = {"growth_exponent": rep.growth_exponent, "rows": [list(r) for r in rep.rows]}
@@ -351,9 +335,8 @@ def run_density(cfg: ExperimentConfig):
 
 
 def run_jump_split(cfg: ExperimentConfig):
-    model = build_model(cfg.model)
-    scheme = build_scheme(cfg.scheme)
-    rep = jump_split_check(model, cfg.params["x0"], cfg.params["t"], paths=scheme.paths,
+    scheme = cfg.scheme
+    rep = jump_split_check(cfg.model, cfg.params["x0"], cfg.params["t"], paths=scheme.paths,
                            eps=scheme.eps, seed=scheme.seed)
     count_ok = (
         abs(rep.mean_large_jumps - rep.expected_large_jumps) <= 4.0 * rep.large_jump_se
@@ -369,8 +352,7 @@ def run_jump_split(cfg: ExperimentConfig):
 
 
 def run_composition(cfg: ExperimentConfig):
-    model = build_model(cfg.model)
-    grid = build_grid(cfg.grid)
+    model, grid = cfg.model, cfg.grid
     sym = tabulate(model, grid)
     # differential sanity case: a1 = i xi, a2 = sigma(x) i xi is exact at order 1
     xi_row = grid.xi[None, :]

@@ -21,7 +21,10 @@ Supported measure kinds:
 
 Truncation is the ``eps`` argument, not a measure: every kind's
 ``tail_mass(eps)`` and ``sample_tail(eps, size, rng)`` act on ``nu``
-restricted to ``|z| > eps``, and the truncated exponent is
+restricted to ``|z| > eps``, ``small_jump_variance(eps)`` is the second-moment
+matrix of the jumps inside ``[-eps, eps]^d`` and ``compensator_drift(eps)``
+the compensator ``int_{eps < |z| <= 1} z nu(dz)`` (zero for a symmetric
+measure); the truncated exponent is
 ``psi_eps = psi - small_jump_symbol_error(spec, eps, xi, compensated=False)``.
 """
 
@@ -42,8 +45,6 @@ __all__ = [
     "stable_cosine_constant",
     "stable_normalizer",
     "levy_exponent",
-    "small_jump_variance",
-    "compensator_drift",
     "sample_increment",
     "jump_stream",
     "path_sums",
@@ -565,24 +566,6 @@ def levy_exponent(spec, xi):
     return spec.exponent(xi)
 
 
-def small_jump_variance(spec, eps: float) -> np.ndarray:
-    """Second-moment matrix of jumps inside the box ``[-eps, eps]^d``.
-
-    Symmetric positive semidefinite; monotone nondecreasing in ``eps``.
-    """
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must lie in (0,1], got {eps}")
-    return spec.small_jump_variance(eps)
-
-
-def compensator_drift(spec, eps: float) -> np.ndarray:
-    """Compensator ``z0 = int_{eps < |z| <= 1} z nu(dz)`` for truncated simulation.
-
-    Identically zero for symmetric measures.
-    """
-    return spec.compensator_drift(eps)
-
-
 def jump_stream(rate: float, n: int, draw, rng):
     """Jumps of ``n`` independent compound-Poisson paths.
 
@@ -718,7 +701,6 @@ def bg_index(spec, k: int, fit_range: tuple = (2.0, 512.0)) -> float:
     points (the maximum tames oscillatory exponents); the fitted slope of its
     log against ``log |xi|`` estimates the least admissible growth order.
 
-    ``spec`` may be a measure or a plain callable ``xi -> psi(xi)`` (scalar).
     Drift never enters: the index is a property of the noise alone.
     """
     if k not in range(5):
@@ -734,13 +716,10 @@ def bg_index(spec, k: int, fit_range: tuple = (2.0, 512.0)) -> float:
             f"fit window too small: {len(octaves)} dyadic samples, need at least 8"
         )
 
-    if hasattr(spec, "exponent"):
-        if spec.dimension == 2:
-            psi = lambda s: spec.exponent(np.array([s, 0.0]))
-        else:
-            psi = lambda s: spec.exponent(s)
+    if spec.dimension == 2:
+        psi = lambda s: spec.exponent(np.array([s, 0.0]))
     else:
-        psi = spec
+        psi = spec.exponent
 
     logs = []
     for m in octaves:

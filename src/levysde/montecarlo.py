@@ -29,13 +29,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grids import GridFunction, TorusGrid
-from .measures import (
-    compensator_drift,
-    jump_stream,
-    path_sums,
-    sample_increment,
-    small_jump_variance,
-)
+from .measures import jump_stream, path_sums, sample_increment
 from .models import SdeModel, constant_value, state_symbol
 from .ratefit import RateFit, fit_rate
 
@@ -289,8 +283,7 @@ def weak_error_table(
     if reference == "spectral":
         ref = spectral_reference(model, f, x0, t)
     elif reference == "exact-stable":
-        ref_scheme = replace(scheme_base, gaussian_compensation=False)
-        ref = mc_semigroup(f, model, x0, t, ref_scheme, mode="exact-stable", stream=999).mean
+        ref = mc_semigroup(f, model, x0, t, scheme_base, mode="exact-stable", stream=999).mean
     else:
         raise ValueError("reference must be 'spectral' or 'exact-stable'")
 
@@ -302,10 +295,10 @@ def weak_error_table(
         n_levels = len(eps_list)
         measure = model.measure
         rate = measure.tail_mass(eps_list[0]) * t
-        shifts = [compensator_drift(measure, e)[0] * t for e in eps_list]
+        shifts = [measure.compensator_drift(e)[0] * t for e in eps_list]
         scales = None
         if scheme_base.gaussian_compensation:
-            scales = [math.sqrt(small_jump_variance(measure, e)[0, 0] * t) for e in eps_list]
+            scales = [math.sqrt(measure.small_jump_variance(e)[0, 0] * t) for e in eps_list]
         # every batch draws its jumps into a block of one size (the mean count
         # plus eight standard deviations), so the block a batch frees fits the
         # next one and the memory peak does not depend on the thread timing
@@ -552,7 +545,7 @@ def jump_split_check(
         raise ConfigError(f"the split check needs jumps beyond eps in (0,1), got {eps}", field="eps")
     mass_large = measure.tail_mass(1.0)
     keep_rate = (mass_all - mass_large) / mass_all  # share of the jumps in (eps, 1]
-    z0 = compensator_drift(measure, eps)[0]
+    z0 = measure.compensator_drift(eps)[0]
     payoffs = payoffs or _default_battery(2 * np.pi * 4.0)
 
     # row 0: unsplit driver, row 1: split driver

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ContractionError, EllipticityError
 from .grids import GridFunction, TorusGrid
-from .measures import _FD_STENCILS
+from .measures import _FD_STENCILS, StableMeasure
 from .models import X_INDEPENDENT_RTOL, SdeModel, state_symbol
 from .besov import raised_cosine_profile
 
@@ -235,8 +235,7 @@ def tabulate(model: SdeModel, grid: TorusGrid) -> SymbolGrid:
 
 
 def _declared_order(model: SdeModel) -> float:
-    alpha = getattr(model.measure, "alpha", None)
-    return float(alpha) if alpha is not None else 0.0
+    return float(model.measure.alpha) if isinstance(model.measure, StableMeasure) else 0.0
 
 
 # ---------------------------------------------------------------------------

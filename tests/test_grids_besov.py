@@ -111,20 +111,20 @@ class TestDyadicPartition:
     def test_block_index_range(self, grid256):
         u = lv.GridFunction(grid256, np.zeros(256, dtype=complex))
         with pytest.raises(ValueError):
-            lv.lp_project(u, 99)
+            DyadicPartition(grid256).lp_project(u, 99)
 
 
 class TestBesovNorm:
     def test_zero_function(self, grid256):
         u = lv.GridFunction(grid256, np.zeros(256, dtype=complex))
-        assert lv.besov_norm(u, 1.0, 2.0, 2.0) == 0.0
+        assert DyadicPartition(grid256).besov_norm(u, 1.0, 2.0, 2.0) == 0.0
 
     def test_homogeneity(self, grid256):
         rng = np.random.default_rng(8)
         u = lv.GridFunction(grid256, rng.standard_normal(256).astype(complex))
         part = DyadicPartition(grid256)
-        a = lv.besov_norm(2.0 * u, 1.5, 2.0, 2.0, partition=part)
-        b = lv.besov_norm(u, 1.5, 2.0, 2.0, partition=part)
+        a = part.besov_norm(2.0 * u, 1.5, 2.0, 2.0)
+        b = part.besov_norm(u, 1.5, 2.0, 2.0)
         assert a == pytest.approx(2.0 * b, rel=1e-12)
 
     def test_mode_eight_sup_norm_oracle(self):
@@ -135,14 +135,14 @@ class TestBesovNorm:
         part = DyadicPartition(grid)
         k8 = int(np.argmin(np.abs(grid.xi - 8.0)))
         oracle = max(2.0**j * part.blocks[j][k8] for j in range(len(part)))
-        got = lv.besov_norm(u, 1.0, np.inf, np.inf, partition=part)
+        got = part.besov_norm(u, 1.0, np.inf, np.inf)
         assert got == pytest.approx(oracle, rel=1e-12)
 
     def test_monotone_in_smoothness(self, grid256):
         rng = np.random.default_rng(10)
         u = lv.GridFunction(grid256, rng.standard_normal(256).astype(complex))
         part = DyadicPartition(grid256)
-        norms = [lv.besov_norm(u, s, 2.0, 2.0, partition=part) for s in (0.0, 0.5, 1.0, 2.0)]
+        norms = [part.besov_norm(u, s, 2.0, 2.0) for s in (0.0, 0.5, 1.0, 2.0)]
         assert all(a <= b + 1e-12 for a, b in zip(norms, norms[1:]))
 
     @pytest.mark.parametrize("pq", [(2.0, 2.0), (np.inf, np.inf), (2.0, np.inf)])
@@ -153,16 +153,14 @@ class TestBesovNorm:
         for _ in range(5):
             u = lv.GridFunction(grid256, rng.standard_normal(256) + 1j * rng.standard_normal(256))
             v = lv.GridFunction(grid256, rng.standard_normal(256) + 1j * rng.standard_normal(256))
-            lhs = lv.besov_norm(u + v, 1.0, p, q, partition=part)
-            rhs = lv.besov_norm(u, 1.0, p, q, partition=part) + lv.besov_norm(
-                v, 1.0, p, q, partition=part
-            )
+            lhs = part.besov_norm(u + v, 1.0, p, q)
+            rhs = part.besov_norm(u, 1.0, p, q) + part.besov_norm(v, 1.0, p, q)
             assert lhs <= rhs + 1e-12 * max(rhs, 1.0)
 
     def test_invalid_integrability(self, grid256):
         u = lv.GridFunction(grid256, np.zeros(256, dtype=complex))
         with pytest.raises(ValueError):
-            lv.besov_norm(u, 1.0, 0.5, 2.0)
+            DyadicPartition(grid256).besov_norm(u, 1.0, 0.5, 2.0)
 
 
 class TestRoughFunction:

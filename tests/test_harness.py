@@ -1,5 +1,6 @@
 """Config handling, rate fitting, experiment orchestration, and the CLI."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -176,6 +177,37 @@ class TestConfig:
                 tree = {**tree, "output": str(tmp_path / workload.name / op_name)}
                 assert validate_config(tree).experiment == tree["experiment"]
 
+    def test_benchmark_names_resolve(self):
+        # a layer the tracer cannot find reads zero instead of failing, and a
+        # workload's direct call on a deleted name fails only inside a round
+        spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        for module_name, attr, *_ in tracing.LAYERS:
+            owner = importlib.import_module(module_name)
+            *path, name = attr.split(".")
+            for part in path:
+                owner = getattr(owner, part)
+            assert name in (vars(owner) if path else dir(owner)), f"{module_name}.{attr}"
+        for script in ("workloads.py", "worker.py"):
+            tree = ast.parse((ROOT / "perfbench" / script).read_text())
+            names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                     and isinstance(node.value, ast.Name) and node.value.id == "lv"}
+            assert names and all(hasattr(lv, name) for name in names), (script, names)
+
+    def test_validated_config_holds_built_objects(self, tmp_path):
+        grid_cfg = validate_config({"experiment": "sector", "output": str(tmp_path),
+                                    "model": base_model(), "grid": {"n": 64}})
+        assert isinstance(grid_cfg.model, lv.SdeModel)
+        assert grid_cfg.grid == lv.TorusGrid(n=64) and grid_cfg.scheme is None
+        scheme_cfg = validate_config({"experiment": "weak-error", "output": str(tmp_path),
+                                      "model": base_model(), "scheme": WEAK_SCHEME})
+        assert scheme_cfg.grid is None
+        assert scheme_cfg.scheme == lv.SimScheme(gaussian_compensation=True, seed=0,
+                                                 **WEAK_SCHEME)
+        assert validate_config({"experiment": "bgindex", "output": str(tmp_path),
+                                "model": base_model()}).grid is None
+
     def test_constructor_refusal_names_argument(self):
         with pytest.raises(ConfigError) as err:
             lv.TorusGrid(n=60)
@@ -293,6 +325,18 @@ class TestExperiments:
         result = run_experiment(validate_config(tree))
         assert result.ok
         assert 0.25 <= result.summary["slope"] <= 0.75
+
+    def test_csv_header_records_built_scheme(self, tmp_path):
+        # the scheme's defaulted fields are written too
+        tree = {"experiment": "weak-error", "output": str(tmp_path / "out"),
+                "model": base_model(), "scheme": WEAK_SCHEME}
+        cfg = validate_config(tree)
+        run_experiment(cfg)
+        first = (tmp_path / "out" / "weak_error.csv").read_text().splitlines()[0]
+        assert first == (
+            '# experiment=weak-error scheme={"eps": 0.4, "gaussian_compensation": true, '
+            f'"paths": 1000, "seed": 0, "tau": 1.0}} config_hash={cfg.digest}'
+        )
 
     def test_jump_split_experiment(self, tmp_path):
         tree = {
@@ -513,6 +557,12 @@ class TestCli:
                          id="unknown-model-key"),
             pytest.param({"model": base_model(sigma_expr={"preset": "2+sin", "amplitud": 0.2})},
                          "model.sigma_expr", id="unknown-preset-parameter"),
+            pytest.param({"experiment": "density", "scheme": WEAK_SCHEME,
+                          "params": {"mode": "truncated"},
+                          "model": {k: v for k, v in base_model(
+                              kind="atomic", atoms=[[0.5, 1.0], [-0.5, 1.0]]).items()
+                              if k not in ("alpha", "scale")}},
+                         "gates.growth_exponent_max", id="density-growth-gate-without-alpha"),
         ],
     )
     def test_refused_config_names_field(self, tmp_path, capsys, change, field):

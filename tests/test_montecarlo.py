@@ -68,7 +68,7 @@ class TestSimulatePath:
         # same seed couples the jump parts exactly, so the terminal second
         # moments differ by the added Gaussian variance Sigma(eps) * t
         t, eps, n = 1.0, 0.3, 400_000
-        sig_add = lv.small_jump_variance(stable_measure, eps)[0, 0] * t
+        sig_add = stable_measure.small_jump_variance(eps)[0, 0] * t
         s1 = lv.SimScheme(eps=eps, tau=1.0, gaussian_compensation=False, paths=n, seed=9)
         s2 = lv.SimScheme(eps=eps, tau=1.0, gaussian_compensation=True, paths=n, seed=9)
         X1 = lv.terminal_samples(constant_model, 0.0, t, s1)
@@ -323,9 +323,9 @@ class TestWeakError:
             z = rng.standard_normal(nb)
             for k, e in enumerate(levels):
                 dL = path_sums(counts, np.where(np.abs(jumps) > e, jumps, 0.0), nb)
-                dL -= lv.compensator_drift(stable_measure, e)[0]
+                dL -= stable_measure.compensator_drift(e)[0]
                 if compensation:
-                    dL += math.sqrt(lv.small_jump_variance(stable_measure, e)[0, 0]) * z
+                    dL += math.sqrt(stable_measure.small_jump_variance(e)[0, 0]) * z
                 vals = payoff(dL)
                 sums[:, k] += vals.sum(), (vals**2).sum()
         means = sums[0] / scheme.paths

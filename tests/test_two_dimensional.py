@@ -53,8 +53,8 @@ class TestMeasures2d:
         assert got == pytest.approx(3.0)
 
     def test_variance_diagonal_and_monotone(self, measure2):
-        s1 = lv.small_jump_variance(measure2, 0.1)
-        s2 = lv.small_jump_variance(measure2, 0.2)
+        s1 = measure2.small_jump_variance(0.1)
+        s2 = measure2.small_jump_variance(0.2)
         assert s1.shape == (2, 2)
         assert s1[0, 1] == 0.0
         assert np.linalg.eigvalsh(s2 - s1).min() >= -1e-14
@@ -115,7 +115,7 @@ class TestOperators2d:
         total = sum(part.blocks)
         assert np.abs(total - 1.0).max() <= 1e-12
         u = lv.random_rough_function(grid2, 1.2, seed=4)
-        norms = [lv.besov_norm(u, s, 2.0, 2.0, partition=part) for s in (0.0, 1.0)]
+        norms = [part.besov_norm(u, s, 2.0, 2.0) for s in (0.0, 1.0)]
         assert norms[0] <= norms[1]
 
     def test_dense_matrix_small(self, model2):
