@@ -2,8 +2,9 @@
 
 Walks through the measure kinds the package supports and the two basic
 diagnostics attached to a symbol: the Blumenthal-Getoor index (growth order
-at high frequency) and the sector condition |Im a| <= c Re a that later
-powers the contour-integral semigroup.
+at high frequency) and the sector condition |Im a| <= c Re a, decided on the
+tabulated symbol whose sector angle later sets the contour-integral
+semigroup.
 """
 
 import numpy as np
@@ -43,22 +44,30 @@ model = lv.SdeModel(
 print(f"sigma(x) = 2 + sin x at x = pi/2, xi = 1:  a = {lv.state_symbol(model, np.pi/2, 1.0):.6f}"
       f"   (|3|^1.5 = {3**1.5:.6f})")
 
-print("\n=== Sector reports ===")
-lattice = np.linspace(0.25, 64.0, 256)
-rep = lv.sector_report(stable, lattice)
+print("\n=== Sector decisions on tabulated symbols ===")
+
+
+def table(measure, n, length_factor, drift=0.0):
+    """a(x_i, xi_k) on the torus of period 2 pi L, sigma = 1, constant drift."""
+    unit = lv.SdeModel(
+        sigma=lv.coefficient_preset("constant", value=1.0),
+        drift=lv.coefficient_preset("constant", value=drift),
+        measure=measure,
+        sigma_lower_bound=0.5,
+    )
+    return lv.tabulate(unit, lv.TorusGrid(n=n, length_factor=length_factor))
+
+
+rep = table(stable, 256, 4.0).sector
 print(f"symmetric stable: sectorial = {rep.is_sectorial}, ratio = {rep.ratio_sup:.3f}")
 
-drift_model = lv.SdeModel(
-    sigma=lv.coefficient_preset("constant", value=1.0),
-    drift=lv.coefficient_preset("constant", value=1.0),
-    measure=stable,
-    sigma_lower_bound=0.5,
-)
-rep2 = lv.sector_report(drift_model, np.arange(1.0, 65.0), x_nodes=np.array([0.0]))
+# L = 1 puts xi on the integers
+rep2 = table(stable, 128, 1.0, drift=1.0).sector
 print(f"stable + unit drift: ratio = {rep2.ratio_sup:.3f} (attained at |xi| = 1), "
       f"half-angle theta = {rep2.theta:.3f}")
 
+# this length factor puts xi = pi + 1e-7 at index 3
 one_sided = lv.AtomicMeasure(atoms=(((2.0,), 1.0),))
-rep3 = lv.sector_report(one_sided, np.array([1.0, 2.0, np.pi + 1e-7, 4.0]))
+rep3 = table(one_sided, 16, 3.0 / (np.pi + 1e-7)).sector
 print(f"one-sided atom: sectorial = {rep3.is_sectorial} "
-      f"(real part of psi vanishes near xi = pi, witness index {rep3.witness[1]})")
+      f"(real part of psi vanishes near xi = pi, witness {rep3.witness})")

@@ -30,7 +30,7 @@ from .measures import (
     small_jump_symbol_error,
     stable_normalizer,
 )
-from .models import SdeModel, SectorReport, coefficient_preset, sector_report, state_symbol
+from .models import SdeModel, coefficient_preset, state_symbol
 from .montecarlo import (
     McEstimate,
     SimScheme,
@@ -65,6 +65,7 @@ from .symbols import (
     AClass,
     CutoffSplit,
     HypClass,
+    SectorReport,
     SeminormReport,
     SymbolGrid,
     choose_R,

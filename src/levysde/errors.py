@@ -21,10 +21,10 @@ class QuadratureError(LevySdeError):
 
 
 class EllipticityError(LevySdeError):
-    """A symbol is not elliptic where ellipticity was required.
+    """A symbol is not elliptic, or not sectorial, where that was required.
 
-    ``point`` holds the offending (x-index, xi-index) lattice location
-    when one is known.
+    ``point`` holds the offending stored lattice indices (x-axes, then
+    xi-axes) when one is known.
     """
 
     def __init__(self, message, point=None):

@@ -2,7 +2,8 @@
 
 A configuration is a key-value tree with the sections ``experiment``,
 ``model``, ``grid``, ``scheme``, ``params``, ``gates``, and ``output``; any
-other section, and any key a section does not declare, is refused.  Which
+other section, a ``grid`` or ``scheme`` section the experiment does not need,
+and any key a section does not declare, is refused.  Which
 experiments exist, the section each needs, its params and gates with their
 defaults and whether it runs in d = 2 come from ``experiments.EXPERIMENTS``.
 Model coefficients are chosen from a closed set of named presets
@@ -39,6 +40,11 @@ __all__ = [
 ]
 
 SECTIONS = ("experiment", "model", "grid", "scheme", "params", "gates", "output")
+
+# the list param each runner fits a rate to, and the fewest distinct values it
+# takes: fit_rate needs 4 points, the two-point composition slope 2 frequencies
+_FIT_POINTS = {"weak-error": ("eps_list", 4), "smoothing": ("times", 4),
+               "density": ("times", 4), "composition": ("frequencies", 2)}
 
 
 @dataclass(frozen=True)
@@ -213,6 +219,22 @@ def validate_config(cfg: dict) -> ExperimentConfig:
             f"model.kind is {raw_model.get('kind')!r}; set the gate",
             field="gates.growth_exponent_max",
         )
+    if experiment in _FIT_POINTS:
+        key, least = _FIT_POINTS[experiment]
+        if len(set(params[key])) < least:
+            raise ConfigError(
+                f"params.{key} needs at least {least} distinct values for the "
+                f"experiment's rate fit, got {list(params[key])}",
+                field=f"params.{key}",
+            )
+    # checked after the sections the experiment reads, so that a malformed
+    # value there is named first
+    for section in ("grid", "scheme"):
+        if section in cfg and section != entry.needs:
+            raise ConfigError(
+                f"experiment {experiment!r} reads no {section} section; remove it",
+                field=section,
+            )
     output = cfg.get("output", "results")
     # run_experiment creates the directory; validation leaves the filesystem as it is
     existing = Path(output).absolute()

@@ -24,7 +24,6 @@ import numpy as np
 from ..besov import DyadicPartition
 from ..grids import GridFunction, random_rough_function
 from ..measures import StableMeasure, bg_index
-from ..models import sector_report
 from ..montecarlo import (
     bump_payoff,
     density_probe,
@@ -154,12 +153,12 @@ def run_bgindex(cfg: ExperimentConfig):
 
 
 def run_sector(cfg: ExperimentConfig):
-    xi = cfg.grid.xi
-    rep = sector_report(cfg.model, xi[xi != 0.0])
+    sym = tabulate(cfg.model, cfg.grid)
+    rep = sym.sector
     ok = rep.is_sectorial == cfg.gates["expect_sectorial"]
     summary = {
         "ratio_sup": rep.ratio_sup,
-        "min_real_part": rep.min_real_part,
+        "min_real_part": float(sym.values[..., cfg.grid.xi_norm() != 0.0].real.min()),
         "is_sectorial": rep.is_sectorial,
         "theta": rep.theta,
         "witness": list(rep.witness),
@@ -382,7 +381,7 @@ def run_composition(cfg: ExperimentConfig):
 
 
 def _two_point_slope(rows):
-    (x0, y0), (x1, y1) = rows[0], rows[-1]
+    (x0, y0), (x1, y1) = min(rows), max(rows)
     return math.log(y1 / y0) / math.log(x1 / x0)
 
 

@@ -1,4 +1,4 @@
-"""SDE coefficient models, state symbols, and sector diagnostics.
+"""SDE coefficient models and their state symbols.
 
 An ``SdeModel`` bundles periodic coefficients ``sigma(x)``, ``b(x)`` with a
 Levy measure.  Its state symbol under the package convention is
@@ -23,9 +23,7 @@ __all__ = [
     "constant_value",
     "PRESETS",
     "SdeModel",
-    "SectorReport",
     "state_symbol",
-    "sector_report",
 ]
 
 # Closed set of named coefficient presets, each with its parameters and their
@@ -150,75 +148,3 @@ def state_symbol(model: SdeModel, x, xi):
     eta = np.einsum("...ij,...i->...j", sig_b, xi_b)
     psi = levy_exponent(model.measure, eta)
     return psi - 1j * np.einsum("...i,...i->...", drf_b, xi_b)
-
-
-@dataclass(frozen=True)
-class SectorReport:
-    """Sector diagnostics of a symbol sampled on a frequency lattice.
-
-    ``ratio_sup`` is the largest |Im a| / Re a seen (with a tiny floor on the
-    denominator); ``is_sectorial`` holds iff the real part is nonnegative
-    everywhere and no lattice point has vanishing real part next to a
-    non-vanishing imaginary part.  ``witness`` records the offending
-    (x, xi) pair when the condition fails, else the ratio maximiser.
-    """
-
-    ratio_sup: float
-    min_real_part: float
-    is_sectorial: bool
-    witness: tuple
-
-    @property
-    def theta(self) -> float:
-        """Half-angle of the symbol's spectral sector, arctan(1 / ratio_sup)."""
-        return float(np.arctan(1.0 / max(self.ratio_sup, 1e-300)))
-
-
-# Division floor for the sector ratio; a point counts as a violation when its
-# real part is essentially zero while the imaginary part is not.
-_RATIO_FLOOR = 1e-300
-_ZERO_REAL = 1e-12
-_NONZERO_IMAG = 1e-12
-
-
-def sector_report(target, lattice, x_nodes=None) -> SectorReport:
-    """Evaluate the sector condition |Im a| <= c Re a on a frequency lattice.
-
-    ``target`` is a Levy measure (pure exponent) or an :class:`SdeModel`
-    (state symbol, scanned over ``x_nodes``; defaults to 64 equispaced points
-    on [0, 2 pi)).  The lattice must not contain xi = 0.
-    """
-    lat = np.asarray(lattice, dtype=float)
-    if lat.size == 0:
-        raise ValueError("lattice must be non-empty")
-    if isinstance(target, SdeModel):
-        if np.any(np.linalg.norm(np.atleast_2d(lat.reshape(lat.shape[0], -1)), axis=1) == 0):
-            raise ValueError("lattice must exclude xi = 0")
-        xs = x_nodes if x_nodes is not None else np.linspace(0, 2 * np.pi, 64, endpoint=False)
-        if target.dimension == 1:
-            vals = state_symbol(target, np.asarray(xs)[:, None], lat[None, :])
-        else:
-            vals = np.stack([state_symbol(target, np.asarray(x), lat) for x in xs])
-        point_of = lambda flat: (int(flat // lat.shape[0]), int(flat % lat.shape[0]))
-    else:
-        mags = np.abs(lat) if target.dimension == 1 else np.linalg.norm(lat, axis=-1)
-        if np.any(mags == 0):
-            raise ValueError("lattice must exclude xi = 0")
-        vals = np.atleast_1d(levy_exponent(target, lat))
-        point_of = lambda flat: (0, int(flat))
-
-    re = vals.real.ravel()
-    im = vals.imag.ravel()
-    ratios = np.abs(im) / np.maximum(re, _RATIO_FLOOR)
-    ratio_sup = float(ratios.max())
-    min_real = float(re.min())
-    violations = (re < -_ZERO_REAL) | ((re <= _ZERO_REAL) & (np.abs(im) > _NONZERO_IMAG))
-    if violations.any():
-        witness = point_of(int(np.argmax(violations)))
-        ok = False
-    else:
-        witness = point_of(int(np.argmax(ratios)))
-        ok = True
-    return SectorReport(
-        ratio_sup=ratio_sup, min_real_part=min_real, is_sectorial=ok, witness=witness
-    )

@@ -475,7 +475,7 @@ def semigroup_apply(t: float, a: SymbolGrid, u: GridFunction, tol: float = 1e-8)
     above the real axis are solved: ``R(conj lambda) u = conj(R(lambda) u)``.
 
     Sectoriality of the symbol is required: :attr:`SymbolGrid.sector_angle`
-    rejects negative real parts.
+    raises :class:`EllipticityError` for a table that is not sectorial.
     """
     if t <= 0:
         raise ValueError("time must be positive")

@@ -27,6 +27,7 @@ from .besov import raised_cosine_profile
 
 __all__ = [
     "SymbolGrid",
+    "SectorReport",
     "LowRank",
     "tabulate",
     "AClass",
@@ -99,12 +100,27 @@ def _cross_factors(table: np.ndarray, max_rank: int):
 
 
 @dataclass(frozen=True)
+class SectorReport:
+    """The sector decision :attr:`SymbolGrid.sector`; ``witness`` holds stored
+    lattice indices, x-axes then xi-axes."""
+
+    ratio_sup: float
+    is_sectorial: bool
+    witness: tuple
+
+    @property
+    def theta(self) -> float:
+        """Half-angle of the symbol's spectral sector, arctan(1 / ratio_sup)."""
+        return math.atan(1.0 / max(self.ratio_sup, 1e-300))
+
+
+@dataclass(frozen=True)
 class SymbolGrid:
     """Complex symbol samples on (space grid) x (frequency lattice).
 
     ``values`` has shape ``grid.shape + grid.shape`` (x-axes first), with
     xi-axes in FFT order.  ``order`` is the declared growth exponent.
-    ``x_independent``, ``factors``, ``x_mean``, ``range_box``,
+    ``x_independent``, ``factors``, ``x_mean``, ``range_box``, ``sector``,
     ``sector_angle`` and ``real_operator`` are derived from ``values`` on
     first use and cached.
     """
@@ -162,19 +178,41 @@ class SymbolGrid:
         return complex(re.min(), im.min()), complex(re.max(), im.max())
 
     @functools.cached_property
+    def sector(self) -> SectorReport:
+        """The sector decision on the table, the only one in the package.
+
+        With ``tol = 1e-10 max(max|a|, 1)``, an entry violates the sector
+        condition when ``Re a < -tol``, or when ``Re a <= tol`` while
+        ``|Im a| > tol``.  ``ratio_sup`` is the largest
+        ``|Im a| / max(Re a, 1e-300)``; the witness is the first violating
+        entry in stored order, else the ratio maximiser.  A violation with
+        ``Re a >= -tol`` has a ratio above 1, so the mask is built only when
+        ``ratio_sup > 1`` or the smallest real part lies below ``-tol``."""
+        re, im = self.values.real, self.values.imag
+        tol = 1e-10 * max(float(np.abs(self.values).max()), 1.0)
+        ratio = np.abs(im) / np.maximum(re, 1e-300)
+        at = int(np.argmax(ratio))
+        ratio_sup, ok = float(ratio.flat[at]), True
+        if ratio_sup > 1.0 or float(re.min()) < -tol:
+            bad = (re < -tol) | ((re <= tol) & (np.abs(im) > tol))
+            if bad.any():
+                at, ok = int(np.argmax(bad)), False
+        witness = tuple(int(i) for i in np.unravel_index(at, self.values.shape))
+        return SectorReport(ratio_sup, ok, witness)
+
+    @functools.cached_property
     def sector_angle(self) -> float:
-        """Sector angle ``theta = arctan(1 / r)`` of the table, ``r`` the
-        largest ``|Im a| / Re a`` over every entry (as
-        :attr:`models.SectorReport.theta`): every entry lies in
-        ``|arg z| <= pi/2 - theta``, so ``-lambda`` avoids them all on
-        ``|arg lambda| < pi/2 + theta``.  Raises ``ValueError`` when an entry's
-        real part lies below ``-1e-10 max(max|a|, 1)``: the table is not
+        """Sector angle ``theta = arctan(1 / ratio_sup)`` of the table
+        (:attr:`sector`): every entry lies in ``|arg z| <= pi/2 - theta``, so
+        ``-lambda`` avoids them all on ``|arg lambda| < pi/2 + theta``.
+        Raises :class:`EllipticityError` at the witness when the table is not
         sectorial."""
-        scale = max(float(np.abs(self.values).max()), 1.0)
-        if float(self.values.real.min()) < -1e-10 * scale:
-            raise ValueError("symbol has negative real part: not sectorial")
-        ratio = np.abs(self.values.imag) / np.maximum(self.values.real, 1e-300)
-        return math.atan(1.0 / max(float(ratio.max()), 1e-300))
+        rep = self.sector
+        if not rep.is_sectorial:
+            negative = self.values[rep.witness].real < 0
+            why = "negative real part" if negative else "an entry on the imaginary axis"
+            raise EllipticityError(f"symbol has {why}: not sectorial", point=rep.witness)
+        return rep.theta
 
     @functools.cached_property
     def real_operator(self) -> bool:

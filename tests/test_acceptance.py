@@ -76,8 +76,7 @@ def test_criterion_02_resolvent_sector_bound(model_variable, acc_grid256):
     """|lambda| |R(lambda) v| / |v| varies by at most a factor 2 over
     |lambda| in {10, 100, 1000} on the sector ray."""
     sym = lv.tabulate(model_variable, acc_grid256)
-    rep = lv.sector_report(model_variable, acc_grid256.xi[acc_grid256.xi != 0])
-    theta_p = 0.5 * min(rep.theta, 1.45)
+    theta_p = 0.5 * min(sym.sector_angle, 1.45)
     v = lv.GridFunction.from_callable(
         acc_grid256,
         lv.bump_payoff(center=acc_grid256.period / 2, width=2.0, period=acc_grid256.period),

@@ -242,6 +242,22 @@ class TestExperiments:
         assert summary["pass"] is True
         assert summary["config_hash"] == cfg.digest
 
+    def test_sector_theta_is_contour_angle(self, tmp_path):
+        # the experiment decides on the table the contour is built from
+        model = base_model(sigma_expr={"preset": "2+sin"}, drift_expr={"preset": "1+0.5cos"},
+                           sigma_lower_bound=0.9)
+        cfg = validate_config({**self._sector_cfg(tmp_path), "model": model})
+        run_experiment(cfg)
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["theta"] == lv.tabulate(cfg.model, cfg.grid).sector_angle
+        assert summary["is_sectorial"] and len(summary["witness"]) == 2
+
+    def test_two_point_slope_spans_the_frequency_range(self):
+        # two distinct frequencies suffice, in any order
+        from levysde.harness.experiments import _two_point_slope
+
+        assert _two_point_slope([(8.0, 4.0), (16.0, 2.0), (8.0, 4.0)]) == pytest.approx(-1.0)
+
     def test_result_files_embed_config_hash(self, tmp_path):
         tree = {
             "experiment": "symbol",
@@ -563,6 +579,20 @@ class TestCli:
                               kind="atomic", atoms=[[0.5, 1.0], [-0.5, 1.0]]).items()
                               if k not in ("alpha", "scale")}},
                          "gates.growth_exponent_max", id="density-growth-gate-without-alpha"),
+            pytest.param({"scheme": {"pathz": "many", "eps": 7}}, "scheme",
+                         id="unused-scheme-section"),
+            pytest.param({"experiment": "weak-error", "scheme": WEAK_SCHEME, "grid": {"n": "x"}},
+                         "grid", id="unused-grid-section"),
+            pytest.param({"experiment": "weak-error", "scheme": WEAK_SCHEME,
+                          "params": {"eps_list": [0.4, 0.2, 0.1]}}, "params.eps_list",
+                         id="three-truncation-levels"),
+            pytest.param({"experiment": "composition", "params": {"frequencies": [8]}},
+                         "params.frequencies", id="one-composition-frequency"),
+            pytest.param({"experiment": "smoothing", "params": {"times": [1.0, 0.5]}},
+                         "params.times", id="two-smoothing-times"),
+            pytest.param({"experiment": "density", "scheme": WEAK_SCHEME,
+                          "params": {"times": [1.0, 0.5]}}, "params.times",
+                         id="two-density-times"),
         ],
     )
     def test_refused_config_names_field(self, tmp_path, capsys, change, field):

@@ -71,53 +71,47 @@ class TestPresets:
 
 
 class TestSectorReport:
-    def test_symmetric_stable_is_sectorial(self, stable_measure):
-        lattice = np.linspace(0.25, 64.0, 256)
-        rep = lv.sector_report(stable_measure, lattice)
-        assert rep.is_sectorial
-        assert rep.ratio_sup == 0.0
-        assert rep.min_real_part > 0.0
+    """The sector decision ``SymbolGrid.sector`` on tabulated state symbols."""
 
-    def test_drift_ratio_on_integer_lattice(self, stable_measure):
-        # a = |xi|^{1.5} - i xi: ratio |xi| / |xi|^{1.5} maximal at |xi| = 1
+    @staticmethod
+    def _table(measure, n, length_factor, drift=0.0):
         model = lv.SdeModel(
             sigma=lv.coefficient_preset("constant", value=1.0),
-            drift=lv.coefficient_preset("constant", value=1.0),
-            measure=stable_measure,
+            drift=lv.coefficient_preset("constant", value=drift),
+            measure=measure,
             sigma_lower_bound=0.5,
         )
-        lattice = np.arange(1.0, 65.0)
-        rep = lv.sector_report(model, lattice, x_nodes=np.array([0.0]))
-        oracle = max(abs(xi) / abs(xi) ** 1.5 for xi in lattice)
+        return lv.tabulate(model, lv.TorusGrid(n=n, length_factor=length_factor))
+
+    def test_symmetric_stable_is_sectorial(self, stable_measure):
+        sym = self._table(stable_measure, 256, 4.0)
+        rep = sym.sector
+        assert rep.is_sectorial
+        assert rep.ratio_sup == 0.0
+        assert sym.values[:, sym.grid.xi != 0].real.min() > 0.0
+
+    def test_drift_ratio_on_integer_lattice(self, stable_measure):
+        # a = |xi|^{1.5} - i xi: ratio |xi| / |xi|^{1.5} maximal at |xi| = 1;
+        # L = 1 puts xi on the integers -64..63
+        sym = self._table(stable_measure, 128, 1.0, drift=1.0)
+        rep = sym.sector
+        oracle = max(abs(xi) / abs(xi) ** 1.5 for xi in sym.grid.xi if xi != 0)
         assert rep.ratio_sup == pytest.approx(oracle, rel=1e-12)
         assert rep.ratio_sup == pytest.approx(1.0)
         assert rep.is_sectorial
 
     def test_one_sided_atom_violation_witnessed(self):
-        # Re psi = 1 - cos 2 xi vanishes at xi = pi while Im is nonzero nearby
+        # Re psi = 1 - cos 2 xi vanishes at xi = pi while Im is nonzero nearby;
+        # this length factor puts xi = pi + 1e-7 at index 3
         spec = lv.AtomicMeasure(atoms=(((2.0,), 1.0),))
-        lattice = np.array([1.0, 2.0, np.pi + 1e-7, 4.0])
-        rep = lv.sector_report(spec, lattice)
+        sym = self._table(spec, 16, 3.0 / (np.pi + 1e-7))
+        rep = sym.sector
         assert not rep.is_sectorial
-        assert rep.witness[1] == 2  # the lattice point next to the zero
+        assert rep.witness == (0, 3)  # the lattice point next to the zero
         # closed form: the flagged point has essentially zero real part
-        val = 1.0 - np.exp(2j * lattice[2])
+        val = 1.0 - np.exp(2j * sym.grid.xi[3])
         assert val.real <= 1e-12 and abs(val.imag) > 1e-12
 
-    def test_empty_lattice_rejected(self, stable_measure):
-        with pytest.raises(ValueError):
-            lv.sector_report(stable_measure, np.array([]))
-
-    def test_zero_frequency_rejected(self, stable_measure):
-        with pytest.raises(ValueError):
-            lv.sector_report(stable_measure, np.array([0.0, 1.0]))
-
     def test_theta_from_ratio(self, stable_measure):
-        model = lv.SdeModel(
-            sigma=lv.coefficient_preset("constant", value=1.0),
-            drift=lv.coefficient_preset("constant", value=1.0),
-            measure=stable_measure,
-            sigma_lower_bound=0.5,
-        )
-        rep = lv.sector_report(model, np.arange(1.0, 65.0), x_nodes=np.array([0.0]))
+        rep = self._table(stable_measure, 128, 1.0, drift=1.0).sector
         assert rep.theta == pytest.approx(np.arctan(1.0 / rep.ratio_sup))

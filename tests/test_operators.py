@@ -224,10 +224,9 @@ class TestResolvent:
         u = lv.resolvent_apply(1.0 + 1.0j, symbol_var_256, v)
         assert u.norm_l2() == 0.0
 
-    def test_sector_ray_bound(self, symbol_var_256, grid256, variable_model):
+    def test_sector_ray_bound(self, symbol_var_256, grid256):
         # |lambda| |R(lambda) v| / |v| stays within a factor 2 over 3 decades
-        rep = lv.sector_report(variable_model, grid256.xi[grid256.xi != 0])
-        theta_p = 0.5 * min(rep.theta, 1.45)
+        theta_p = 0.5 * min(symbol_var_256.sector_angle, 1.45)
         v = lv.GridFunction.from_callable(
             grid256, lv.bump_payoff(center=grid256.period / 2, width=2.0, period=grid256.period)
         )
@@ -568,7 +567,7 @@ class TestSemigroup:
         vals = np.tile(-np.abs(grid256.xi) ** 1.5, (256, 1)).astype(complex)
         s = lv.SymbolGrid(grid256, vals, 1.5)
         u = lv.GridFunction(grid256, np.ones(256, dtype=complex))
-        with pytest.raises(ValueError, match="negative real part: not sectorial"):
+        with pytest.raises(lv.EllipticityError, match="negative real part: not sectorial"):
             lv.semigroup_apply(1.0, s, u)
 
 

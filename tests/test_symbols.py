@@ -218,8 +218,19 @@ class TestTabulate:
         vals[3, 0] = -2e-10 * scale
         sym = lv.SymbolGrid(grid, vals, 1.5)
         for _ in range(2):  # a refusal is not cached as an angle
-            with pytest.raises(ValueError, match="negative real part: not sectorial"):
+            with pytest.raises(lv.EllipticityError, match="negative real part: not sectorial"):
                 sym.sector_angle
+
+    def test_sector_angle_refuses_imaginary_axis_entry(self):
+        # Re a <= tol while |Im a| > tol: off every sector, though Re a > 0
+        grid = lv.TorusGrid(n=16, dimension=1, length_factor=1.0)
+        vals = np.tile(np.abs(grid.xi) ** 1.5, (16, 1)).astype(complex)
+        vals[3, 5] = 1e-14 + 0.5j
+        sym = lv.SymbolGrid(grid, vals, 1.5)
+        with pytest.raises(lv.EllipticityError, match="not sectorial") as err:
+            sym.sector_angle
+        assert err.value.point == (3, 5)
+        assert not sym.sector.is_sectorial and sym.sector.witness == (3, 5)
 
     def test_variable_sigma_range(self, symbol_var_256, grid256):
         # values at fixed xi vary between |1.8 xi|^{1.5} and |2.2 xi|^{1.5}
