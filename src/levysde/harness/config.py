@@ -227,6 +227,20 @@ def validate_config(cfg: dict) -> ExperimentConfig:
                 f"experiment's rate fit, got {list(params[key])}",
                 field=f"params.{key}",
             )
+    if experiment == "composition":
+        # each entry probes its nearest lattice mode, which composition_defect
+        # needs in (0, Nyquist/4]; the rate fit takes the log of the entry
+        band = grid.xi_nyquist / 4.0
+        for key, entries in (("frequencies", params["frequencies"]),
+                             ("probe_mode", [params["probe_mode"]])):
+            for k in entries:
+                mode = float(grid.xi[abs(grid.xi - k).argmin()])
+                if not 0.0 < mode <= band:
+                    raise ConfigError(
+                        f"params.{key} entry {k:g} probes the lattice frequency {mode:g}, "
+                        f"outside (0, {band:g}], a quarter of the grid's Nyquist frequency",
+                        field=f"params.{key}",
+                    )
     # checked after the sections the experiment reads, so that a malformed
     # value there is named first
     for section in ("grid", "scheme"):

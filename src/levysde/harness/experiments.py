@@ -357,7 +357,7 @@ def run_composition(cfg: ExperimentConfig):
     xi_row = grid.xi[None, :]
     sig_vals = np.asarray(model.sigma(grid.x))[:, None]
     a_sig = SymbolGrid(grid, sig_vals * (1j * xi_row), 1.0)
-    a_dx = SymbolGrid(grid, np.tile(1j * grid.xi, (grid.n, 1)), 1.0)
+    a_dx = SymbolGrid(grid, np.broadcast_to(1j * grid.xi, (grid.n, grid.n)), 1.0)
     coeffs0 = np.zeros(grid.shape, dtype=complex)
     coeffs0[np.argmin(np.abs(grid.xi - cfg.params["probe_mode"]))] = 1.0
     u = GridFunction.from_coeffs(grid, coeffs0)

@@ -68,12 +68,14 @@ def coefficient_preset(name: str, **params):
 
 
 def constant_value(coefficient, x):
-    """The value of a 1-d ``coefficient`` at ``x[0]`` when its samples at
-    every point of ``x`` agree to ``X_INDEPENDENT_RTOL``, else None."""
+    """The value of ``coefficient`` at the first of the points ``x`` (a float
+    in d = 1, a vector or matrix in d = 2) when its samples at every point
+    agree to ``X_INDEPENDENT_RTOL`` of the largest magnitude, else None (also
+    when a sample is not finite)."""
     samples = np.asarray(coefficient(x), dtype=float)
-    if np.abs(samples - samples[0]).max() > X_INDEPENDENT_RTOL * np.abs(samples).max():
+    if not np.abs(samples - samples[0]).max() <= X_INDEPENDENT_RTOL * np.abs(samples).max():
         return None
-    return float(samples[0])
+    return float(samples[0]) if samples.ndim == 1 else samples[0]
 
 
 @dataclass(frozen=True)

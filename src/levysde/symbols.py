@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ContractionError, EllipticityError
 from .grids import GridFunction, TorusGrid
 from .measures import _FD_STENCILS, StableMeasure
-from .models import X_INDEPENDENT_RTOL, SdeModel, state_symbol
+from .models import X_INDEPENDENT_RTOL, SdeModel, constant_value, state_symbol
 from .besov import raised_cosine_profile
 
 __all__ = [
@@ -120,9 +120,12 @@ class SymbolGrid:
 
     ``values`` has shape ``grid.shape + grid.shape`` (x-axes first), with
     xi-axes in FFT order.  ``order`` is the declared growth exponent.
-    ``x_independent``, ``factors``, ``x_mean``, ``range_box``, ``sector``,
-    ``sector_angle`` and ``real_operator`` are derived from ``values`` on
-    first use and cached.
+    ``values`` may be a read-only broadcast row, whose x-axes have stride 0:
+    :func:`tabulate` builds that form from constant coefficients, and
+    :attr:`x_independent` reads it off the strides.  ``factors``,
+    ``x_mean``, ``range_box``, ``sector``, ``sector_angle`` and
+    ``real_operator`` are derived from the distinct entries on first use and
+    cached.
     """
 
     grid: TorusGrid
@@ -136,26 +139,34 @@ class SymbolGrid:
         vals = np.asarray(self.values, dtype=complex)
         if vals.shape != expected:
             raise ValueError(f"symbol values must have shape {expected}, got {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("symbol values must be finite")
         object.__setattr__(self, "values", vals)
+        if not np.all(np.isfinite(self._distinct)):
+            raise ValueError("symbol values must be finite")
 
     @property
     def dimension(self) -> int:
         return self.grid.dimension
 
-    @functools.cached_property
+    @property
+    def _distinct(self) -> np.ndarray:
+        """The distinct entries: the one row of a broadcast table (its x-axes
+        cut to length 1), else the table itself.  They are the table's
+        entries in stored order, so every whole-table pass reads this view
+        and finds the same extremes and the same first witness."""
+        return self.values[(slice(None, 1),) * self.dimension] if self.x_independent else self.values
+
+    @property
     def x_independent(self) -> bool:
-        """True when every x-row equals the first to ``X_INDEPENDENT_RTOL`` of
-        the largest magnitude: ``s(x, D)`` is then a Fourier multiplier."""
-        ref = self.values[(0,) * self.dimension]
-        scale = max(float(np.abs(self.values).max()), 1e-300)
-        return bool(np.abs(self.values - ref).max() <= X_INDEPENDENT_RTOL * scale)
+        """True when ``values`` is a broadcast row (every x-stride is 0), so
+        ``s(x, D)`` is the Fourier multiplier of that row by construction."""
+        return not any(self.values.strides[:self.dimension])
 
     @functools.cached_property
     def factors(self) -> LowRank:
-        """Low-rank factors of the table (:class:`LowRank`, built on first use
-        by :func:`_cross_factors`).  A table that does not compress to
+        """Low-rank factors of the table (:class:`LowRank`, built on first use).
+        A broadcast row takes the exact rank-1 split ``f = 1``, ``g = row``
+        (rank 0 when the row is zero); any other table goes to
+        :func:`_cross_factors`.  A table that does not compress to
         ``FACTOR_RTOL`` below the break-even rank ``M / (2 log2 M)``, where r
         inverse FFTs of size M cost about one dense (M x M) apply, gets the
         exact trivial split (unit rows times table rows, rank M).
@@ -163,18 +174,23 @@ class SymbolGrid:
         A derived view: ``values`` stays the table every other reader uses.
         """
         M = math.prod(self.grid.shape)
+        if self.x_independent:
+            row = self._distinct.reshape(1, M)
+            rank = int(np.any(row))
+            return LowRank(np.ones((rank, M), dtype=complex), row[:rank], 0.0)
         return _cross_factors(self.values.reshape(M, M), int(M / (2 * math.log2(M))))
 
     @functools.cached_property
     def x_mean(self) -> np.ndarray:
-        """The frozen-coefficient symbol: the table's mean over x, shape ``grid.shape``."""
-        return self.values.mean(axis=tuple(range(self.dimension)))
+        """The frozen-coefficient symbol: the table's mean over x, shape
+        ``grid.shape`` (the row itself for a broadcast table)."""
+        return self._distinct.mean(axis=tuple(range(self.dimension)))
 
     @functools.cached_property
     def range_box(self) -> tuple:
         """Corners ``(lo, hi)`` of the smallest axis-parallel rectangle of the
         complex plane holding every table entry."""
-        re, im = self.values.real, self.values.imag
+        re, im = self._distinct.real, self._distinct.imag
         return complex(re.min(), im.min()), complex(re.max(), im.max())
 
     @functools.cached_property
@@ -188,8 +204,9 @@ class SymbolGrid:
         entry in stored order, else the ratio maximiser.  A violation with
         ``Re a >= -tol`` has a ratio above 1, so the mask is built only when
         ``ratio_sup > 1`` or the smallest real part lies below ``-tol``."""
-        re, im = self.values.real, self.values.imag
-        tol = 1e-10 * max(float(np.abs(self.values).max()), 1.0)
+        vals = self._distinct
+        re, im = vals.real, vals.imag
+        tol = 1e-10 * max(float(np.abs(vals).max()), 1.0)
         ratio = np.abs(im) / np.maximum(re, 1e-300)
         at = int(np.argmax(ratio))
         ratio_sup, ok = float(ratio.flat[at]), True
@@ -197,7 +214,7 @@ class SymbolGrid:
             bad = (re < -tol) | ((re <= tol) & (np.abs(im) > tol))
             if bad.any():
                 at, ok = int(np.argmax(bad)), False
-        witness = tuple(int(i) for i in np.unravel_index(at, self.values.shape))
+        witness = tuple(int(i) for i in np.unravel_index(at, vals.shape))
         return SectorReport(ratio_sup, ok, witness)
 
     @functools.cached_property
@@ -225,19 +242,22 @@ class SymbolGrid:
         with itself and ``1:`` with ``:0:-1``; along the last one the pairs
         ``(k, n - k)`` with ``k <= n/2`` suffice, since both orders of a pair
         give the same ``|a - conj b|``."""
+        vals = self._distinct
         h = self.grid.n // 2
         whole = ((0, 0), (slice(1, None), slice(None, 0, -1)))
         half = ((0, 0), (slice(1, h + 1), slice(None, h - 1, -1)))
         blocks = itertools.product(*[whole] * (self.dimension - 1), half)
         err = max(
-            float(np.abs(self.values[(Ellipsis,) + a] - self.values[(Ellipsis,) + b].conj()).max())
+            float(np.abs(vals[(Ellipsis,) + a] - vals[(Ellipsis,) + b].conj()).max())
             for a, b in (zip(*c) for c in blocks)
         )
-        scale = max(float(np.abs(self.values).max()), 1e-300)
+        scale = max(float(np.abs(vals).max()), 1e-300)
         return err <= X_INDEPENDENT_RTOL * scale
 
     def shifted(self, lam: complex) -> "SymbolGrid":
-        return SymbolGrid(self.grid, self.values + lam, self.order)
+        """The symbol ``a + lam``, in the same form (a broadcast row stays one)."""
+        return SymbolGrid(self.grid, np.broadcast_to(self._distinct + lam, self.values.shape),
+                          self.order)
 
     def csv_rows(self):
         """(x-index, xi-index, Re, Im) rows over the flattened lattice."""
@@ -253,23 +273,29 @@ class SymbolGrid:
 
 
 def tabulate(model: SdeModel, grid: TorusGrid) -> SymbolGrid:
-    """Tabulate ``a(x_i, xi_k)`` on the grid's product lattice."""
+    """Tabulate ``a(x_i, xi_k)`` on the grid's product lattice.
+
+    When ``sigma`` and ``b`` are constant on the grid
+    (:func:`models.constant_value`), the symbol is evaluated at the first
+    grid point only and ``values`` is that row broadcast over x, a read-only
+    view (:attr:`SymbolGrid.x_independent`)."""
     if model.dimension != grid.dimension:
         raise ValueError("model and grid dimensions differ")
     if grid.dimension == 1:
-        x = grid.x[:, None]
-        xi = grid.xi[None, :]
-        vals = state_symbol(model, x, xi)
+        x, xi = grid.x, grid.xi
     else:
         if grid.n > 32:
             raise ValueError("2-d symbol grids are capped at 32 points per axis")
-        xx, yy = grid.x_mesh()
-        kx, ky = grid.xi_mesh()
-        xpts = np.stack([xx, yy], axis=-1).reshape(-1, 2)  # (Nx, 2)
-        kpts = np.stack([kx, ky], axis=-1).reshape(-1, 2)  # (Nk, 2)
-        vals = state_symbol(model, xpts[:, None, :], kpts[None, :, :])
-        vals = vals.reshape(grid.shape + grid.shape)
-    return SymbolGrid(grid, np.asarray(vals, dtype=complex), order=_declared_order(model))
+        x = np.stack(grid.x_mesh(), axis=-1).reshape(-1, 2)  # (M, 2)
+        xi = np.stack(grid.xi_mesh(), axis=-1).reshape(-1, 2)
+    shape = grid.shape + grid.shape
+    if constant_value(model.sigma, x) is None or constant_value(model.drift, x) is None:
+        vals = state_symbol(model, x[:, None], xi[None]).reshape(shape)
+    else:
+        # complex before broadcasting, so that SymbolGrid keeps the view
+        row = np.asarray(state_symbol(model, x[:1], xi), dtype=complex)
+        vals = np.broadcast_to(row.reshape(grid.shape), shape)
+    return SymbolGrid(grid, vals, order=_declared_order(model))
 
 
 def _declared_order(model: SdeModel) -> float:

@@ -588,6 +588,17 @@ class TestCli:
                          id="three-truncation-levels"),
             pytest.param({"experiment": "composition", "params": {"frequencies": [8]}},
                          "params.frequencies", id="one-composition-frequency"),
+            *[pytest.param({"experiment": "composition", "grid": {"n": 1024, "length_factor": 4},
+                            "params": params}, field, id=name)
+              for name, params, field in [
+                  ("negative-frequency", {"frequencies": [-8, 16]}, "params.frequencies"),
+                  ("zero-frequency", {"frequencies": [0, 16]}, "params.frequencies"),
+                  ("negative-fourth-frequency", {"frequencies": [8, 16, 32, -4]},
+                   "params.frequencies"),
+                  ("frequency-probing-zero", {"frequencies": [0.1, 16]}, "params.frequencies"),
+                  ("frequency-above-band", {"frequencies": [16, 64]}, "params.frequencies"),
+                  ("probe-mode-above-band", {"probe_mode": 40}, "params.probe_mode"),
+              ]],
             pytest.param({"experiment": "smoothing", "params": {"times": [1.0, 0.5]}},
                          "params.times", id="two-smoothing-times"),
             pytest.param({"experiment": "density", "scheme": WEAK_SCHEME,

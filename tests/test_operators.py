@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -418,6 +419,22 @@ class TestSemigroup:
                 grid1024, np.exp(-t * symbol_const_1024.values[0]) * u.coeffs
             )
             assert (pt - exact).norm_l2() <= 1e-6 * exact.norm_l2()
+
+    def test_constant_symbol_stays_one_row(self, constant_model, grid1024):
+        # regression guard: a constant-coefficient symbol at N = 1024 is one
+        # broadcast row, and tabulating and evaluating it never forms the
+        # (N, N) table, which would take 16 MB
+        u = lv.random_rough_function(grid1024, 0.51, seed=3)
+        tracemalloc.start()
+        try:
+            sym = lv.tabulate(constant_model, grid1024)
+            for t in (0.1, 1.0):
+                lv.semigroup_apply(t, sym, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sym.values.strides[0] == 0
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
     def test_matrix_exponential_oracle_variable(self, variable_model):
         grid = lv.TorusGrid(n=128, dimension=1, length_factor=4.0)

@@ -166,6 +166,26 @@ def seminorm_cases(draw):
     return s, AClass(m=s.order, k1=k1, k2=k2, min_alpha=min_alpha)
 
 
+def constant_coefficient_model(d, alpha, sigma, drift):
+    """Constant ``sigma`` (times the identity in d = 2) and drift ``b`` (the
+    vector ``(b, -b / 2)`` in d = 2), driven by the normalized alpha-stable
+    measure."""
+    measure = lv.StableMeasure.normalized(alpha, dimension=d)
+    if d == 1:
+        return lv.SdeModel(sigma=lv.coefficient_preset("constant", value=sigma),
+                           drift=lv.coefficient_preset("constant", value=drift),
+                           measure=measure, sigma_lower_bound=0.5 * sigma)
+
+    def sig(x):
+        return np.broadcast_to(sigma * np.eye(2), np.shape(x)[:-1] + (2, 2))
+
+    def b(x):
+        return np.broadcast_to([drift, -0.5 * drift], np.shape(x)[:-1] + (2,))
+
+    return lv.SdeModel(sigma=sig, drift=b, measure=measure, sigma_lower_bound=0.5 * sigma,
+                       dimension=2)
+
+
 class TestTabulate:
     def test_constant_coefficient_row_constant(self, symbol_const_256, grid256):
         vals = symbol_const_256.values
@@ -174,12 +194,27 @@ class TestTabulate:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_x_independent_exact_rows_only(self, d):
+        # x-independence is the table's form: a broadcast row is x-independent,
+        # a materialized table is not, even with every row equal
         grid = lv.TorusGrid(n=16, dimension=d, length_factor=1.0)
         row = (1.0 + grid.xi_norm() ** 2) ** 0.75 + 0.5j
-        vals = np.broadcast_to(row, grid.shape + grid.shape).copy()
+        vals = np.broadcast_to(row, grid.shape + grid.shape)
         assert lv.SymbolGrid(grid, vals, 1.5).x_independent
-        vals[(3,) * d] *= 1.0 + 1e-10  # one x-row off by 1e-10 relative
-        assert not lv.SymbolGrid(grid, vals, 1.5).x_independent
+        assert not lv.SymbolGrid(grid, vals.copy(), 1.5).x_independent
+        if d == 2:  # broadcast along x_2 only
+            part = np.broadcast_to(vals[:, :1].copy(), vals.shape)
+            assert not lv.SymbolGrid(grid, part, 1.5).x_independent
+
+    def test_non_finite_coefficient_refused_past_the_first_point(self, grid256):
+        # the constant test reads every sample, so a NaN after x_0 is not
+        # taken for a constant and the full tabulation refuses it
+        def sigma(x):
+            return np.where(np.asarray(x) == grid256.x[5], np.nan, 1.0)
+
+        model = lv.SdeModel(sigma=sigma, drift=lv.coefficient_preset("constant", value=0.0),
+                            measure=lv.StableMeasure.normalized(1.5), sigma_lower_bound=0.5)
+        with pytest.raises(ValueError, match="sigma produced non-finite values"):
+            lv.tabulate(model, grid256)
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("drift", [0.0, 1.0])
@@ -254,6 +289,47 @@ class TestTabulate:
         assert lines[0].startswith("#")
         assert lines[1] == "x_index,xi_index,re,im"
         assert len(lines) == 2 + 16 * 16
+
+
+class TestBroadcastRow:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dn=st.sampled_from([(1, 16), (1, 64), (1, 256), (2, 16), (2, 32)]),
+        L=st.sampled_from([1.0, 4.0]),
+        alpha=st.floats(0.7, 1.9),  # with |drift| <= 2 the sector angle admits a contour
+        sigma=st.floats(0.5, 3.0),
+        drift=st.floats(-2.0, 2.0),
+        t=st.sampled_from([2.0**-10, 0.1, 1.0]),
+    )
+    def test_reads_like_the_materialized_table(self, dn, L, alpha, sigma, drift, t):
+        d, n = dn
+        model = constant_coefficient_model(d, alpha, sigma, drift)
+        grid = lv.TorusGrid(n=n, dimension=d, length_factor=L)
+        sym = lv.tabulate(model, grid)
+        assert sym.x_independent and not sym.values.flags.writeable
+        x, xi = grid.x, grid.xi
+        if d == 2:
+            x = np.stack(grid.x_mesh(), axis=-1).reshape(-1, 2)
+            xi = np.stack(grid.xi_mesh(), axis=-1).reshape(-1, 2)
+        table = lv.state_symbol(model, x[:, None], xi[None]).reshape(sym.values.shape)
+        assert np.array_equal(sym.values, table)
+
+        full = lv.SymbolGrid(grid, table, sym.order)
+        assert not full.x_independent
+        for name in ("sector", "sector_angle", "range_box", "real_operator"):
+            assert getattr(sym, name) == getattr(full, name), name
+        fast, slow = sym.factors, full.factors
+        assert fast.rank == slow.rank == 1
+        assert np.array_equal(fast.g, slow.g)
+        # the cross's x-factor is a / a at its pivot: one up to complex division
+        eps = np.finfo(float).eps
+        np.testing.assert_allclose(fast.f, slow.f, rtol=0.0, atol=2 * eps)
+        assert fast.error == 0.0 and slow.error <= 4 * eps
+
+        u = lv.random_rough_function(grid, 0.51, seed=3)
+        exact = lv.GridFunction.from_coeffs(grid, np.exp(-t * table[(0,) * d]) * u.coeffs)
+        pt = lv.semigroup_apply(t, sym, u)
+        assert (pt - exact).norm_l2() <= 1e-8 * exact.norm_l2()
 
 
 class TestSeminorm:
@@ -409,7 +485,7 @@ class TestCompositionDefect:
         # a1 = sigma(x) i xi, a2 = i xi: all correction terms vanish at N = 0
         sig = lv.coefficient_preset("2+sin", offset=2.0, amplitude=0.2)(grid256.x)[:, None]
         a1 = lv.SymbolGrid(grid256, sig * 1j * grid256.xi[None, :], 1.0)
-        a2 = lv.SymbolGrid(grid256, np.tile(1j * grid256.xi, (256, 1)), 1.0)
+        a2 = lv.SymbolGrid(grid256, np.broadcast_to(1j * grid256.xi, (256, 256)), 1.0)
         u = make_mode(grid256, 5.0)
         defect, rep = lv.composition_defect(a1, a2, u, order=0)
         assert rep.relative <= 1e-10
