@@ -31,6 +31,7 @@ measure); the truncated exponent is
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,11 @@ _GAUSS_LEGENDRE = tuple(np.polynomial.legendre.leggauss(n) for n in (12, 6))
 # Entries of one block of the (magnitudes x nodes) kernel matrix of a batched
 # tabulated exponent: bounds its memory at any batch size.
 _KERNEL_BLOCK = 1 << 15
+# Nodes of the octave rules one tabulated measure keeps (16 MiB of nodes and
+# weights), the oldest dropped first; a larger rule is used without being kept.
+# The lock guards every measure's kept rules against concurrent callers.
+_RULE_CACHE_NODES = 1 << 20
+_RULE_CACHE_LOCK = threading.Lock()
 # Jump signs drawn at once, and paths whose jump owners are built at once: a
 # batch of jumps needs no temporary of one integer per jump.
 _SIGN_BLOCK = 1 << 16
@@ -281,13 +287,15 @@ class AtomicMeasure:
     def exponent(self, xi):
         xi_arr, scalar = _as_xi_array(xi, self.dimension)
         locs, rates = self._locs_rates()
+        # elementwise products and per-row sums, no BLAS: a value depends on
+        # its own xi only, never on the shape of the batch
         if self.dimension == 1:
             phase = xi_arr[..., None] * locs[:, 0]
         else:
-            phase = np.tensordot(xi_arr, locs.T, axes=1)
+            phase = (xi_arr[..., None, :] * locs).sum(axis=-1)
         small = np.linalg.norm(locs, axis=1) <= 1.0
         terms = 1.0 - np.exp(1j * phase) + 1j * phase * small
-        out = np.tensordot(terms, rates, axes=([-1], [0]))
+        out = (terms * rates).sum(axis=-1)
         return out[0] if scalar else out
 
     def tail_mass(self, eps: float) -> float:
@@ -348,6 +356,11 @@ class TabulatedMeasure:
     So the Levy integrability condition holds exactly when the samples are
     finite and that power law is integrable against ``|z|^2`` at 0, which is
     checked on creation.
+
+    The quadrature rule of each octave band of :meth:`exponent` is built once
+    per measure and kept, up to ``_RULE_CACHE_NODES`` nodes in all (the oldest
+    rule dropped first); the values are those of a fresh rule, bit for bit,
+    and every call still checks each value's error.
     """
 
     radii: tuple
@@ -374,6 +387,7 @@ class TabulatedMeasure:
         object.__setattr__(self, "_dens", dens)
         object.__setattr__(self, "_slope0", slope0)
         object.__setattr__(self, "_surface", 2.0 if self.dimension == 1 else 2.0 * math.pi)
+        object.__setattr__(self, "_rules", {})
 
     @property
     def is_symmetric(self) -> bool:
@@ -413,6 +427,22 @@ class TabulatedMeasure:
         w = np.concatenate([(half * wg).ravel() for _, wg in _GAUSS_LEGENDRE])
         return r, w * self._surface * self._dens(r) * r**power, nodes[0].size, edge
 
+    def _octave_rule(self, lo: float, hi: float, power: int, edge: float):
+        """:meth:`_rule` with ``osc_scale = edge``, kept in ``_rules`` (see the
+        class docstring)."""
+        key = (lo, hi, power, edge)
+        rule = self._rules.get(key)
+        if rule is None:
+            rule = self._rule(*key)
+            rule[0].flags.writeable = rule[1].flags.writeable = False
+            size = rule[0].size
+            if size <= _RULE_CACHE_NODES:
+                with _RULE_CACHE_LOCK:
+                    while sum(r.size for r, *_ in self._rules.values()) + size > _RULE_CACHE_NODES:
+                        del self._rules[next(iter(self._rules))]
+                    self._rules[key] = rule
+        return rule
+
     def _moment(self, power: int, edge: float) -> float:
         """``surf int_0^edge g(r) r^power dr`` in closed form: below the first
         node ``g`` is the power law ``g0 (r / r0)^s``.  Infinite when the
@@ -431,11 +461,12 @@ class TabulatedMeasure:
         None.  Returns ``(lo, hi, values, residuals, tolerances)``: the
         12-point values, their residuals against the 6-point companion and
         the tolerances of those, as :func:`_verify` reads them."""
-        r, w, n12, edge = self._rule(lo, hi, power, osc_scale)
         if mags is None:
+            r, w, n12, edge = self._rule(lo, hi, power, osc_scale)
             fine, coarse = np.array([w[:n12].sum()]), np.array([w[n12:].sum()])
             inner = self._moment(power, edge)
         else:
+            r, w, n12, edge = self._octave_rule(lo, hi, power, osc_scale)
             fine, coarse = np.empty(mags.size), np.empty(mags.size)
             rows = max(1, _KERNEL_BLOCK // r.size)
             for s in range(0, mags.size, rows):

@@ -2,6 +2,8 @@
 activity-index estimator."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 import levysde as lv
+from levysde import measures
+from levysde.harness.config import build_grid
 from levysde.measures import jump_stream, path_sums
 
 
@@ -182,6 +186,109 @@ class TestTabulatedExponent:
         # missing tail mass beyond the tabulated support bounds the error
         tail = 2 * math.pi * c * r[-1] ** (-alpha) / alpha
         assert np.all(np.abs(tab.exponent(xi) - closed) <= 2 * tail + 1e-8 * closed)
+
+    def test_octave_rules_built_once_per_measure(self, monkeypatch):
+        builds, cells = [], lv.TabulatedMeasure._cells
+
+        def counted(tab, lo, hi, osc_scale):
+            builds.append((lo, hi, osc_scale))
+            return cells(tab, lo, hi, osc_scale)
+
+        monkeypatch.setattr(lv.TabulatedMeasure, "_cells", counted)
+        tab = lv.TabulatedMeasure(radii=tuple(self.R25), density=tuple(self.R25**-2.5))
+        mags = np.unique(np.abs(build_grid({"n": 256, "length_factor": 4}).xi))
+        assert mags.size == 129
+        edges = {max(1.0, 2.0 ** math.frexp(m)[1]) for m in mags[1:]}
+        first = [tab.exponent(float(m)) for m in mags]
+        # two pieces per octave, [0, 1] and [1, radii[-1]], each built once
+        pieces = [(lo, hi, e) for e in edges for lo, hi in ((0.0, 1.0), (1.0, 10.0))]
+        assert sorted(builds) == sorted(pieces)
+        builds.clear()
+        assert [tab.exponent(float(m)) for m in mags] == first
+        assert builds == []
+
+    def test_kept_nodes_stay_within_cap(self):
+        tab = lv.TabulatedMeasure(radii=tuple(self.R25), density=tuple(self.R25**-2.5))
+        # edges 2^10 to 2^14: the last octave's two rules hold 1.1e6 nodes
+        for m in (1000.0, 3000.0, 12288.0, 3000.0):
+            val = tab.exponent(m)
+            kept = sum(r.size for r, *_ in tab._rules.values())
+            assert 0 < kept <= measures._RULE_CACHE_NODES
+            fresh = lv.TabulatedMeasure(radii=tab.radii, density=tab.density)
+            assert val.tobytes() == fresh.exponent(m).tobytes()
+
+    def test_concurrent_callers_share_one_measure(self, monkeypatch):
+        # more threads than cores, a short switch interval and a cap that
+        # forces evictions: every value is a fresh measure's, the cap holds
+        monkeypatch.setattr(measures, "_RULE_CACHE_NODES", 20_000)
+        make = lambda: lv.TabulatedMeasure(radii=tuple(self.R25), density=tuple(self.R25**-2.2))
+        mags = [1.5 * 2.0**k for k in range(-1, 9)]
+        expected = make().exponent(mags)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for tab in [make() for _ in range(6)]:
+                    calls = [pool.submit(lambda: [tab.exponent(m) for m in mags]) for _ in range(16)]
+                    assert all(np.array_equal(f.result(timeout=120), expected) for f in calls)
+                    assert sum(r.size for r, *_ in tab._rules.values()) <= 20_000
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_failure_is_raised_on_every_call(self):
+        r = np.geomspace(0.5, 10.0, 5)
+        tab = lv.TabulatedMeasure(radii=tuple(r), density=tuple(r**-2.5))
+        errors = []
+        for _ in range(2):
+            with pytest.raises(lv.QuadratureError) as info:
+                tab.exponent(1e4)
+            errors.append(info.value)
+        first, second = [(e.magnitude, e.residual, e.tolerance) for e in errors]
+        assert first == second and first[0] == 1e4
+
+
+# Exact octave edges 2^k, |xi| <= 1 and general magnitudes.
+MAGNITUDES = (st.sampled_from([2.0**k for k in range(-3, 9)]) | st.floats(0.0, 1.0)
+              | st.floats(0.0, 300.0))
+SIX_ATOMS = {
+    1: tuple(((z,), w) for z, w in zip((-2.7, -0.8, -0.3, 0.45, 1.1, 2.9),
+                                       (0.4, 1.3, 2.0, 0.7, 1.6, 0.9))),
+    2: tuple((z, w) for z, w in zip(((-2.7, 0.4), (-0.8, -0.1), (0.0, -0.3), (0.45, 0.6),
+                                     (1.1, 0.0), (2.9, -1.4)),
+                                    (0.4, 1.3, 2.0, 0.7, 1.6, 0.9))),
+}
+R22 = np.geomspace(0.01, 10.0, 30)
+MEASURE_KINDS = {
+    "stable": lambda d: lv.StableMeasure.normalized(1.3, dimension=d),
+    "atomic": lambda d: lv.AtomicMeasure(atoms=SIX_ATOMS[d], dimension=d),
+    "tabulated": lambda d: lv.TabulatedMeasure(radii=tuple(R22), density=tuple(R22**-2.2),
+                                               dimension=d),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(MEASURE_KINDS)),
+    d=st.sampled_from([1, 2]),
+    mags=st.lists(MAGNITUDES, min_size=1, max_size=10),
+    pick=st.randoms(use_true_random=False),
+)
+def test_values_are_fresh_batch_values(kind, d, mags, pick):
+    # a fresh measure's batch, then scalar and batch calls on the same (warm)
+    # measure: every value bit-identical, the truncation moments unchanged
+    if d == 1:
+        batch = np.array([pick.choice((m, -m)) for m in mags])
+    else:
+        batch = np.array([pick.choice(((m, 0.0), (0.0, -m), (0.6 * m, 0.8 * m))) for m in mags])
+    spec = MEASURE_KINDS[kind](d)
+    fresh = spec.exponent(batch)
+    warm_points = np.array([spec.exponent(p) for p in batch])
+    assert np.array_equal(warm_points, fresh)
+    assert np.array_equal(spec.exponent(batch), fresh)
+    other = MEASURE_KINDS[kind](d)
+    for eps in (0.05, 0.5):
+        assert spec.tail_mass(eps) == other.tail_mass(eps)
+        assert np.array_equal(spec.small_jump_variance(eps), other.small_jump_variance(eps))
 
 
 class TestExponentInvariants:
