@@ -62,7 +62,8 @@ _GAUSS_LEGENDRE = tuple(np.polynomial.legendre.leggauss(n) for n in (12, 6))
 # tabulated exponent: bounds its memory at any batch size.
 _KERNEL_BLOCK = 1 << 15
 # Nodes of the octave rules one tabulated measure keeps (16 MiB of nodes and
-# weights), the oldest dropped first; a larger rule is used without being kept.
+# weights), the oldest dropped first; an octave whose rules hold more is used
+# without being kept.
 # The lock guards every measure's kept rules against concurrent callers.
 _RULE_CACHE_NODES = 1 << 20
 _RULE_CACHE_LOCK = threading.Lock()
@@ -357,10 +358,12 @@ class TabulatedMeasure:
     finite and that power law is integrable against ``|z|^2`` at 0, which is
     checked on creation.
 
-    The quadrature rule of each octave band of :meth:`exponent` is built once
-    per measure and kept, up to ``_RULE_CACHE_NODES`` nodes in all (the oldest
-    rule dropped first); the values are those of a fresh rule, bit for bit,
-    and every call still checks each value's error.
+    The quadrature rules of each octave band of :meth:`exponent`, one per
+    piece of the band, are built once per measure and kept together, up to
+    ``_RULE_CACHE_NODES`` nodes in all (the oldest rule dropped first; a band
+    whose rules exceed the cap is used without being kept); the values are
+    those of fresh rules, bit for bit, and every call still checks each
+    value's error.
     """
 
     radii: tuple
@@ -427,21 +430,25 @@ class TabulatedMeasure:
         w = np.concatenate([(half * wg).ravel() for _, wg in _GAUSS_LEGENDRE])
         return r, w * self._surface * self._dens(r) * r**power, nodes[0].size, edge
 
-    def _octave_rule(self, lo: float, hi: float, power: int, edge: float):
-        """:meth:`_rule` with ``osc_scale = edge``, kept in ``_rules`` (see the
-        class docstring)."""
-        key = (lo, hi, power, edge)
-        rule = self._rules.get(key)
-        if rule is None:
-            rule = self._rule(*key)
-            rule[0].flags.writeable = rule[1].flags.writeable = False
-            size = rule[0].size
+    def _octave_rules(self, limits, power: int, edge: float) -> list:
+        """:meth:`_rule` with ``osc_scale = edge`` for each ``(lo, hi)`` piece
+        of ``limits``, kept together in ``_rules`` (see the class docstring):
+        a piece never evicts another piece of its octave."""
+        keys = [(lo, hi, power, edge) for lo, hi in limits]
+        rules = [self._rules.get(key) for key in keys]
+        if None in rules:
+            rules = [rule or self._rule(*key) for rule, key in zip(rules, keys)]
+            for r, w, *_ in rules:
+                r.flags.writeable = w.flags.writeable = False
+            size = sum(r.size for r, *_ in rules)
             if size <= _RULE_CACHE_NODES:
                 with _RULE_CACHE_LOCK:
+                    for key in keys:
+                        self._rules.pop(key, None)
                     while sum(r.size for r, *_ in self._rules.values()) + size > _RULE_CACHE_NODES:
                         del self._rules[next(iter(self._rules))]
-                    self._rules[key] = rule
-        return rule
+                    self._rules.update(zip(keys, rules))
+        return rules
 
     def _moment(self, power: int, edge: float) -> float:
         """``surf int_0^edge g(r) r^power dr`` in closed form: below the first
@@ -454,19 +461,20 @@ class TabulatedMeasure:
             return math.inf
         return self._surface * self.density[0] * r0 ** (power + 1.0) * (edge / r0) ** q / q
 
-    def _integrate(self, lo: float, hi: float, power: int, mags=None, osc_scale: float = 0.0):
+    def _integrate(self, lo: float, hi: float, power: int, mags=None, rule=None):
         """``surf int_lo^hi k(m r) g(r) r^power dr`` for each magnitude ``m``
-        of ``mags`` by the rule of :meth:`_rule`, with ``k(u) = 1 - cos u``
-        (d=1) or ``1 - J0(u)`` (d=2); ``k = 1`` and one value when ``mags`` is
-        None.  Returns ``(lo, hi, values, residuals, tolerances)``: the
-        12-point values, their residuals against the 6-point companion and
-        the tolerances of those, as :func:`_verify` reads them."""
+        of ``mags`` by ``rule``, a :meth:`_rule` of the piece, with
+        ``k(u) = 1 - cos u`` (d=1) or ``1 - J0(u)`` (d=2); ``k = 1``, one value
+        and a fresh rule when ``mags`` is None.  Returns ``(lo, hi, values,
+        residuals, tolerances)``: the 12-point values, their residuals against
+        the 6-point companion and the tolerances of those, as :func:`_verify`
+        reads them."""
         if mags is None:
-            r, w, n12, edge = self._rule(lo, hi, power, osc_scale)
+            r, w, n12, edge = self._rule(lo, hi, power)
             fine, coarse = np.array([w[:n12].sum()]), np.array([w[n12:].sum()])
             inner = self._moment(power, edge)
         else:
-            r, w, n12, edge = self._octave_rule(lo, hi, power, osc_scale)
+            r, w, n12, edge = rule
             fine, coarse = np.empty(mags.size), np.empty(mags.size)
             rows = max(1, _KERNEL_BLOCK // r.size)
             for s in range(0, mags.size, rows):
@@ -503,7 +511,11 @@ class TabulatedMeasure:
         rmax = self.radii[-1]
         # split at |z| = 1: singular endpoint on the left, smooth tail right
         limits = [(0.0, min(1.0, rmax))] + ([(1.0, rmax)] if rmax > 1.0 else [])
-        pieces = [self._integrate(lo, hi, self.dimension - 1, mags, edge) for lo, hi in limits]
+        power = self.dimension - 1
+        rules = self._octave_rules(limits, power, edge)
+        pieces = [
+            self._integrate(lo, hi, power, mags, rule) for (lo, hi), rule in zip(limits, rules)
+        ]
         _verify(pieces, mags)
         return sum(fine for _, _, fine, _, _ in pieces)
 
@@ -628,8 +640,12 @@ def path_sums(counts, sizes, n: int, d: int = 1, cuts=()) -> np.ndarray:
         hi = min(lo + _OWNER_BLOCK, n)
         part = sizes[starts[lo] : starts[hi - 1] + counts[hi - 1]]
         key = np.repeat(np.arange(0, (hi - lo) * m, m), counts[lo:hi])
-        for c in cuts:
-            key += (part > c) | (part < -c)
+        if cuts:
+            mags = np.abs(part)
+            band = np.zeros(part.size, np.min_scalar_type(len(cuts)))
+            for c in cuts:
+                band += mags > c
+            key += band
         out[lo * m : hi * m] = np.bincount(key, weights=part, minlength=(hi - lo) * m)
     return out.reshape(n, m) if cuts else out
 

@@ -130,14 +130,20 @@ def state_symbol(model: SdeModel, x, xi):
     """State symbol ``a(x, xi) = psi(sigma(x)^T xi) - i <b(x), xi>``.
 
     ``x`` and ``xi`` broadcast against each other; in d=2 both carry a
-    trailing coordinate axis of length 2.
+    trailing coordinate axis of length 2.  A zero drift term is skipped: no
+    measure's exponent has a real part of -0.0 or, where ``xi <= 0``, an
+    imaginary part of -0.0, so ``psi - 0j`` would be ``psi`` bit for bit.
     """
     if model.dimension == 1:
         x_arr = np.asarray(x, dtype=float)
         xi_arr = np.asarray(xi, dtype=float)
         eta = model.sigma_at(x_arr) * xi_arr
         psi = levy_exponent(model.measure, eta)
-        return psi - 1j * model.drift_at(x_arr) * xi_arr
+        drift = model.drift_at(x_arr)
+        shape = np.shape(psi)
+        if drift.any() or np.broadcast_shapes(shape, drift.shape) != shape:
+            psi = psi - 1j * drift * xi_arr
+        return psi
     x_arr = np.asarray(x, dtype=float)
     xi_arr = np.asarray(xi, dtype=float)
     sig = model.sigma_at(x_arr)  # (..., 2, 2)
@@ -149,4 +155,6 @@ def state_symbol(model: SdeModel, x, xi):
     # (sigma^T xi)_j = sum_i sigma_ij xi_i
     eta = np.einsum("...ij,...i->...j", sig_b, xi_b)
     psi = levy_exponent(model.measure, eta)
-    return psi - 1j * np.einsum("...i,...i->...", drf_b, xi_b)
+    if drf.any():
+        psi = psi - 1j * np.einsum("...i,...i->...", drf_b, xi_b)
+    return psi

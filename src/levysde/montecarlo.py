@@ -7,15 +7,12 @@ drift, the compensator, and the Gaussian compensation.  With x-independent
 coefficients a single step is distribution-exact, which isolates the
 truncation-level error from any time-step bias.
 
-Reproducibility: ``_batches`` is the only seeding rule.  Paths are simulated
-in fixed-size batches; the generator of batch ``i`` is seeded from
-``(seed, stream, i)``, and batch reductions happen in index order, so results
-are bit-identical for a given scheme regardless of the thread count
-(``LEVYSDE_THREADS``, a positive integer).  ``_map_batches`` runs the batches
-of ``terminal_samples`` and of the constant-coefficient ``weak_error_table`` on
-that many threads; ``jump_split_check`` (see its docstring) and
-``strong_feller_profile`` (one cheap Euler step in the shipped profiles, each
-batch holding every step's increments) stay serial.
+Reproducibility: ``_map_batches`` is the only batch runner and the only
+seeding rule.  Paths are simulated in fixed-size batches; the generators of
+batch ``i`` are seeded from ``(seed, stream, i)``, and the caller reduces the
+batch results in index order, so results are bit-identical for a given scheme
+regardless of the thread count (``LEVYSDE_THREADS``, a positive integer), which
+sets how many batches run at once.
 """
 
 from __future__ import annotations
@@ -59,7 +56,7 @@ _BATCH = 1 << 16
 # exp(-c^2/2) <= 2^-52 of the kernel's peak, below its double rounding, which
 # needs c >= sqrt(104 ln 2) ~= 8.49.
 _KDE_CUT = 8.5
-# Kernel pairs gathered at once (2 MB per float array): for light-tailed samples
+# Kernel pairs formed at once (2 MB per float array): for light-tailed samples
 # a third of all (grid point, sample) pairs can lie inside the window.
 _KDE_PAIRS = 1 << 18
 # The torus on which spectral_reference periodizes its payoff.
@@ -125,23 +122,19 @@ def _evolve(model: SdeModel, X, t: float, scheme: SimScheme, mode: str, rng):
     return X
 
 
-def _batches(n: int, seed: int, *streams):
-    """Yield ``(size, rng...)`` per batch of ``n`` paths, one generator per stream.
-
-    The generator of batch ``i`` in stream ``s`` is seeded from ``(seed, s, i)``.
-    """
-    for i, lo in enumerate(range(0, n, _BATCH)):
-        rngs = (np.random.default_rng(np.random.SeedSequence((seed, s, i))) for s in streams)
-        yield (min(_BATCH, n - lo), *rngs)
-
-
 def _map_batches(fn, n: int, seed: int, *streams) -> list:
-    """``fn(size, rng...)`` for every ``_batches`` batch, in batch order.
+    """``fn(size, rng...)`` for every batch of ``n`` paths, in batch order.
 
-    The batches run on ``LEVYSDE_THREADS`` threads; a single batch runs on the
-    calling thread.
+    Batch ``i`` holds the paths ``i _BATCH`` up to ``min((i + 1) _BATCH, n)``
+    and one generator per stream, that of stream ``s`` seeded from
+    ``(seed, s, i)``.  The batches run on ``LEVYSDE_THREADS`` threads; a single
+    batch runs on the calling thread.
     """
-    jobs = list(_batches(n, seed, *streams))
+    jobs = [
+        (min(_BATCH, n - lo), *(np.random.default_rng(np.random.SeedSequence((seed, s, i)))
+                                for s in streams))
+        for i, lo in enumerate(range(0, n, _BATCH))
+    ]
     threads = _thread_count()
     if threads == 1 or len(jobs) == 1:
         return [fn(*job) for job in jobs]
@@ -380,19 +373,23 @@ def strong_feller_profile(
     xs = np.asarray(x_grid, dtype=float)
     n_steps = _euler_steps(t, scheme.tau)
     dt = t / n_steps
-    hits = np.zeros(xs.size)
     n_total = scheme.paths
-    for nb, rng in _batches(n_total, scheme.seed, 11):
+
+    def batch(nb, rng):
+        """Paths ending at or above ``threshold``, per grid point."""
         increments = [
             sample_increment(model.measure, dt, scheme.mode, rng, eps=scheme.eps, size=nb)
             for _ in range(n_steps)
         ]
+        hits = np.empty(xs.size)
         for j, x in enumerate(xs):
             X = np.full(nb, x)
             for dL in increments:
                 X = _advance(model, X, dt, dL)
-            hits[j] += float((X >= threshold).sum())
-    profile = hits / n_total
+            hits[j] = np.count_nonzero(X >= threshold)
+        return hits
+
+    profile = sum(_map_batches(batch, n_total, scheme.seed, 11)) / n_total
     se = np.sqrt(np.maximum(profile * (1 - profile), 0.0) / n_total)
     dx = np.diff(xs)
     jumps = np.abs(np.diff(profile))
@@ -472,7 +469,6 @@ def _kde(X, ys, h):
     first = np.searchsorted(xs, ys - _KDE_CUT * h, side="left")
     counts = np.searchsorted(xs, ys + _KDE_CUT * h, side="right") - first
     ends = np.cumsum(counts)
-    offset = first - (ends - counts)  # pair j of grid point i gathers sample j + offset[i]
     dens = np.empty(ys.size)
     slope = np.empty(ys.size)
     start = 0
@@ -481,13 +477,21 @@ def _kde(X, ys, h):
         done = ends[start] - counts[start]
         stop = max(start + 1, int(np.searchsorted(ends, done + _KDE_PAIRS, side="right")))
         run = slice(start, stop)
-        # ragged gather: pair j of the run joins grid point start + owner[j] and sample idx[j]
+        # grid point i pairs with its window xs[first[i] : first[i] + counts[i]],
+        # in order; pair j of the run belongs to grid point start + owner[j]
         owner = np.repeat(np.arange(stop - start), counts[run])
-        idx = np.arange(done, ends[stop - 1]) + np.repeat(offset[run], counts[run])
-        z = (ys[run][owner] - xs[idx]) / h
-        k = np.exp(-0.5 * z**2) / math.sqrt(2 * math.pi)
+        z = np.repeat(ys[run], counts[run])
+        windows = zip(first[run].tolist(), counts[run].tolist())
+        z -= np.concatenate([xs[f : f + c] for f, c in windows])
+        z /= h
+        k = np.square(z)
+        k *= -0.5
+        np.exp(k, out=k)
+        k /= math.sqrt(2 * math.pi)
         dens[run] = np.bincount(owner, weights=k, minlength=stop - start)
-        slope[run] = np.bincount(owner, weights=-z * k, minlength=stop - start)
+        np.negative(z, out=z)
+        z *= k
+        slope[run] = np.bincount(owner, weights=z, minlength=stop - start)
         start = stop
     return dens / (X.size * h), slope / (X.size * h * h)
 
@@ -533,9 +537,6 @@ def jump_split_check(
     The split is at ``|z| = 1``: jumps in ``(eps, 1]`` stay compensated, jumps
     beyond one are a plain compound Poisson.  Also verifies the expected
     number of large jumps ``E N(t) = nu(|z| > 1) t``.
-
-    The batches run serially: on threads the check ran slower, and the
-    threads' malloc arenas raised the process's peak memory.
     """
     if model.dimension != 1:
         raise NotImplementedError("the split check is 1-d")
@@ -548,12 +549,10 @@ def jump_split_check(
     z0 = measure.compensator_drift(eps)[0]
     payoffs = payoffs or _default_battery(2 * np.pi * 4.0)
 
-    # row 0: unsplit driver, row 1: split driver
-    sums = np.zeros((2, len(payoffs)))
-    sums2 = np.zeros((2, len(payoffs)))
-    n_large_total = 0.0
-
-    for nb, rng_u, rng_s in _batches(paths, seed, 0, 1):
+    def batch(nb, rng_u, rng_s):
+        """Payoff sums and sums of squares, shape ``(2, 2, payoffs)`` (sum or
+        square, then row 0 for the unsplit and row 1 for the split driver),
+        and the count of large jumps."""
         # unsplit: one compound Poisson stream from nu restricted to |z| > eps
         draw = lambda k: measure.sample_tail(eps, k, rng_u)
         counts, jumps = jump_stream(mass_all * t, nb, draw, rng_u)
@@ -568,18 +567,23 @@ def jump_split_check(
         del counts, small
         draw = lambda k: measure.sample_tail(1.0, k, rng_s)
         counts, large = jump_stream(mass_large * t, nb, draw, rng_s)
-        n_large_total += float(large.size)
+        n_large = large.size
         dL_s = dL_s + path_sums(counts, large, nb)
         del counts, large
 
         sig0 = model.sigma_at(np.full(nb, float(x0)))
         drf0 = model.drift_at(np.full(nb, float(x0)))
+        out = np.empty((2, 2, len(payoffs)))
         for row, dL in enumerate((dL_u, dL_s)):
             X = x0 + drf0 * t + sig0 * dL
             for j, fp in enumerate(payoffs):
                 v = np.asarray(fp(X), dtype=float)
-                sums[row, j] += v.sum()
-                sums2[row, j] += (v**2).sum()
+                out[:, row, j] = v.sum(), (v**2).sum()
+        return out, n_large
+
+    results = _map_batches(batch, paths, seed, 0, 1)
+    sums, sums2 = sum(out for out, _ in results)
+    n_large_total = float(sum(n for _, n in results))
 
     (mean_u, mean_s), (var_u, var_s) = _mean_var(sums, sums2, paths)
     rows = []

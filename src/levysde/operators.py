@@ -577,10 +577,17 @@ def write_gauge_csv(path, rows, header_comment: str = None, columns=("t", "value
     """Write ``rows`` under ``columns`` as CSV: floats with 17 significant
     digits, short rows padded with empty cells.  Every harness CSV goes
     through here."""
+    pad = ("",) * len(columns)
+    formats = {}  # the line format of each tuple of cell types
     with open(path, "w") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            padded = tuple(row) + ("",) * (len(columns) - len(row))
-            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in padded) + "\n")
+            cells = tuple(row) + pad[len(row) :]
+            kinds = tuple(map(type, cells))
+            line = formats.get(kinds)
+            if line is None:
+                cell = ("%.17g" if issubclass(k, float) else "%s" for k in kinds)
+                line = formats[kinds] = ",".join(cell) + "\n"
+            fh.write(line % cells)

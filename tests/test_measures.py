@@ -217,6 +217,23 @@ class TestTabulatedExponent:
             fresh = lv.TabulatedMeasure(radii=tab.radii, density=tab.density)
             assert val.tobytes() == fresh.exponent(m).tobytes()
 
+    def test_octave_over_the_cap_keeps_the_others(self):
+        # the two pieces of the 2^14 octave hold 376,488 and 728,190 nodes:
+        # together over the cap, so the octave is used without being kept and
+        # neither piece evicts the other octaves' rules
+        tab = lv.TabulatedMeasure(radii=tuple(self.R25), density=tuple(self.R25**-2.5))
+        low = [tab.exponent(m) for m in (0.5, 3.0, 40.0, 700.0)]
+        warm = dict(tab._rules)
+        assert len(warm) == 8
+        high = tab.exponent(12288.0)
+        assert tab._rules.keys() == warm.keys()
+        assert all(tab._rules[key] is rule for key, rule in warm.items())
+        fresh = lv.TabulatedMeasure(radii=tab.radii, density=tab.density)
+        assert high.tobytes() == fresh.exponent(12288.0).tobytes()
+        assert [tab.exponent(m).tobytes() for m in (0.5, 3.0, 40.0, 700.0)] == [
+            v.tobytes() for v in low
+        ]
+
     def test_concurrent_callers_share_one_measure(self, monkeypatch):
         # more threads than cores, a short switch interval and a cap that
         # forces evictions: every value is a fresh measure's, the cap holds
@@ -570,6 +587,23 @@ class TestJumpStream:
         expected = np.bincount(owner * m + band, weights=sizes, minlength=n * m)
         got = path_sums(counts, sizes, n, cuts=cuts)
         assert got.shape == ((n, m) if cuts else (n,))
+        assert np.array_equal(got.ravel(), expected)
+
+    @pytest.mark.parametrize("n_cuts", [1, 3, 255, 300])
+    def test_band_keys_match_two_comparisons(self, n_cuts):
+        # sizes on the cuts themselves and signed zeros; 255 cuts fill a
+        # uint8 band count, 300 need a wider one
+        cuts = tuple(np.linspace(0.0, 2.0, n_cuts + 1)[1:])
+        n = 4096 + 7
+        rng = np.random.default_rng(n_cuts)
+        counts, sizes = jump_stream(2.0, n, self.draw_sizes(rng, 1), rng)
+        edge = np.array(cuts + (0.0, -0.0))
+        sizes[::3] = rng.choice(edge, sizes[::3].size) * rng.choice([-1.0, 1.0], sizes[::3].size)
+        key = np.repeat(np.arange(n) * (n_cuts + 1), counts)
+        for c in cuts:
+            key += (sizes > c) | (sizes < -c)
+        expected = np.bincount(key, weights=sizes, minlength=n * (n_cuts + 1))
+        got = path_sums(counts, sizes, n, cuts=cuts)
         assert np.array_equal(got.ravel(), expected)
 
 

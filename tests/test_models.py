@@ -41,6 +41,76 @@ class TestStateSymbol:
         a = lv.state_symbol(model, 0.0, 3.0)
         assert a.imag == pytest.approx(-3.0)
 
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    @pytest.mark.parametrize("sigma", [lv.coefficient_preset("2+sin", amplitude=0.2),
+                                       lambda x: 2.0], ids=["2+sin", "scalar"])
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            lv.StableMeasure.normalized(1.5),
+            lv.AtomicMeasure(atoms=(((0.5,), 3.0), ((-0.5,), 3.0), ((2.0,), 1.0))),
+            lv.TabulatedMeasure(radii=tuple(np.geomspace(0.01, 10, 30)),
+                                density=tuple(np.geomspace(0.01, 10, 30) ** -2.5)),
+        ],
+        ids=["stable", "atomic", "tabulated"],
+    )
+    def test_zero_drift_matches_literal_formula(self, measure, sigma, zero):
+        # the drift term is skipped when every drift sample is zero; the
+        # values, their sign bits and the shape are those of the literal formula
+        model = lv.SdeModel(
+            sigma=sigma,
+            drift=lv.coefficient_preset("constant", value=zero),
+            measure=measure,
+            sigma_lower_bound=1.0,
+        )
+        x = np.linspace(0.0, 2 * np.pi, 7)[:, None]
+        xi = np.array([-7.0, -1.0, -0.0, 0.0, 0.5, 3.0])[None, :]
+        for x_at, xi_at in ((x, xi), (0.3, -2.0), (0.3, 0.0), (x, -0.0)):
+            literal = (lv.levy_exponent(measure, model.sigma_at(np.asarray(x_at)) * xi_at)
+                       - 1j * model.drift_at(np.asarray(x_at)) * xi_at)
+            got = lv.state_symbol(model, x_at, xi_at)
+            assert np.shape(got) == np.shape(literal)
+            assert np.array_equal(got, literal)
+            for part in ("real", "imag"):
+                assert np.array_equal(np.signbit(getattr(got, part)),
+                                      np.signbit(getattr(literal, part)))
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_drift_matches_literal_formula_2d(self, zero):
+        measure = lv.StableMeasure.normalized(1.5, dimension=2)
+
+        def sigma(x):
+            x = np.asarray(x, dtype=float)
+            out = np.zeros(x.shape[:-1] + (2, 2))
+            out[..., 0, 0] = 2.0 + 0.2 * np.sin(x[..., 0])
+            out[..., 0, 1] = 0.1 * np.cos(x[..., 1])
+            out[..., 1, 1] = 1.5
+            return out
+
+        model = lv.SdeModel(
+            sigma=sigma,
+            drift=lambda x: np.full(np.shape(x), zero),
+            measure=measure,
+            sigma_lower_bound=1.0,
+            dimension=2,
+        )
+        axis = np.array([-3.0, -0.0, 0.0, 2.0])
+        xi = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        x = np.stack(np.meshgrid(np.linspace(0, 6, 3), np.linspace(0, 6, 3), indexing="ij"),
+                     axis=-1).reshape(-1, 1, 2)
+        sig = model.sigma_at(x)
+        lead = np.broadcast_shapes(sig.shape[:-2], xi.shape[:-1])
+        xi_b = np.broadcast_to(xi, lead + (2,))
+        eta = np.einsum("...ij,...i->...j", np.broadcast_to(sig, lead + (2, 2)), xi_b)
+        drift_b = np.broadcast_to(model.drift_at(x), lead + (2,))
+        literal = (lv.levy_exponent(measure, eta)
+                   - 1j * np.einsum("...i,...i->...", drift_b, xi_b))
+        got = lv.state_symbol(model, x, xi)
+        assert np.array_equal(got, literal)
+        for part in ("real", "imag"):
+            assert np.array_equal(np.signbit(getattr(got, part)),
+                                  np.signbit(getattr(literal, part)))
+
     def test_sigma_lower_bound_enforced(self, stable_measure):
         model = lv.SdeModel(
             sigma=lv.coefficient_preset("2+sin", offset=1.0, amplitude=1.0),

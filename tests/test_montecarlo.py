@@ -165,6 +165,8 @@ class TestMcSemigroup:
         ops = (
             lambda: lv.terminal_samples(constant_model, 0.0, 1.0, scheme),
             lambda: lv.weak_error_table(constant_model, payoff, 0.0, 1.0, [0.4, 0.1], scheme),
+            lambda: lv.jump_split_check(constant_model, 0.0, 1.0, paths=100, eps=0.1, seed=1),
+            lambda: lv.strong_feller_profile(constant_model, 1.0, 0.0, [-1.0, 1.0], scheme),
         )
         for op in ops:
             with pytest.raises(lv.ConfigError, match="LEVYSDE_THREADS") as info:
@@ -316,8 +318,9 @@ class TestWeakError:
         )
         table = lv.weak_error_table(constant_model, payoff, 0.0, 1.0, eps_list, scheme)
         levels = sorted(eps_list)
-        sums = np.zeros((2, len(levels)))
-        for nb, rng in montecarlo._batches(scheme.paths, scheme.seed, 7):
+
+        def batch(nb, rng):
+            sums = np.empty((2, len(levels)))
             draw = lambda k: stable_measure.sample_tail(levels[0], k, rng)
             counts, jumps = jump_stream(stable_measure.tail_mass(levels[0]), nb, draw, rng)
             z = rng.standard_normal(nb)
@@ -327,7 +330,10 @@ class TestWeakError:
                 if compensation:
                     dL += math.sqrt(stable_measure.small_jump_variance(e)[0, 0]) * z
                 vals = payoff(dL)
-                sums[:, k] += vals.sum(), (vals**2).sum()
+                sums[:, k] = vals.sum(), (vals**2).sum()
+            return sums
+
+        sums = sum(montecarlo._map_batches(batch, scheme.paths, scheme.seed, 7))
         means = sums[0] / scheme.paths
         stderrs = np.sqrt(np.maximum(sums[1] / scheme.paths - means**2, 0.0) / scheme.paths)
         assert [e for e, _, _ in table.rows] == levels
@@ -376,6 +382,23 @@ class TestStrongFeller:
         assert math.isfinite(prof.lipschitz)
         assert vals[0] < 0.5 < vals[-1]  # transitions through the threshold
 
+    def test_profile_bit_identical_across_thread_counts(self, monkeypatch):
+        model = lv.SdeModel(
+            sigma=lv.coefficient_preset("2+sin", offset=2.0, amplitude=0.2),
+            drift=lv.coefficient_preset("constant", value=0.3),
+            measure=lv.StableMeasure.normalized(1.5),
+            sigma_lower_bound=1.5,
+        )
+        # three batches, the last one partial, two Euler steps each
+        scheme = lv.SimScheme(
+            eps=0.1, tau=0.5, gaussian_compensation=True, paths=140_000, seed=9
+        )
+        profiles = []
+        for threads in ("1", "2", "4"):
+            monkeypatch.setenv("LEVYSDE_THREADS", threads)
+            profiles.append(lv.strong_feller_profile(model, 1.0, 0.0, [-1.0, 0.0, 0.5], scheme))
+        assert profiles[0] == profiles[1] == profiles[2]
+
     def test_lipschitz_growth_exponent(self, constant_model):
         scheme = lv.SimScheme(
             eps=0.1, tau=1.0, gaussian_compensation=True, paths=40_000, seed=5
@@ -408,6 +431,16 @@ class TestDensityProbe:
         X = lv.terminal_samples(constant_model, 2.0, 1.0, scheme, mode="exact-stable")
         se = 1.25 / math.sqrt(X.size)  # asymptotic median stderr ~ 1/(2 f(m) sqrt(n))
         assert abs(np.median(X) - 2.0) <= 6 * se
+
+    def test_report_bit_identical_across_thread_counts(self, constant_model, monkeypatch):
+        scheme = lv.SimScheme(
+            eps=0.1, tau=1.0, gaussian_compensation=True, paths=140_000, seed=8
+        )
+        reports = []
+        for threads in ("1", "2", "4"):
+            monkeypatch.setenv("LEVYSDE_THREADS", threads)
+            reports.append(lv.density_probe(constant_model, 0.0, [1.0, 0.5, 0.25, 0.125], scheme))
+        assert reports[0] == reports[1] == reports[2]
 
     def test_bandwidth_flagging(self, constant_model):
         scheme = lv.SimScheme(
@@ -449,8 +482,69 @@ class TestDensityProbe:
         assert np.abs(dens - full_dens).max() <= 1e-13 * stats.norm.pdf(0.0) / h
         assert np.abs(slope - full_slope).max() <= 1e-13 * stats.norm.pdf(1.0) / h**2
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 5000),
+        df=st.sampled_from([0.7, 1.0, 1.5, 3.0]),
+        copies=st.integers(1, 6),
+        far=st.integers(0, 4),
+        log_h=st.floats(-2.0, 2.0),
+        grid_points=st.integers(1, 41),
+        pairs=st.sampled_from([1, 1000, 1 << 18]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_windowed_sum_matches_gather_formula(self, n, df, copies, far, log_h, grid_points,
+                                                 pairs, seed):
+        # oracle: each run's pairs gathered by index, the kernel formed by
+        # the same operations in the same order
+        def gathered(X, ys, h):
+            xs = np.sort(X)
+            first = np.searchsorted(xs, ys - montecarlo._KDE_CUT * h, side="left")
+            counts = np.searchsorted(xs, ys + montecarlo._KDE_CUT * h, side="right") - first
+            ends = np.cumsum(counts)
+            offset = first - (ends - counts)
+            dens, slope = np.empty(ys.size), np.empty(ys.size)
+            start = 0
+            while start < ys.size:
+                done = ends[start] - counts[start]
+                stop = max(start + 1, int(np.searchsorted(ends, done + pairs, side="right")))
+                run = slice(start, stop)
+                owner = np.repeat(np.arange(stop - start), counts[run])
+                idx = np.arange(done, ends[stop - 1]) + np.repeat(offset[run], counts[run])
+                z = (ys[run][owner] - xs[idx]) / h
+                k = np.exp(-0.5 * z**2) / math.sqrt(2 * math.pi)
+                dens[run] = np.bincount(owner, weights=k, minlength=stop - start)
+                slope[run] = np.bincount(owner, weights=-z * k, minlength=stop - start)
+                start = stop
+            return dens / (X.size * h), slope / (X.size * h * h)
+
+        rng = np.random.default_rng(seed)
+        X = np.repeat(rng.standard_t(df, size=-(-n // copies)), copies)[:n]
+        far = min(far, n)
+        X[:far] = rng.choice([-1.0, 1.0], far) * 10.0 ** rng.uniform(3.0, 8.0, far)
+        rng.shuffle(X)
+        h = 10.0**log_h
+        lo, hi = np.quantile(X, [0.001, 0.999])
+        ys = np.linspace(lo - 6 * h, hi + 6 * h, grid_points)
+        with mock.patch.object(montecarlo, "_KDE_PAIRS", pairs):
+            got = _kde(X, ys, h)
+        expected = gathered(X, ys, h)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+
 
 class TestJumpSplit:
+    def test_report_bit_identical_across_thread_counts(self, constant_model, monkeypatch):
+        # three batches, the last one partial
+        reports = []
+        for threads in ("1", "2", "4"):
+            monkeypatch.setenv("LEVYSDE_THREADS", threads)
+            reports.append(
+                lv.jump_split_check(constant_model, 0.0, 1.0, paths=140_000, eps=0.05, seed=2)
+            )
+        assert reports[0] == reports[1] == reports[2]
+
     def test_stable_split_consistency(self, constant_model, stable_measure):
         rep = lv.jump_split_check(constant_model, 0.0, 1.0, paths=100_000, eps=0.05, seed=11)
         assert rep.all_within_4se

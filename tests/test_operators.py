@@ -19,6 +19,7 @@ from levysde.operators import (
     build_contour,
     contour_for_time,
     parametrix_probe_contraction,
+    write_gauge_csv,
 )
 
 from conftest import make_mode, swept_model, swept_symbols
@@ -661,3 +662,33 @@ class TestGauges:
         u = lv.random_rough_function(grid256, 0.51, seed=1)
         with pytest.raises(ValueError):
             lv.smoothing_gauge(symbol_const_256, u, 1.5, 1.5, [1.0, 0.5])
+
+
+class TestGaugeCsv:
+    def test_cells_formatted_as_by_type(self, tmp_path):
+        # oracle: the per-cell rule, 17 significant digits for every float
+        # (np.float64 included) and str() for everything else
+        def literal(rows, columns):
+            lines = [",".join(columns)]
+            for row in rows:
+                padded = tuple(row) + ("",) * (len(columns) - len(row))
+                lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
+                                      for v in padded))
+            return "# note\n" + "\n".join(lines) + "\n"
+
+        columns = ("a", "b", "c", "d")
+        rows = [
+            (0, 1, 0.1, -0.0),
+            (math.nan, math.inf, -math.inf, np.float64(1) / 3),
+            (True, False, np.int64(7), np.float32(0.1)),
+            (np.bool_(True), "text", None, 2**70),
+            (1e-300, 5e-324, 1.7976931348623157e308, np.float64(-0.0)),
+            (3,),
+            (),
+            (1.5, 2, 3.25),
+            (1, 2, 3, 4, 5.5),  # a long row is written whole
+            (0, 1, 0.1, -0.0),
+        ]
+        path = tmp_path / "rows.csv"
+        write_gauge_csv(path, iter(rows), "note", columns)
+        assert path.read_text() == literal(rows, columns)
