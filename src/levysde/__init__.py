@@ -54,6 +54,7 @@ from .operators import (
     apply_symbol,
     build_contour,
     contour_for_time,
+    contour_semigroup,
     dense_symbol_matrix,
     parametrix_solve,
     resolvent_apply,

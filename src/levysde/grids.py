@@ -95,11 +95,8 @@ class TorusGrid:
 
 
 class GridFunction:
-    """Complex samples of a function on a :class:`TorusGrid`.
-
-    The synthesis spectrum is computed lazily and cached; ``check_spectrum``
-    verifies cache consistency to 1e-12 relative.
-    """
+    """Complex samples of a function on a :class:`TorusGrid`; the synthesis
+    spectrum is computed lazily and cached."""
 
     def __init__(self, grid: TorusGrid, values: np.ndarray):
         values = np.asarray(values, dtype=complex)
@@ -131,14 +128,6 @@ class GridFunction:
         if self._coeffs is None:
             self._coeffs = self.grid.fft(self.values) / self.values.size
         return self._coeffs
-
-    def check_spectrum(self, rtol: float = 1e-12) -> bool:
-        """True iff the cached spectrum matches the values to ``rtol`` relative."""
-        if self._coeffs is None:
-            return True
-        fresh = self.grid.fft(self.values) / self.values.size
-        scale = max(float(np.abs(fresh).max()), 1e-300)
-        return bool(np.abs(fresh - self._coeffs).max() <= rtol * scale)
 
     # --- norms -----------------------------------------------------------
     def norm_lp(self, p: float) -> float:

@@ -212,6 +212,9 @@ def validate_config(cfg: dict) -> ExperimentConfig:
                     "reference: exact-stable",
                     field="params.reference",
                 )
+    if not all(0.0 < t < float("inf") for t in params.get("times", ())):
+        raise ConfigError(f"params.times entries must be positive and finite, got "
+                          f"{list(params['times'])}", field="params.times")
     gates = _declared(cfg.get("gates"), "gates", entry.gates)
     if experiment == "density" and gates["growth_exponent_max"] is None and not stable:
         raise ConfigError(

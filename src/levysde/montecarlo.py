@@ -27,8 +27,10 @@ import numpy as np
 from .errors import ConfigError
 from .grids import GridFunction, TorusGrid
 from .measures import jump_stream, path_sums, sample_increment
-from .models import SdeModel, constant_value, state_symbol
+from .models import SdeModel, constant_value
+from .operators import semigroup_apply
 from .ratefit import RateFit, fit_rate
+from .symbols import tabulate
 
 __all__ = [
     "SimScheme",
@@ -223,14 +225,13 @@ def mc_semigroup(
 
 
 def spectral_reference(model: SdeModel, f, x0, t: float):
-    """Exact ``P_t f(x0)`` for x-independent coefficients via the Fourier
-    multiplier ``exp(-t a(xi))`` of the payoff periodized on ``SPECTRAL_GRID``."""
+    """Exact ``P_t f(x0)``: :func:`semigroup_apply` on the payoff periodized on
+    ``SPECTRAL_GRID``, for coefficients checked x-independent before tabulating."""
     grid = SPECTRAL_GRID
     if constant_value(model.sigma, grid.x) is None or constant_value(model.drift, grid.x) is None:
         raise ValueError("spectral reference requires x-independent coefficients")
-    gf = GridFunction(grid, f(grid.x))
-    coeffs = gf.coeffs * np.exp(-t * state_symbol(model, 0.0, grid.xi))
-    return float(np.real(np.sum(coeffs * np.exp(1j * grid.xi * (x0 % grid.period)))))
+    pt = semigroup_apply(t, tabulate(model, grid), GridFunction(grid, f(grid.x)))
+    return float(np.real(np.sum(pt.coeffs * np.exp(1j * grid.xi * (x0 % grid.period)))))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Kohn-Nirenberg operator application, parametrix inversion, resolvent
-application on the sector, contour-integral semigroup evaluation (the
-trapezoid rule on a hyperbola, its nodes solved in batches), and the
+application on the sector, the semigroup (exact multiplier, or the trapezoid
+rule on a hyperbola, its nodes solved in batches), and the
 analyticity/smoothing gauges.
 
 Quantization is Kohn-Nirenberg throughout:
@@ -40,6 +40,7 @@ __all__ = [
     "build_contour",
     "contour_for_time",
     "semigroup_apply",
+    "contour_semigroup",
     "analyticity_gauge",
     "smoothing_gauge",
     "SmoothingReport",
@@ -337,7 +338,7 @@ def resolvent_apply(
             "preconditioner contracts only while the symbol's x-variation stays below "
             "|lambda + its x-mean|: raise maxit or move lambda away from the symbol range"
         )
-    solved = [GridFunction.from_coeffs(grid, c) for c in out]
+    solved = [GridFunction(grid, v) for v in grid.ifft(out) * M]
     return solved[0] if np.ndim(lam) == 0 else solved
 
 
@@ -443,8 +444,8 @@ def contour_for_time(
     the error only up to a constant factor, which exceeds one when the strip
     edge meets the spectrum at ``lambda = 0`` (``theta = pi/2``); one more
     node pair covers it, so the residue self-test passes at every ``t``."""
-    if t <= 0:
-        raise ValueError("time must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"time t={t} must be positive and finite")
     if not 0.0 < theta <= math.pi / 2.0:
         raise ValueError("sector angle must lie in (0, pi/2]")
     alpha, L, mu_t, rate = _hyperbola_optimum(theta)
@@ -458,6 +459,26 @@ def contour_for_time(
 
 
 def semigroup_apply(t: float, a: SymbolGrid, u: GridFunction, tol: float = 1e-8) -> GridFunction:
+    """Evaluate ``P_t u``: an x-independent table (:attr:`SymbolGrid.x_independent`)
+    is the multiplier ``exp(-t a(xi))`` on the lattice, real when the operator
+    (:attr:`SymbolGrid.real_operator`) and ``u`` are; any other table goes to
+    :func:`contour_semigroup` at ``tol``.  A table of either form that is not
+    sectorial is refused by :attr:`SymbolGrid.sector_angle`
+    (:class:`EllipticityError`), and ``t`` must be positive and finite."""
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"time t={t} must be positive and finite")
+    a.sector_angle  # refuses a table that is not sectorial, of either form
+    if not a.x_independent:
+        return contour_semigroup(t, a, u, tol)
+    values = GridFunction.from_coeffs(u.grid, np.exp(-t * a.x_mean) * u.coeffs).values
+    return GridFunction(u.grid, values.real if a.real_operator and _is_real(u) else values)
+
+
+def _is_real(u: GridFunction) -> bool:
+    return np.abs(u.values.imag).max() <= X_INDEPENDENT_RTOL * np.abs(u.values).max()
+
+
+def contour_semigroup(t: float, a: SymbolGrid, u: GridFunction, tol: float = 1e-8) -> GridFunction:
     """Evaluate ``P_t u`` by contour quadrature of the resolvent.
 
     ``P_t u = (1/2 pi i) int_Gamma e^{lambda t} (lambda + a(x,D))^{-1} u dlambda``
@@ -469,42 +490,31 @@ def semigroup_apply(t: float, a: SymbolGrid, u: GridFunction, tol: float = 1e-8)
     ``d_k = min |lambda_k + a_bar|``: ``1 / d_k`` is the norm of the
     preconditioner standing in for the resolvent's, so each node adds at most
     ``tol / K`` to the sum's error, and the heavy nodes near the real axis,
-    far from the spectrum, carry the tight tolerances.  An x-independent
-    symbol takes the exact multiplier instead.  When the operator is real
-    (:attr:`SymbolGrid.real_operator`) and ``u`` is real, only the nodes on or
-    above the real axis are solved: ``R(conj lambda) u = conj(R(lambda) u)``.
+    far from the spectrum, carry the tight tolerances (an x-independent
+    table's solves return at their first residual check).  When the operator
+    is real (:attr:`SymbolGrid.real_operator`) and ``u`` is real, only the
+    nodes on or above the real axis are solved: ``R(conj lambda) u = conj(R(lambda) u)``.
 
     Sectoriality of the symbol is required: :attr:`SymbolGrid.sector_angle`
     raises :class:`EllipticityError` for a table that is not sectorial.
     """
-    if t <= 0:
-        raise ValueError("time must be positive")
     contour = contour_for_time(t, a.sector_angle, min(tol, 1e-8))
-    lams = contour.nodes
-    c = contour.weights * np.exp(lams * t)
-    u_real = np.abs(u.values.imag).max() <= X_INDEPENDENT_RTOL * np.abs(u.values).max()
-    real = a.real_operator and u_real
+    lams, c = contour.nodes, contour.weights * np.exp(contour.nodes * t)
+    real = a.real_operator and _is_real(u)
     if real:
         # the nodes below the real axis mirror those above: R(conj l) u = conj(R(l) u)
         n = len(lams) // 2
         lams, c = lams[n:], np.concatenate([c[n:n + 1], 2.0 * c[n + 1:]])
-
-    if a.x_independent:
-        # exact multiplier on each lattice mode
-        sym = a.values[(0,) * a.grid.dimension]
-        mult = np.tensordot(c, 1.0 / (lams.reshape((-1,) + (1,) * sym.ndim) + sym), axes=1)
-        values = GridFunction.from_coeffs(u.grid, mult * u.coeffs).values
-    else:
-        # each shift of a batch holds about 2 r + 12 arrays of M complex values,
-        # and its Anderson history two more per step kept
-        per_shift = 16 * u.values.size * (2 * a.factors.g.shape[0] + 12 + 2 * _ANDERSON_DEPTH)
-        step = max(1, _BATCH_BYTES // per_shift)
-        values, a_bar = 0, a.x_mean.ravel()
-        for k in range(0, lams.size, step):
-            lam, ck = lams[k:k + step], c[k:k + step]
-            dist = np.abs(lam[:, None] + a_bar).min(axis=1)
-            solved = resolvent_apply(lam, a, u, tol=tol * dist / (lams.size * np.abs(ck)))
-            values = values + np.tensordot(ck, [r.values for r in solved], axes=1)
+    # each shift of a batch holds about 2 r + 12 arrays of M complex values,
+    # and its Anderson history two more per step kept
+    per_shift = 16 * u.values.size * (2 * a.factors.g.shape[0] + 12 + 2 * _ANDERSON_DEPTH)
+    step = max(1, _BATCH_BYTES // per_shift)
+    values, a_bar = 0, a.x_mean.ravel()
+    for k in range(0, lams.size, step):
+        lam, ck = lams[k:k + step], c[k:k + step]
+        dist = np.abs(lam[:, None] + a_bar).min(axis=1)
+        solved = resolvent_apply(lam, a, u, tol=tol * dist / (lams.size * np.abs(ck)))
+        values = values + np.tensordot(ck, [r.values for r in solved], axes=1)
     return GridFunction(u.grid, values.real if real else values)
 
 

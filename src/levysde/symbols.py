@@ -254,11 +254,6 @@ class SymbolGrid:
         scale = max(float(np.abs(vals).max()), 1e-300)
         return err <= X_INDEPENDENT_RTOL * scale
 
-    def shifted(self, lam: complex) -> "SymbolGrid":
-        """The symbol ``a + lam``, in the same form (a broadcast row stays one)."""
-        return SymbolGrid(self.grid, np.broadcast_to(self._distinct + lam, self.values.shape),
-                          self.order)
-
     def csv_rows(self):
         """(x-index, xi-index, Re, Im) rows over the flattened lattice."""
         m = int(np.prod(self.grid.shape))

@@ -87,6 +87,31 @@ def swept_model(d, alpha, amp, drift):
                        dimension=2)
 
 
+def counting_solves(sizes):
+    """A stand-in for ``operators.resolvent_apply`` that records each batch size."""
+    return lambda lam, *args, **kw: sizes.append(np.size(lam)) or lv.resolvent_apply(lam, *args, **kw)
+
+
+def constant_coefficient_model(d, alpha, sigma, drift):
+    """Constant ``sigma`` (times the identity in d = 2) and drift ``b`` (the
+    vector ``(b, -b / 2)`` in d = 2), driven by the normalized alpha-stable
+    measure."""
+    measure = lv.StableMeasure.normalized(alpha, dimension=d)
+    if d == 1:
+        return lv.SdeModel(sigma=lv.coefficient_preset("constant", value=sigma),
+                           drift=lv.coefficient_preset("constant", value=drift),
+                           measure=measure, sigma_lower_bound=0.5 * sigma)
+
+    def sig(x):
+        return np.broadcast_to(sigma * np.eye(2), np.shape(x)[:-1] + (2, 2))
+
+    def b(x):
+        return np.broadcast_to([drift, -0.5 * drift], np.shape(x)[:-1] + (2,))
+
+    return lv.SdeModel(sigma=sig, drift=b, measure=measure, sigma_lower_bound=0.5 * sigma,
+                       dimension=2)
+
+
 def swept_symbols(alpha=(0.3, 1.9), amp=(0.0, 1.5), drift=(-3.0, 3.0), n2=(16, 32)):
     """Tabulated ``swept_model`` symbols: d = 1 with N <= 256, d = 2 with N in ``n2``."""
     one = st.tuples(st.just(1), st.sampled_from([16, 32, 64, 128, 256]))

@@ -37,14 +37,6 @@ class TestTransform:
 
 
 class TestGridFunction:
-    def test_spectrum_cache_consistency(self, grid256):
-        rng = np.random.default_rng(3)
-        u = lv.GridFunction(grid256, rng.standard_normal(256).astype(complex))
-        _ = u.coeffs
-        assert u.check_spectrum(rtol=1e-12)
-        u.values[10] += 1.0  # silent mutation invalidates the cache
-        assert not u.check_spectrum(rtol=1e-12)
-
     def test_norms(self, grid256):
         u = lv.GridFunction(grid256, np.ones(256, dtype=complex))
         assert u.norm_lp(np.inf) == 1.0

@@ -20,6 +20,8 @@ from levysde.harness.cli import main as cli_main
 from levysde.harness.config import OneOf
 from levysde.harness.experiments import EXPERIMENTS
 
+from conftest import counting_solves
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -413,9 +415,15 @@ class TestRemainingExperiments:
             "model": base_model(),
             "grid": {"n": 256, "length_factor": 4},
         }
-        result = run_experiment(validate_config(tree))
+        sizes = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lv.operators, "resolvent_apply", counting_solves(sizes))
+            result = run_experiment(validate_config(tree))
         assert result.ok
         assert result.summary["worst_rel_error"] <= 1e-6
+        # the oracle checks the contour that variable tables run: both times,
+        # the nodes on or above the real axis of each 19-node hyperbola
+        assert sizes == [10, 10]
 
     def test_semigroup_rejects_x_dependent_sigma(self, tmp_path, capsys):
         # decided at validation: the coefficients are sampled on the grid
@@ -451,6 +459,22 @@ class TestRemainingExperiments:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["contour_nodes"] == [19] * 4
         assert all(0.0 <= e <= 1e-8 for e in summary["residue_error"])
+
+    def test_analyticity_narrow_sector_constant_coefficients(self, tmp_path):
+        # alpha = 0.3 with drift 3: a sector too narrow for a contour, but the
+        # table is x-independent, so the gauge takes the exact multiplier and
+        # records no contour
+        tree = {
+            "experiment": "analyticity",
+            "output": str(tmp_path / "out"),
+            "model": base_model(alpha=0.3, drift_expr={"preset": "constant", "value": 3.0}),
+            "grid": {"n": 256, "length_factor": 1},
+            "params": {"times": [1.0, 0.25, 0.0625, 0.015625]},
+        }
+        run_experiment(validate_config(tree))
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert len(summary["gauge"]) == 4
+        assert summary["contour_nodes"] == [] and summary["residue_error"] == []
 
     def test_strong_feller(self, tmp_path):
         tree = {
@@ -668,6 +692,17 @@ class TestCli:
                          id="bgindex-k-above-4"),
             pytest.param({"experiment": "bgindex", "params": {"k": True}}, "params.k",
                          id="bgindex-k-bool"),
+            # every times param takes positive finite times only
+            pytest.param({"experiment": "semigroup", "params": {"times": [-1.0, 1.0]}},
+                         "params.times", id="semigroup-negative-time"),
+            pytest.param({"experiment": "analyticity", "params": {"times": [1.0, 0.0]}},
+                         "params.times", id="analyticity-zero-time"),
+            pytest.param({"experiment": "smoothing",
+                          "params": {"times": [1.0, 0.5, 0.25, float("nan")]}},
+                         "params.times", id="smoothing-nan-time"),
+            pytest.param({"experiment": "density", "scheme": WEAK_SCHEME,
+                          "params": {"times": [float("inf"), 1.0, 0.5, 0.25]}},
+                         "params.times", id="density-infinite-time"),
         ],
     )
     def test_malformed_value_names_field(self, tmp_path, capsys, change, field):

@@ -112,8 +112,8 @@ class TestMcSemigroup:
         ref = lv.spectral_reference(constant_model, payoff, 0.0, t)
         assert abs(est.mean - ref) <= 4 * max(est.stderr, 1e-6)
 
-    def test_mc_matches_contour_semigroup(self, constant_model):
-        # the spectral semigroup evaluated at the start node vs Monte Carlo
+    def test_mc_matches_multiplier_semigroup_at_start_node(self, constant_model):
+        # the exact multiplier semigroup evaluated at the start node vs Monte Carlo
         grid = lv.TorusGrid(n=1024, dimension=1, length_factor=4.0)
         sym = lv.tabulate(constant_model, grid)
         gf = lv.GridFunction.from_callable(

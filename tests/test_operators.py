@@ -22,7 +22,9 @@ from levysde.operators import (
     write_gauge_csv,
 )
 
-from conftest import make_mode, swept_model, swept_symbols
+from conftest import (
+    constant_coefficient_model, counting_solves, make_mode, swept_model, swept_symbols,
+)
 
 
 def random_function(grid, seed):
@@ -432,13 +434,53 @@ class TestContour:
 
 class TestSemigroup:
     def test_multiplier_oracle_constant(self, symbol_const_1024, grid1024):
+        # the contour, through the resolvent solves of variable tables, against
+        # the exact multiplier of a constant-coefficient table
         u = lv.random_rough_function(grid1024, 0.51, seed=3)
         for t in (0.1, 1.0):
-            pt = lv.semigroup_apply(t, symbol_const_1024, u)
+            sizes = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lv.operators, "resolvent_apply", counting_solves(sizes))
+                pt = lv.contour_semigroup(t, symbol_const_1024, u)
+            nodes = contour_for_time(t, symbol_const_1024.sector_angle).nodes.size
+            assert sum(sizes) == nodes // 2 + 1
             exact = lv.GridFunction.from_coeffs(
                 grid1024, np.exp(-t * symbol_const_1024.values[0]) * u.coeffs
             )
             assert (pt - exact).norm_l2() <= 1e-6 * exact.norm_l2()
+
+    @pytest.mark.parametrize("d,n", [(1, 1024), (2, 32)])
+    def test_x_independent_table_is_the_multiplier(self, d, n):
+        # exp(-t a) to rounding, with no contour and no resolvent solve; real
+        # when the operator and u are, complex with a drift
+        grid = lv.TorusGrid(n=n, dimension=d, length_factor=4.0)
+        u = lv.random_rough_function(grid, 0.51, seed=3)
+        for drift in (0.0, 1.5):
+            sym = lv.tabulate(constant_coefficient_model(d, 1.5, 1.0, drift), grid)
+            assert sym.x_independent and sym.real_operator == (drift == 0.0)
+            for t in (2.0**-10, 0.1, 1.0):
+                sizes = []
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(lv.operators, "resolvent_apply", counting_solves(sizes))
+                    mp.setattr(lv.operators, "build_contour", None)
+                    pt = lv.semigroup_apply(t, sym, u)
+                assert sizes == []
+                exact = lv.GridFunction.from_coeffs(grid, np.exp(-t * sym.x_mean) * u.coeffs)
+                assert (pt - exact).norm_l2() <= 1e-15 * exact.norm_l2()
+                assert np.array_equal(pt.values.real, exact.values.real)
+
+    @pytest.mark.parametrize("t", [0.1, 1.0])
+    def test_narrow_sector_constant_table(self, t):
+        # alpha = 0.3 with drift 3: sectorial, but at theta = 0.011 too narrow
+        # for a contour; the x-independent table still has its multiplier
+        grid = lv.TorusGrid(n=256, dimension=1, length_factor=1.0)
+        sym = lv.tabulate(constant_coefficient_model(1, 0.3, 1.0, 3.0), grid)
+        u = lv.random_rough_function(grid, 0.51, seed=3)
+        with pytest.raises(lv.ContractionError, match="too narrow"):
+            lv.contour_semigroup(t, sym, u)
+        pt = lv.semigroup_apply(t, sym, u)
+        exact = lv.GridFunction.from_coeffs(grid, np.exp(-t * sym.values[0]) * u.coeffs)
+        assert np.array_equal(pt.values, exact.values)
 
     def test_constant_symbol_stays_one_row(self, constant_model, grid1024):
         # regression guard: a constant-coefficient symbol at N = 1024 is one
@@ -524,18 +566,16 @@ class TestSemigroup:
         assert sym.real_operator == (drift == "none")
         u = lv.random_rough_function(sym.grid, 0.51, seed=3)
         A = lv.dense_symbol_matrix(sym)
+        # a constant sigma without drift is an x-independent table, whose own
+        # semigroup is the exact multiplier: the contour is called directly
+        evaluate = lv.contour_semigroup if amp == 0.0 else lv.semigroup_apply
         for t in (2.0**-10, 2.0**-5, 1.0):
             sizes = []
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(lv.operators, "resolvent_apply",
-                           lambda lam, *args, **kw: sizes.append(np.size(lam))
-                           or lv.resolvent_apply(lam, *args, **kw))
-                pt = lv.semigroup_apply(t, sym, u)
+                mp.setattr(lv.operators, "resolvent_apply", counting_solves(sizes))
+                pt = evaluate(t, sym, u)
             nodes = contour_for_time(t, sym.sector_angle).nodes.size
-            if sym.x_independent:  # the exact multiplier: no resolvent solve
-                assert sizes == []
-            else:
-                assert sum(sizes) == (nodes // 2 + 1 if sym.real_operator else nodes)
+            assert sum(sizes) == (nodes // 2 + 1 if sym.real_operator else nodes)
             truth = expm(-t * A) @ u.values
             assert np.linalg.norm(pt.values - truth) <= 1e-8 * np.linalg.norm(truth)
 
@@ -560,9 +600,7 @@ class TestSemigroup:
             sizes = []
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(lv.operators, "_BATCH_BYTES", budget)
-                mp.setattr(lv.operators, "resolvent_apply",
-                           lambda lam, *args, **kw: sizes.append(np.size(lam))
-                           or lv.resolvent_apply(lam, *args, **kw))
+                mp.setattr(lv.operators, "resolvent_apply", counting_solves(sizes))
                 runs[budget] = lv.semigroup_apply(0.5, sym, u).values
             assert sum(sizes) == nodes
             per_shift = 16 * grid256.n * (2 * sym.factors.g.shape[0] + 12 + 2 * _ANDERSON_DEPTH)
@@ -577,9 +615,7 @@ class TestSemigroup:
         u = lv.random_rough_function(grid256, 0.5, seed=4)
         sizes = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lv.operators, "resolvent_apply",
-                       lambda lam, *args, **kw: sizes.append(np.size(lam))
-                       or lv.resolvent_apply(lam, *args, **kw))
+            mp.setattr(lv.operators, "resolvent_apply", counting_solves(sizes))
             lv.analyticity_gauge(symbol_var_256, u, [2.0**-k for k in range(11)])
         assert len(sizes) == 11 and sum(sizes) <= 300
 
@@ -595,17 +631,25 @@ class TestSemigroup:
                 pt = lv.semigroup_apply(t, sym, u)
                 assert np.abs(pt.values.real).max() <= 1.0 + 1e-4
 
-    def test_negative_time_rejected(self, symbol_const_256):
+    def test_negative_time_rejected(self, symbol_const_256, symbol_var_256):
+        # a NaN time would otherwise pass through the multiplier silently
         u = lv.GridFunction(symbol_const_256.grid, np.ones(256, dtype=complex))
-        with pytest.raises(ValueError):
-            lv.semigroup_apply(-1.0, symbol_const_256, u)
+        for t in (-1.0, 0.0, math.nan, math.inf):
+            for sym in (symbol_const_256, symbol_var_256):
+                for evaluate in (lv.semigroup_apply, lv.contour_semigroup):
+                    with pytest.raises(ValueError, match="positive and finite"):
+                        evaluate(t, sym, u)
 
     def test_non_sectorial_rejected(self, grid256):
-        vals = np.tile(-np.abs(grid256.xi) ** 1.5, (256, 1)).astype(complex)
-        s = lv.SymbolGrid(grid256, vals, 1.5)
+        # refused at the witness in either form: a full table and a broadcast row
+        row = -np.abs(grid256.xi).astype(complex) ** 1.5
         u = lv.GridFunction(grid256, np.ones(256, dtype=complex))
-        with pytest.raises(lv.EllipticityError, match="negative real part: not sectorial"):
-            lv.semigroup_apply(1.0, s, u)
+        for vals in (np.tile(row, (256, 1)), np.broadcast_to(row, (256, 256))):
+            s = lv.SymbolGrid(grid256, vals, 1.5)
+            assert s.x_independent == (vals.strides[0] == 0)
+            for evaluate in (lv.semigroup_apply, lv.contour_semigroup):
+                with pytest.raises(lv.EllipticityError, match="negative real part: not sectorial"):
+                    evaluate(1.0, s, u)
 
 
 class TestGauges:
