@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -215,6 +216,12 @@ def validate_config(cfg: dict) -> ExperimentConfig:
     if not all(0.0 < t < float("inf") for t in params.get("times", ())):
         raise ConfigError(f"params.times entries must be positive and finite, got "
                           f"{list(params['times'])}", field="params.times")
+    for key, least, what in (("t", 0.0, "positive and finite"),
+                             ("span", 0.0, "positive and finite"),
+                             ("x0", -math.inf, "finite")):
+        if key in params and not least < params[key] < math.inf:
+            raise ConfigError(f"params.{key} must be {what}, got {params[key]}",
+                              field=f"params.{key}")
     gates = _declared(cfg.get("gates"), "gates", entry.gates)
     if experiment == "density" and gates["growth_exponent_max"] is None and not stable:
         raise ConfigError(

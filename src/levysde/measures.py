@@ -31,6 +31,7 @@ measure); the truncated exponent is
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -67,8 +68,9 @@ _KERNEL_BLOCK = 1 << 15
 # The lock guards every measure's kept rules against concurrent callers.
 _RULE_CACHE_NODES = 1 << 20
 _RULE_CACHE_LOCK = threading.Lock()
-# Jump signs drawn at once, and paths whose jump owners are built at once: a
-# batch of jumps needs no temporary of one integer per jump.
+# Jump signs drawn at once (even, so that every block but the last takes
+# whole raw words), and paths whose jump owners are built at once: a batch of
+# jumps needs no temporary of one integer per jump.
 _SIGN_BLOCK = 1 << 16
 _OWNER_BLOCK = 1 << 12
 
@@ -76,14 +78,46 @@ _OWNER_BLOCK = 1 << 12
 def _set_signs(jumps, rng):
     """Negate the positive float64s ``jumps`` in place where a fair bit from
     ``rng`` is 0: bit for bit, and in the generator state left behind,
-    ``jumps * (rng.integers(0, 2, jumps.size) * 2 - 1)``.  uint32 draws of
-    {0, 1} take int64's 32-bit path, and bit 63 of a positive float is its
-    sign; the bits are drawn a block at a time, the same stream as one draw."""
-    bits = jumps.view(np.uint64)
-    for lo in range(0, bits.size, _SIGN_BLOCK):
-        part = bits[lo : lo + _SIGN_BLOCK]
-        heads = rng.integers(0, 2, part.size, dtype=np.uint32)
-        part |= np.left_shift(heads ^ 1, 63, dtype=np.uint64)
+    ``jumps * (rng.integers(0, 2, jumps.size) * 2 - 1)``.
+
+    That rule's fair bit is bit 31 of one 32-bit draw (Lemire's bounded rule
+    never rejects on {0, 1}), so the draws are read from the bit generator's
+    raw words a block at a time.  A generator whose state carries
+    ``has_uint32`` (PCG64, PCG64DXSM, SFC64, Philox) splits each word into two
+    draws, low half first, after a buffered half-word; MT19937 gives one draw
+    per word.  The buffer is written back as ``integers`` leaves it.  Another
+    layout takes the literal draws."""
+    gen = rng.bit_generator
+    state = gen.state
+    paired = "has_uint32" in state
+    if sys.byteorder != "little" or not (paired or isinstance(gen, np.random.MT19937)):
+        bits = jumps.view(np.uint64)
+        for lo in range(0, bits.size, _SIGN_BLOCK):
+            part = bits[lo : lo + _SIGN_BLOCK]
+            heads = rng.integers(0, 2, part.size, dtype=np.uint32)
+            part |= np.left_shift(heads ^ 1, 63, dtype=np.uint64)
+        return
+    high = jumps.view(np.uint32)[1::2]  # bit 31 of the high word is the sign
+    lead = int(paired and state["has_uint32"] and high.size > 0)
+    if lead:
+        high[0] |= ~np.uint32(state["uinteger"]) & np.uint32(0x80000000)
+    for lo in range(lead, high.size, _SIGN_BLOCK):
+        part = high[lo : lo + _SIGN_BLOCK]
+        if paired:
+            words = gen.random_raw((part.size + 1) // 2)
+            last = int(words[-1] >> np.uint64(32))  # the half-word integers buffers
+            draws = words.view(np.uint32)[: part.size]
+        else:
+            draws = gen.random_raw(part.size).astype(np.uint32)
+        np.invert(draws, out=draws)
+        draws &= 0x80000000
+        part |= draws
+    if paired and high.size:
+        state = gen.state
+        state["has_uint32"] = (high.size - lead) % 2
+        if high.size > lead:
+            state["uinteger"] = last
+        gen.state = state
 
 
 def _verify(pieces, mags=None):

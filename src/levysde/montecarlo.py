@@ -13,6 +13,11 @@ batch ``i`` are seeded from ``(seed, stream, i)``, and the caller reduces the
 batch results in index order, so results are bit-identical for a given scheme
 regardless of the thread count (``LEVYSDE_THREADS``, a positive integer), which
 sets how many batches run at once.
+
+Jump signs: every tail sampler takes a jump's sign from bit 31 of one 32-bit
+draw read from the bit generator's raw words (``measures._set_signs``), the
+same stream and generator state as ``rng.integers(0, 2, n)``; so a seeded
+result does not depend on how the signs are read.
 """
 
 from __future__ import annotations
@@ -83,8 +88,8 @@ class SimScheme:
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0:
             raise ConfigError(f"truncation level must lie in (0,1), got {self.eps}", field="eps")
-        if self.tau <= 0:
-            raise ConfigError("step must be positive", field="tau")
+        if not 0.0 < self.tau < math.inf:
+            raise ConfigError(f"step must be positive and finite, got {self.tau}", field="tau")
         if self.paths < 1:
             raise ConfigError("path count must be positive", field="paths")
 
@@ -642,7 +647,17 @@ def _sample_band(measure, lo: float, hi: float, size: int, rng, keep_rate: float
 
 
 def _wrap_centered(X, center: float, period: float):
-    return (np.asarray(X, dtype=float) - center + period / 2) % period - period / 2
+    """``(X - center + period/2) % period - period/2``, bit for bit: ``%`` is
+    the identity on ``[0, period)``, so only the entries outside it take it."""
+    y = np.array(X, dtype=float)
+    y -= center
+    y += period / 2
+    outside = y < 0
+    outside |= ~(y < period)  # NaN lands outside
+    if outside.any():
+        y[outside] %= period
+    y -= period / 2
+    return y[()]
 
 
 def bump_payoff(center: float = 0.0, width: float = 1.0, period: float = 8 * np.pi):

@@ -703,6 +703,21 @@ class TestCli:
             pytest.param({"experiment": "density", "scheme": WEAK_SCHEME,
                           "params": {"times": [float("inf"), 1.0, 0.5, 0.25]}},
                          "params.times", id="density-infinite-time"),
+            # Monte Carlo times, spans and starting points that would crash the run
+            *[pytest.param({"experiment": experiment, "scheme": WEAK_SCHEME,
+                            "params": {key: value}}, f"params.{key}", id=name)
+              for name, experiment, key, value in [
+                  ("strong-feller-negative-t", "strong-feller", "t", -1.0),
+                  ("strong-feller-nan-t", "strong-feller", "t", float("nan")),
+                  ("strong-feller-nan-span", "strong-feller", "span", float("nan")),
+                  ("weak-error-negative-t", "weak-error", "t", -1.0),
+                  ("weak-error-nan-t", "weak-error", "t", float("nan")),
+                  ("jump-split-nan-t", "jump-split", "t", float("nan")),
+                  ("weak-error-nan-x0", "weak-error", "x0", float("nan")),
+              ]],
+            pytest.param({"experiment": "weak-error",
+                          "scheme": {**WEAK_SCHEME, "tau": float("nan")}}, "scheme.tau",
+                         id="scheme-nan-tau"),
         ],
     )
     def test_malformed_value_names_field(self, tmp_path, capsys, change, field):

@@ -26,10 +26,11 @@ def lk_integrand_oracle(atoms, xi):
     return total
 
 
-def seeded_after_bits(seed, lead):
-    """A generator that has drawn ``lead`` fair bits: after an odd count a
-    32-bit half-word is buffered, and the next integer draw takes it first."""
-    rng = np.random.default_rng(seed)
+def seeded_after_bits(seed, lead, bit_generator=np.random.PCG64):
+    """A generator on ``bit_generator(seed)`` that has drawn ``lead`` fair
+    bits: after an odd count a generator that buffers 32-bit halves (all but
+    MT19937) holds one, and the next integer draw takes it first."""
+    rng = np.random.Generator(bit_generator(seed))
     rng.integers(0, 2, lead)
     return rng
 
@@ -456,6 +457,25 @@ class TestSampling:
         literal = eps * (1.0 - u) ** (-1.0 / alpha) * (literal_rng.integers(0, 2, size) * 2 - 1)
         assert np.array_equal(draws.view(np.int64), literal.view(np.int64))
         assert_same_stream_after(rng, literal_rng)
+
+    # The raw-word reading of the sign bits, on each numpy bit generator and
+    # around the block edges, against the literal uint32 draws.
+    @pytest.mark.parametrize(
+        "bit_generator",
+        [np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64, np.random.Philox,
+         np.random.MT19937],
+    )
+    @pytest.mark.parametrize("lead", [0, 1, 2, 3])
+    def test_signs_match_literal_rule_on_every_bit_generator(self, bit_generator, lead):
+        for size in (0, 1, 2, 3, 65535, 65536, 65537, 131073, 150_001):
+            jumps = np.random.default_rng(size).random(size) + 0.5
+            literal_rng = seeded_after_bits(29, lead, bit_generator)
+            heads = literal_rng.integers(0, 2, size, dtype=np.uint32)
+            literal = np.where(heads == 1, jumps, -jumps)
+            rng = seeded_after_bits(29, lead, bit_generator)
+            measures._set_signs(jumps, rng)
+            assert np.array_equal(jumps.view(np.int64), literal.view(np.int64)), size
+            assert_same_stream_after(rng, literal_rng)
 
     @pytest.mark.parametrize("size", [0, 1, 2999, 150_001])
     @pytest.mark.parametrize("lead", [0, 1])

@@ -174,6 +174,60 @@ class TestMcSemigroup:
             assert info.value.field == "LEVYSDE_THREADS"
 
 
+def literal_wrap(X, center, period):
+    return (np.asarray(X, dtype=float) - center + period / 2) % period - period / 2
+
+
+def literal_bump(X, center, width, period):
+    z = literal_wrap(X, center, period) / width
+    out = np.zeros_like(z)
+    inside = np.abs(z) < 1.0
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - z[inside] ** 2))
+    return out
+
+
+def literal_hat(X, center, width, period):
+    return np.maximum(0.0, 1.0 - np.abs(literal_wrap(X, center, period)) / width)
+
+
+class TestPeriodicWrap:
+    """The wrap and the periodized payoffs give the bits of the literal
+    ``(X - c + P/2) % P - P/2`` on every input."""
+
+    def assert_same_bits(self, X, center, width=2.0, period=PERIOD):
+        with np.errstate(invalid="ignore"):  # % of an infinity is NaN, as literally
+            pairs = [
+                (montecarlo._wrap_centered(X, center, period), literal_wrap(X, center, period)),
+                (lv.bump_payoff(center, width, period)(X), literal_bump(X, center, width, period)),
+                (lv.hat_payoff(center, width, period)(X), literal_hat(X, center, width, period)),
+            ]
+        for got, literal in pairs:
+            assert type(got) is type(literal)
+            assert got.tobytes() == literal.tobytes()
+
+    @pytest.mark.parametrize("center", [0.0, -0.0, 1.3, -2.0, PERIOD / 2, 1e300])
+    def test_special_values(self, center):
+        P = PERIOD
+        X = np.array([-0.0, 0.0, P / 2, -P / 2, P, -3.2 * P, 1e300, -1e-300,
+                      np.nan, np.inf, -np.inf])
+        self.assert_same_bits(X, center)
+        for x in X:
+            self.assert_same_bits(np.array(x), center)  # 0-d
+            self.assert_same_bits(float(x), center)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(1e-3, 1e3),
+        center=st.floats(-1e3, 1e3),
+        width=st.floats(0.1, 10.0),
+        size=st.integers(0, 5000),
+    )
+    def test_heavy_tailed_samples(self, seed, scale, center, width, size):
+        X = scale * np.random.default_rng(seed).standard_cauchy(size)
+        self.assert_same_bits(X, center, width)
+
+
 class TestWeakError:
     def test_constant_payoff_all_zero(self, constant_model):
         scheme = lv.SimScheme(eps=0.4, tau=1.0, gaussian_compensation=False, paths=4000, seed=2)
