@@ -26,7 +26,7 @@ from ..errors import ConfigError
 from ..grids import TorusGrid
 from ..measures import AtomicMeasure, StableMeasure, TabulatedMeasure
 from ..models import PRESETS, SdeModel, coefficient_preset, constant_value
-from ..montecarlo import SPECTRAL_GRID, SimScheme
+from ..montecarlo import JUMP_BLOCK_CAP, SPECTRAL_GRID, SimScheme, jump_block
 
 __all__ = [
     "ExperimentConfig",
@@ -236,6 +236,20 @@ def validate_config(cfg: dict) -> ExperimentConfig:
                 f"params.{key} needs at least {least} distinct values for the "
                 f"experiment's rate fit, got {list(params[key])}",
                 field=f"params.{key}",
+            )
+    if experiment == "weak-error":
+        eps_list = params["eps_list"]
+        if not all(0.0 < e < 1.0 for e in eps_list):
+            raise ConfigError(f"params.eps_list entries must lie in (0, 1), got {list(eps_list)}",
+                              field="params.eps_list")
+        # the common-random-number batches draw every level's jumps at once
+        block = jump_block(model.measure.tail_mass(min(eps_list)) * params["t"])
+        if not block <= JUMP_BLOCK_CAP:
+            raise ConfigError(
+                f"params.t = {params['t']:g} at the smallest level eps = {min(eps_list):g} "
+                f"expects a block of {block:.3g} jumps per batch of paths, above the cap of "
+                f"{JUMP_BLOCK_CAP}; shorten params.t or raise the smallest params.eps_list entry",
+                field="params.t",
             )
     if experiment == "composition":
         # each entry probes its nearest lattice mode, which composition_defect

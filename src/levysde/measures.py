@@ -699,8 +699,8 @@ def sample_increment(spec, tau: float, mode: str, rng, eps: float = None, *, siz
 
     Returns an array of shape ``(size,)`` (d=1) or ``(size, d)``.
     """
-    if tau <= 0:
-        raise ValueError("step must be positive")
+    if not 0.0 < tau < math.inf:
+        raise ConfigError(f"step must be positive and finite, got {tau}", field="tau")
     n = int(size)
     d = spec.dimension
 

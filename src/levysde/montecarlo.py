@@ -7,12 +7,20 @@ drift, the compensator, and the Gaussian compensation.  With x-independent
 coefficients a single step is distribution-exact, which isolates the
 truncation-level error from any time-step bias.
 
-Reproducibility: ``_map_batches`` is the only batch runner and the only
-seeding rule.  Paths are simulated in fixed-size batches; the generators of
-batch ``i`` are seeded from ``(seed, stream, i)``, and the caller reduces the
-batch results in index order, so results are bit-identical for a given scheme
-regardless of the thread count (``LEVYSDE_THREADS``, a positive integer), which
-sets how many batches run at once.
+Reproducibility: ``_seeded_batches`` is the only seeding rule and
+``_pool_map`` the only thread pool; ``LEVYSDE_THREADS`` (a positive integer)
+sets how many of its jobs run at once.  Three kinds of job run on it, and each
+result is bit-identical at any thread count:
+
+* batches of paths (``_map_batches``): the generators of batch ``i`` are
+  seeded from ``(seed, stream, i)``, whatever thread runs it, and the caller
+  adds the batch results in index order;
+* ``jump_split_check``'s two drivers of each batch, the split one (stream 1)
+  and the unsplit one (stream 0), as separate jobs: each returns its own
+  payoff sums, which the caller adds per driver in batch order;
+* the kernel density estimate's grid runs (``_kde``): each job writes its own
+  grid points, and each point's sums are one ``bincount`` over its own pairs
+  in sample order, whichever run holds it.
 
 Jump signs: every tail sampler takes a jump's sign from bit 31 of one 32-bit
 draw read from the bit generator's raw words (``measures._set_signs``), the
@@ -59,6 +67,9 @@ __all__ = [
 ]
 
 _BATCH = 1 << 16
+# Jumps one batch of weak_error_table may expect to hold in its block (512 MiB
+# of float64); validate_config refuses a truncation sweep and horizon beyond.
+JUMP_BLOCK_CAP = 1 << 26
 # Kernel-density window half-width in bandwidths.  A dropped term has
 # exp(-c^2/2) <= 2^-52 of the kernel's peak, below its double rounding, which
 # needs c >= sqrt(104 ln 2) ~= 8.49.
@@ -130,23 +141,40 @@ def _evolve(model: SdeModel, X, t: float, scheme: SimScheme, mode: str, rng):
 
 
 def _map_batches(fn, n: int, seed: int, *streams) -> list:
-    """``fn(size, rng...)`` for every batch of ``n`` paths, in batch order.
+    """``fn(size, rng...)`` for every batch of ``n`` paths, in batch order, on
+    the pool (:func:`_pool_map`)."""
+    return _pool_map(fn, _seeded_batches(n, seed, *streams))
+
+
+def _seeded_batches(n: int, seed: int, *streams) -> list:
+    """``(size, rng...)`` for every batch of ``n`` paths, in batch order.
 
     Batch ``i`` holds the paths ``i _BATCH`` up to ``min((i + 1) _BATCH, n)``
     and one generator per stream, that of stream ``s`` seeded from
-    ``(seed, s, i)``.  The batches run on ``LEVYSDE_THREADS`` threads; a single
-    batch runs on the calling thread.
+    ``(seed, s, i)``.
     """
-    jobs = [
+    return [
         (min(_BATCH, n - lo), *(np.random.default_rng(np.random.SeedSequence((seed, s, i)))
                                 for s in streams))
         for i, lo in enumerate(range(0, n, _BATCH))
     ]
+
+
+def _pool_map(fn, jobs) -> list:
+    """``fn(*job)`` for every job, in job order, run on ``LEVYSDE_THREADS``
+    threads; one thread or one job runs on the calling thread.  This is the
+    package's one thread pool."""
     threads = _thread_count()
-    if threads == 1 or len(jobs) == 1:
+    if threads == 1 or len(jobs) <= 1:
         return [fn(*job) for job in jobs]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda job: fn(*job), jobs))
+
+
+def jump_block(rate: float) -> float:
+    """Jumps in the block of a batch of ``_BATCH`` paths that expect ``rate``
+    jumps each: the mean count plus eight standard deviations."""
+    return rate * _BATCH + 8.0 * math.sqrt(rate * _BATCH)
 
 
 def _thread_count() -> int:
@@ -298,10 +326,10 @@ def weak_error_table(
         scales = None
         if scheme_base.gaussian_compensation:
             scales = [math.sqrt(measure.small_jump_variance(e)[0, 0] * t) for e in eps_list]
-        # every batch draws its jumps into a block of one size (the mean count
-        # plus eight standard deviations), so the block a batch frees fits the
-        # next one and the memory peak does not depend on the thread timing
-        room = int(rate * _BATCH + 8.0 * math.sqrt(rate * _BATCH)) + 1
+        # every batch draws its jumps into a block of one size, so the block a
+        # batch frees fits the next one and the memory peak does not depend on
+        # the thread timing
+        room = int(jump_block(rate)) + 1
 
         def batch(nb, rng):
             """Payoff sums and sums of squares, shape ``(2, levels)``."""
@@ -449,17 +477,18 @@ def density_probe(
     rows = []
     for t in t_list:
         X = terminal_samples(model, x0, float(t), scheme, mode=mode, stream=13)
-        q1, q3 = np.quantile(X, [0.25, 0.75])
+        xs = np.sort(X)  # the quantiles' order statistics, and _kde's input
+        # the window spans the 0.1% and 99.9% quantiles, wide enough that the
+        # kernel mass outside stays within 1%
+        q1, q3, lo, hi = np.quantile(xs, [0.25, 0.75, 0.001, 0.999])
         iqr = q3 - q1
         spread = min(float(np.std(X)), iqr / 1.34) if iqr > 0 else float(np.std(X))
         h = 0.9 * spread * scheme.paths ** (-0.2)
-        # window wide enough that the kernel mass outside stays within 1%
-        lo, hi = np.quantile(X, [0.001, 0.999])
         ys = np.linspace(lo - 6 * h, hi + 6 * h, 401)
-        dens, slope = _kde(X, ys, h)
+        dens, slope = _kde(xs, ys, h)
         integral = float(np.trapezoid(dens, ys))
         mode_y = ys[int(np.argmax(dens))]
-        effective = int(np.sum(np.abs(X - mode_y) <= h))
+        effective = int(np.sum(np.abs(xs - mode_y) <= h))
         rows.append((float(t), float(h), float(np.abs(slope).max()), integral, effective < 30))
     if len(rows) >= 4:
         fit = fit_rate([(t, s) for t, _, s, _, _ in rows])
@@ -467,39 +496,49 @@ def density_probe(
     return DensityReport(rows=tuple(rows), growth_exponent=float("nan"), fit=None)
 
 
-def _kde(X, ys, h):
+def _kde(xs, ys, h):
     """Gaussian kernel density and its derivative at the grid ``ys`` from the
-    samples ``X`` with bandwidth ``h``, summing only the (grid point, sample)
-    pairs within ``_KDE_CUT * h`` of each other; returns ``(dens, slope)``."""
-    xs = np.sort(X)
+    samples ``xs``, sorted ascending, with bandwidth ``h``, summing only the
+    (grid point, sample) pairs within ``_KDE_CUT * h`` of each other; returns
+    ``(dens, slope)``.
+
+    The grid is cut into runs of at most ``_KDE_PAIRS`` pairs (or one grid
+    point), which bound the memory and run as jobs on the pool; each grid
+    point's sums are one ``bincount`` over its own pairs in sample order, so
+    the values do not depend on the runs or the thread count.
+    """
     first = np.searchsorted(xs, ys - _KDE_CUT * h, side="left")
     counts = np.searchsorted(xs, ys + _KDE_CUT * h, side="right") - first
     ends = np.cumsum(counts)
-    dens = np.empty(ys.size)
-    slope = np.empty(ys.size)
-    start = 0
+    runs, start = [], 0
     while start < ys.size:
-        # grid runs of at most _KDE_PAIRS pairs (or one grid point) bound the memory
         done = ends[start] - counts[start]
         stop = max(start + 1, int(np.searchsorted(ends, done + _KDE_PAIRS, side="right")))
-        run = slice(start, stop)
+        runs.append((start, stop))
+        start = stop
+    dens = np.empty(ys.size)
+    slope = np.empty(ys.size)
+
+    def run(start, stop):
         # grid point i pairs with its window xs[first[i] : first[i] + counts[i]],
         # in order; pair j of the run belongs to grid point start + owner[j]
-        owner = np.repeat(np.arange(stop - start), counts[run])
-        z = np.repeat(ys[run], counts[run])
-        windows = zip(first[run].tolist(), counts[run].tolist())
+        cut = slice(start, stop)
+        owner = np.repeat(np.arange(stop - start), counts[cut])
+        z = np.repeat(ys[cut], counts[cut])
+        windows = zip(first[cut].tolist(), counts[cut].tolist())
         z -= np.concatenate([xs[f : f + c] for f, c in windows])
         z /= h
         k = np.square(z)
         k *= -0.5
         np.exp(k, out=k)
         k /= math.sqrt(2 * math.pi)
-        dens[run] = np.bincount(owner, weights=k, minlength=stop - start)
+        dens[cut] = np.bincount(owner, weights=k, minlength=stop - start)
         np.negative(z, out=z)
         z *= k
-        slope[run] = np.bincount(owner, weights=z, minlength=stop - start)
-        start = stop
-    return dens / (X.size * h), slope / (X.size * h * h)
+        slope[cut] = np.bincount(owner, weights=z, minlength=stop - start)
+
+    _pool_map(run, runs)
+    return dens / (xs.size * h), slope / (xs.size * h * h)
 
 
 # ---------------------------------------------------------------------------
@@ -555,40 +594,50 @@ def jump_split_check(
     z0 = measure.compensator_drift(eps)[0]
     payoffs = payoffs or _default_battery(2 * np.pi * 4.0)
 
-    def batch(nb, rng_u, rng_s):
-        """Payoff sums and sums of squares, shape ``(2, 2, payoffs)`` (sum or
-        square, then row 0 for the unsplit and row 1 for the split driver),
-        and the count of large jumps."""
-        # unsplit: one compound Poisson stream from nu restricted to |z| > eps
-        draw = lambda k: measure.sample_tail(eps, k, rng_u)
-        counts, jumps = jump_stream(mass_all * t, nb, draw, rng_u)
-        dL_u = path_sums(counts, jumps, nb) - z0 * t
-        del counts, jumps  # free each stream before the next one draws
-
-        # split: independent small-jump (eps < |z| <= 1, compensated) and
-        # large-jump (|z| > 1, plain compound Poisson) drivers
-        draw = lambda k: _sample_band(measure, eps, 1.0, k, rng_s, keep_rate)
-        counts, small = jump_stream((mass_all - mass_large) * t, nb, draw, rng_s)
-        dL_s = path_sums(counts, small, nb) - z0 * t
-        del counts, small
-        draw = lambda k: measure.sample_tail(1.0, k, rng_s)
-        counts, large = jump_stream(mass_large * t, nb, draw, rng_s)
-        n_large = large.size
-        dL_s = dL_s + path_sums(counts, large, nb)
-        del counts, large
-
+    def payoff_sums(nb, dL):
+        """Payoff sums and sums of squares of one driver, shape ``(2, payoffs)``."""
         sig0 = model.sigma_at(np.full(nb, float(x0)))
         drf0 = model.drift_at(np.full(nb, float(x0)))
-        out = np.empty((2, 2, len(payoffs)))
-        for row, dL in enumerate((dL_u, dL_s)):
-            X = x0 + drf0 * t + sig0 * dL
-            for j, fp in enumerate(payoffs):
-                v = np.asarray(fp(X), dtype=float)
-                out[:, row, j] = v.sum(), (v**2).sum()
-        return out, n_large
+        X = x0 + drf0 * t + sig0 * dL
+        out = np.empty((2, len(payoffs)))
+        for j, fp in enumerate(payoffs):
+            v = np.asarray(fp(X), dtype=float)
+            out[:, j] = v.sum(), (v**2).sum()
+        return out
 
-    results = _map_batches(batch, paths, seed, 0, 1)
-    sums, sums2 = sum(out for out, _ in results)
+    def unsplit(nb, rng):
+        """One compound Poisson stream from nu restricted to |z| > eps; the
+        payoff sums and no large-jump count."""
+        draw = lambda k: measure.sample_tail(eps, k, rng)
+        counts, jumps = jump_stream(mass_all * t, nb, draw, rng)
+        dL = path_sums(counts, jumps, nb) - z0 * t
+        del counts, jumps
+        return payoff_sums(nb, dL), 0
+
+    def split(nb, rng):
+        """Independent small-jump (eps < |z| <= 1, compensated) and large-jump
+        (|z| > 1, plain compound Poisson) drivers; the payoff sums and the
+        count of large jumps."""
+        draw = lambda k: _sample_band(measure, eps, 1.0, k, rng, keep_rate)
+        counts, small = jump_stream((mass_all - mass_large) * t, nb, draw, rng)
+        dL = path_sums(counts, small, nb) - z0 * t
+        del counts, small  # free each stream before the next one draws
+        draw = lambda k: measure.sample_tail(1.0, k, rng)
+        counts, large = jump_stream(mass_large * t, nb, draw, rng)
+        n_large = large.size
+        dL = dL + path_sums(counts, large, nb)
+        del counts, large
+        return payoff_sums(nb, dL), n_large
+
+    # each batch's two drivers are separate jobs, the larger split ones first;
+    # each driver's sums are added in batch order
+    batches = _seeded_batches(paths, seed, 0, 1)
+    jobs = [(split, nb, rng_s) for nb, _, rng_s in batches]
+    jobs += [(unsplit, nb, rng_u) for nb, rng_u, _ in batches]
+    results = _pool_map(lambda driver, nb, rng: driver(nb, rng), jobs)
+    sums_s = sum(out for out, _ in results[: len(batches)])
+    sums_u = sum(out for out, _ in results[len(batches) :])
+    sums, sums2 = np.stack([sums_u, sums_s], axis=1)
     n_large_total = float(sum(n for _, n in results))
 
     (mean_u, mean_s), (var_u, var_s) = _mean_var(sums, sums2, paths)

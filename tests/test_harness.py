@@ -714,6 +714,9 @@ class TestCli:
                   ("weak-error-nan-t", "weak-error", "t", float("nan")),
                   ("jump-split-nan-t", "jump-split", "t", float("nan")),
                   ("weak-error-nan-x0", "weak-error", "x0", float("nan")),
+                  # a jump block of 2.3e18 jumps per batch of paths
+                  ("weak-error-huge-t", "weak-error", "t", 1.0e12),
+                  ("weak-error-zero-level", "weak-error", "eps_list", [0.4, 0.2, 0.1, 0.0]),
               ]],
             pytest.param({"experiment": "weak-error",
                           "scheme": {**WEAK_SCHEME, "tau": float("nan")}}, "scheme.tau",
@@ -732,6 +735,20 @@ class TestCli:
         assert cli_main(["validate", str(path)]) == 2
         assert f"[{field}]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("eps_min", [0.05, 0.01])
+    def test_weak_error_jump_block_cap(self, tmp_path, eps_min):
+        # a horizon whose jump block fills 90% of the cap validates, twice it is refused
+        rate = lv.StableMeasure(alpha=1.5).tail_mass(eps_min)
+        t_max = 0.9 * lv.montecarlo.JUMP_BLOCK_CAP / (lv.montecarlo._BATCH * rate)
+        tree = {"experiment": "weak-error", "output": str(tmp_path / "out"),
+                "model": base_model(), "scheme": WEAK_SCHEME,
+                "params": {"eps_list": [0.4, 0.2, 0.1, eps_min]}}
+        validate_config({**tree, "params": {**tree["params"], "t": t_max}})
+        for t in (2.0 * t_max, 1.0e300):
+            with pytest.raises(ConfigError, match="cap") as err:
+                validate_config({**tree, "params": {**tree["params"], "t": t}})
+            assert err.value.field == "params.t"
 
     def test_validate_creates_nothing(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -543,6 +543,15 @@ class TestSampling:
         with pytest.raises(ValueError):
             lv.sample_increment(stable_measure, 1.0, "truncated", rng, eps=1.2, size=1)
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("mode", ["truncated", "exact-stable"])
+    def test_step_not_positive_and_finite_refused(self, stable_measure, tau, mode):
+        rng = np.random.default_rng(0)
+        with pytest.raises(lv.ConfigError, match="positive and finite") as info:
+            lv.sample_increment(stable_measure, tau, mode, rng, eps=0.1, size=4)
+        assert info.value.field == "tau"
+        assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
+
     def test_compensator_drift_symmetric_zero(self, stable_measure):
         assert stable_measure.compensator_drift(0.1)[0] == 0.0
 

@@ -1,7 +1,11 @@
 """Path simulation, Monte Carlo semigroup estimates, weak-error tables,
 strong-Feller and density probes, and the jump-split cross-check."""
 
+import ast
+import inspect
 import math
+from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -167,11 +171,26 @@ class TestMcSemigroup:
             lambda: lv.weak_error_table(constant_model, payoff, 0.0, 1.0, [0.4, 0.1], scheme),
             lambda: lv.jump_split_check(constant_model, 0.0, 1.0, paths=100, eps=0.1, seed=1),
             lambda: lv.strong_feller_profile(constant_model, 1.0, 0.0, [-1.0, 1.0], scheme),
+            lambda: lv.density_probe(constant_model, 0.0, [1.0], scheme),
         )
         for op in ops:
             with pytest.raises(lv.ConfigError, match="LEVYSDE_THREADS") as info:
                 op()
             assert info.value.field == "LEVYSDE_THREADS"
+
+
+def test_one_thread_pool():
+    # the package's only thread pool is the one _pool_map starts
+    tree = ast.parse(inspect.getsource(montecarlo))
+    helpers = [node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "_pool_map"]
+    inside = {id(node) for node in ast.walk(helpers[0])}
+    used = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "ThreadPoolExecutor"]
+    assert used and all(id(node) in inside for node in used)
+    for path in sorted(Path(montecarlo.__file__).parent.rglob("*.py")):
+        if path.name != "montecarlo.py":
+            assert "ThreadPoolExecutor" not in path.read_text(), path.name
 
 
 def literal_wrap(X, center, period):
@@ -516,17 +535,9 @@ class TestDensityProbe:
     )
     def test_windowed_sum_matches_full_sum(self, n, df, copies, far, log_h, grid_points, pairs,
                                            seed):
-        rng = np.random.default_rng(seed)
-        # heavy-tailed Student-t samples, each repeated `copies` times, plus a few far outliers
-        X = np.repeat(rng.standard_t(df, size=-(-n // copies)), copies)[:n]
-        far = min(far, n)
-        X[:far] = rng.choice([-1.0, 1.0], far) * 10.0 ** rng.uniform(3.0, 8.0, far)
-        rng.shuffle(X)
-        h = 10.0**log_h
-        lo, hi = np.quantile(X, [0.001, 0.999])
-        ys = np.linspace(lo - 6 * h, hi + 6 * h, grid_points)
+        X, ys, h = kde_case(n, df, copies, far, log_h, grid_points, seed)
         with mock.patch.object(montecarlo, "_KDE_PAIRS", pairs):  # also gather in several runs
-            dens, slope = _kde(X, ys, h)
+            dens, slope = _kde(np.sort(X), ys, h)
         z = (ys[:, None] - X[None, :]) / h
         k = np.exp(-0.5 * z**2) / math.sqrt(2 * math.pi)
         full_dens = k.sum(axis=1) / (n * h)
@@ -536,7 +547,7 @@ class TestDensityProbe:
         assert np.abs(dens - full_dens).max() <= 1e-13 * stats.norm.pdf(0.0) / h
         assert np.abs(slope - full_slope).max() <= 1e-13 * stats.norm.pdf(1.0) / h**2
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
         n=st.integers(1, 5000),
         df=st.sampled_from([0.7, 1.0, 1.5, 3.0]),
@@ -544,60 +555,78 @@ class TestDensityProbe:
         far=st.integers(0, 4),
         log_h=st.floats(-2.0, 2.0),
         grid_points=st.integers(1, 41),
-        pairs=st.sampled_from([1, 1000, 1 << 18]),
+        pairs=st.sampled_from([1, 200, 1000, 1 << 18]),
+        threads=st.sampled_from(["1", "2", "4"]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_windowed_sum_matches_gather_formula(self, n, df, copies, far, log_h, grid_points,
-                                                 pairs, seed):
-        # oracle: each run's pairs gathered by index, the kernel formed by
-        # the same operations in the same order
-        def gathered(X, ys, h):
-            xs = np.sort(X)
-            first = np.searchsorted(xs, ys - montecarlo._KDE_CUT * h, side="left")
-            counts = np.searchsorted(xs, ys + montecarlo._KDE_CUT * h, side="right") - first
-            ends = np.cumsum(counts)
-            offset = first - (ends - counts)
-            dens, slope = np.empty(ys.size), np.empty(ys.size)
-            start = 0
-            while start < ys.size:
-                done = ends[start] - counts[start]
-                stop = max(start + 1, int(np.searchsorted(ends, done + pairs, side="right")))
-                run = slice(start, stop)
-                owner = np.repeat(np.arange(stop - start), counts[run])
-                idx = np.arange(done, ends[stop - 1]) + np.repeat(offset[run], counts[run])
-                z = (ys[run][owner] - xs[idx]) / h
-                k = np.exp(-0.5 * z**2) / math.sqrt(2 * math.pi)
-                dens[run] = np.bincount(owner, weights=k, minlength=stop - start)
-                slope[run] = np.bincount(owner, weights=-z * k, minlength=stop - start)
-                start = stop
-            return dens / (X.size * h), slope / (X.size * h * h)
-
-        rng = np.random.default_rng(seed)
-        X = np.repeat(rng.standard_t(df, size=-(-n // copies)), copies)[:n]
-        far = min(far, n)
-        X[:far] = rng.choice([-1.0, 1.0], far) * 10.0 ** rng.uniform(3.0, 8.0, far)
-        rng.shuffle(X)
-        h = 10.0**log_h
-        lo, hi = np.quantile(X, [0.001, 0.999])
-        ys = np.linspace(lo - 6 * h, hi + 6 * h, grid_points)
-        with mock.patch.object(montecarlo, "_KDE_PAIRS", pairs):
-            got = _kde(X, ys, h)
-        expected = gathered(X, ys, h)
+                                                 pairs, threads, seed):
+        X, ys, h = kde_case(n, df, copies, far, log_h, grid_points, seed)
+        pool = mock.Mock(wraps=montecarlo.ThreadPoolExecutor)
+        with mock.patch.object(montecarlo, "_KDE_PAIRS", pairs), \
+                mock.patch.object(montecarlo, "ThreadPoolExecutor", pool), \
+                mock.patch.dict("os.environ", {"LEVYSDE_THREADS": threads}):
+            got = _kde(np.sort(X), ys, h)
+        *expected, runs = gathered_kde(X, ys, h, pairs)
+        assert pool.called == (runs > 1 and threads != "1")  # the runs are jobs on the pool
         for a, b in zip(got, expected):
             assert np.array_equal(a, b)
             assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
+def kde_case(n, df, copies, far, log_h, grid_points, seed):
+    """Heavy-tailed Student-t samples, each repeated ``copies`` times, plus a few
+    far outliers, in random order; a bandwidth and the density probe's grid."""
+    rng = np.random.default_rng(seed)
+    X = np.repeat(rng.standard_t(df, size=-(-n // copies)), copies)[:n]
+    far = min(far, n)
+    X[:far] = rng.choice([-1.0, 1.0], far) * 10.0 ** rng.uniform(3.0, 8.0, far)
+    rng.shuffle(X)
+    h = 10.0**log_h
+    lo, hi = np.quantile(X, [0.001, 0.999])
+    return X, np.linspace(lo - 6 * h, hi + 6 * h, grid_points), h
+
+
+def gathered_kde(X, ys, h, pairs):
+    """Oracle of ``_kde``: each run's pairs gathered by index, the kernel formed
+    by the same operations in the same order, the runs one after another;
+    returns ``(dens, slope, runs)``."""
+    xs = np.sort(X)
+    first = np.searchsorted(xs, ys - montecarlo._KDE_CUT * h, side="left")
+    counts = np.searchsorted(xs, ys + montecarlo._KDE_CUT * h, side="right") - first
+    ends = np.cumsum(counts)
+    offset = first - (ends - counts)
+    dens, slope = np.empty(ys.size), np.empty(ys.size)
+    start = runs = 0
+    while start < ys.size:
+        done = ends[start] - counts[start]
+        stop = max(start + 1, int(np.searchsorted(ends, done + pairs, side="right")))
+        run = slice(start, stop)
+        owner = np.repeat(np.arange(stop - start), counts[run])
+        idx = np.arange(done, ends[stop - 1]) + np.repeat(offset[run], counts[run])
+        z = (ys[run][owner] - xs[idx]) / h
+        k = np.exp(-0.5 * z**2) / math.sqrt(2 * math.pi)
+        dens[run] = np.bincount(owner, weights=k, minlength=stop - start)
+        slope[run] = np.bincount(owner, weights=-z * k, minlength=stop - start)
+        start = stop
+        runs += 1
+    return dens / (X.size * h), slope / (X.size * h * h), runs
+
+
 class TestJumpSplit:
     def test_report_bit_identical_across_thread_counts(self, constant_model, monkeypatch):
-        # three batches, the last one partial
-        reports = []
-        for threads in ("1", "2", "4"):
-            monkeypatch.setenv("LEVYSDE_THREADS", threads)
-            reports.append(
-                lv.jump_split_check(constant_model, 0.0, 1.0, paths=140_000, eps=0.05, seed=2)
-            )
-        assert reports[0] == reports[1] == reports[2]
+        # three batches, the last one partial: six driver jobs on the pool
+        atomic = lv.AtomicMeasure(
+            atoms=(((0.5,), 3.0), ((-0.25,), 2.0), ((2.0,), 1.0), ((-1.5,), 0.7))
+        )
+        for model in (constant_model, replace(constant_model, measure=atomic)):
+            reports = []
+            for threads in ("1", "2", "4"):
+                monkeypatch.setenv("LEVYSDE_THREADS", threads)
+                reports.append(
+                    lv.jump_split_check(model, 0.0, 1.0, paths=140_000, eps=0.05, seed=2)
+                )
+            assert reports[0] == reports[1] == reports[2]
 
     def test_stable_split_consistency(self, constant_model, stable_measure):
         rep = lv.jump_split_check(constant_model, 0.0, 1.0, paths=100_000, eps=0.05, seed=11)
