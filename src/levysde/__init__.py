@@ -40,7 +40,6 @@ from .montecarlo import (
     indicator_payoff,
     jump_split_check,
     mc_semigroup,
-    payoff_from_grid,
     spectral_reference,
     strong_feller_growth,
     strong_feller_profile,

@@ -2,11 +2,9 @@
 
 ``levysde run <config.yaml>`` dispatches the named experiment, writes its CSV
 results and summary record, and exits 0 iff all configured gates pass.
-``LEVYSDE_THREADS`` (a positive integer, default 1) sets how many path
-batches run in parallel in ``terminal_samples`` and in the constant-coefficient
-weak-error table; ``jump_split_check`` and ``strong_feller_profile`` stay serial
-(see ``levysde.montecarlo``).  Any other value makes those loops raise
-``ConfigError``.
+``LEVYSDE_THREADS`` (a positive integer, default 1) sets how many Monte Carlo
+jobs run at once; README says which jobs those are.  Any other value makes
+those loops raise ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..errors import ConfigError, LevySdeError
+from ..errors import LevySdeError
 from .config import load_config, validate_config
 from .experiments import EXPERIMENTS, run_experiment
 
@@ -39,8 +37,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = validate_config(load_config(args.config))
-    except ConfigError as exc:
-        field = f" [{exc.field}]" if exc.field else ""
+    except LevySdeError as exc:  # also a measure whose tail mass the bound cannot integrate
+        field = f" [{exc.field}]" if getattr(exc, "field", None) else ""
         print(f"config error{field}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,11 +25,12 @@ from ..errors import ConfigError
 from ..grids import TorusGrid
 from ..measures import AtomicMeasure, StableMeasure, TabulatedMeasure
 from ..models import PRESETS, SdeModel, coefficient_preset, constant_value
-from ..montecarlo import JUMP_BLOCK_CAP, SPECTRAL_GRID, SimScheme, jump_block
+from ..montecarlo import _BATCH, JUMP_BLOCK_CAP, SPECTRAL_GRID, SimScheme, jump_block
 
 __all__ = [
     "ExperimentConfig",
     "OneOf",
+    "Within",
     "load_config",
     "validate_config",
     "config_hash",
@@ -41,11 +41,6 @@ __all__ = [
 ]
 
 SECTIONS = ("experiment", "model", "grid", "scheme", "params", "gates", "output")
-
-# the list param each runner fits a rate to, and the fewest distinct values it
-# takes: fit_rate needs 4 points, the two-point composition slope 2 frequencies
-_FIT_POINTS = {"weak-error": ("eps_list", 4), "smoothing": ("times", 4),
-               "density": ("times", 4), "composition": ("frequencies", 2)}
 
 
 @dataclass(frozen=True)
@@ -130,14 +125,40 @@ class OneOf(tuple):
         raise ValueError(f"must be one of {tuple(self)}")
 
 
+class Within:
+    """A default declared with its domain: the ``interval`` that the value, or
+    each entry of a list value, lies in (``"(0, inf)"``; a square bracket
+    closes its end), and for a list its fewest ``distinct`` entries; called on
+    a configured value, it returns the value parsed by the type of the default."""
+
+    def __init__(self, default, interval: str, distinct: int = 1):
+        self.default, self.interval, self.distinct = default, interval, distinct
+
+    def __call__(self, value):
+        value = _kind(self.default)(value)
+        entries = value if isinstance(value, tuple) else (value,)
+        lo, hi = (float(end) for end in self.interval[1:-1].split(","))
+        left, right = self.interval[0] == "[", self.interval[-1] == "]"
+        if not all(lo <= v <= hi and (v != lo or left) and (v != hi or right) for v in entries):
+            raise ValueError(f"must lie in {self.interval}")
+        if len(set(entries)) < self.distinct:
+            raise ValueError(f"needs at least {self.distinct} distinct entries")
+        return value
+
+
+def _default(declared):
+    """The default of a declared param or gate: a ``OneOf``'s first value."""
+    return declared[0] if isinstance(declared, OneOf) else getattr(declared, "default", declared)
+
+
 def _declared(section, where: str, defaults: dict) -> dict:
-    """``defaults`` with the values ``section`` sets: a key without a default is
-    refused, and each value is parsed by the type of its default (:func:`_kind`)."""
+    """``defaults`` with the values ``section`` sets, each parsed by the type of
+    its default and checked against its domain (:func:`_kind`), the one check of
+    a param's or gate's own value; a key without a default is refused."""
     section = {} if section is None else section
     _known(section, where, defaults)
-    return {key: _value(section, key, where, _kind(default),
-                        default[0] if isinstance(default, OneOf) else default)
-            for key, default in defaults.items()}
+    return {key: _value(section, key, where, _kind(declared), _default(declared))
+            for key, declared in defaults.items()}
 
 
 def _build(cls, where: str, renamed=(), **kwargs):
@@ -213,15 +234,6 @@ def validate_config(cfg: dict) -> ExperimentConfig:
                     "reference: exact-stable",
                     field="params.reference",
                 )
-    if not all(0.0 < t < float("inf") for t in params.get("times", ())):
-        raise ConfigError(f"params.times entries must be positive and finite, got "
-                          f"{list(params['times'])}", field="params.times")
-    for key, least, what in (("t", 0.0, "positive and finite"),
-                             ("span", 0.0, "positive and finite"),
-                             ("x0", -math.inf, "finite")):
-        if key in params and not least < params[key] < math.inf:
-            raise ConfigError(f"params.{key} must be {what}, got {params[key]}",
-                              field=f"params.{key}")
     gates = _declared(cfg.get("gates"), "gates", entry.gates)
     if experiment == "density" and gates["growth_exponent_max"] is None and not stable:
         raise ConfigError(
@@ -229,42 +241,38 @@ def validate_config(cfg: dict) -> ExperimentConfig:
             f"model.kind is {raw_model.get('kind')!r}; set the gate",
             field="gates.growth_exponent_max",
         )
-    if experiment in _FIT_POINTS:
-        key, least = _FIT_POINTS[experiment]
-        if len(set(params[key])) < least:
-            raise ConfigError(
-                f"params.{key} needs at least {least} distinct values for the "
-                f"experiment's rate fit, got {list(params[key])}",
-                field=f"params.{key}",
-            )
-    if experiment == "weak-error":
-        eps_list = params["eps_list"]
-        if not all(0.0 < e < 1.0 for e in eps_list):
-            raise ConfigError(f"params.eps_list entries must lie in (0, 1), got {list(eps_list)}",
-                              field="params.eps_list")
-        # the common-random-number batches draw every level's jumps at once
-        block = jump_block(model.measure.tail_mass(min(eps_list)) * params["t"])
-        if not block <= JUMP_BLOCK_CAP:
-            raise ConfigError(
-                f"params.t = {params['t']:g} at the smallest level eps = {min(eps_list):g} "
-                f"expects a block of {block:.3g} jumps per batch of paths, above the cap of "
-                f"{JUMP_BLOCK_CAP}; shorten params.t or raise the smallest params.eps_list entry",
-                field="params.t",
-            )
+    if scheme is not None:
+        # the floats one batch of _BATCH paths holds: its jumps beyond the
+        # smallest level over the horizon, one increment per path and Euler
+        # step, and the profile points; the refusal names the field of the
+        # largest term, the horizon in place of the level or step above one
+        t, horizon = ((params["t"], "params.t") if "t" in params
+                      else (max(params["times"]), "params.times"))
+        eps = min(params.get("eps_list", [scheme.eps]))
+        loads = {"params.eps_list" if "eps_list" in params else "scheme.eps":
+                 jump_block(model.measure.tail_mass(eps) * t),
+                 "scheme.tau": max(1.0, t / scheme.tau) * _BATCH,
+                 "params.x_points": params.get("x_points", 0)}
+        if not sum(loads.values()) <= JUMP_BLOCK_CAP:
+            field = max(loads, key=loads.get)
+            field = horizon if t > 1 and field != "params.x_points" else field
+            terms = ", ".join(f"{key}: {n:.3g}" for key, n in loads.items() if n)
+            raise ConfigError(f"one batch of {_BATCH} paths would hold more floats than the cap "
+                              f"of {JUMP_BLOCK_CAP} at t = {t:g}, eps = {eps:g} ({terms}); "
+                              f"change {field}", field=field)
     if experiment == "composition":
         # each entry probes its nearest lattice mode, which composition_defect
         # needs in (0, Nyquist/4]; the rate fit takes the log of the entry
         band = grid.xi_nyquist / 4.0
-        for key, entries in (("frequencies", params["frequencies"]),
-                             ("probe_mode", [params["probe_mode"]])):
-            for k in entries:
-                mode = float(grid.xi[abs(grid.xi - k).argmin()])
-                if not 0.0 < mode <= band:
-                    raise ConfigError(
-                        f"params.{key} entry {k:g} probes the lattice frequency {mode:g}, "
-                        f"outside (0, {band:g}], a quarter of the grid's Nyquist frequency",
-                        field=f"params.{key}",
-                    )
+        probes = [("frequencies", k) for k in params["frequencies"]]
+        for key, k in probes + [("probe_mode", params["probe_mode"])]:
+            mode = float(grid.xi[abs(grid.xi - k).argmin()])
+            if not 0.0 < mode <= band:
+                raise ConfigError(
+                    f"params.{key} entry {k:g} probes the lattice frequency {mode:g}, "
+                    f"outside (0, {band:g}], a quarter of the grid's Nyquist frequency",
+                    field=f"params.{key}",
+                )
     # checked after the sections the experiment reads, so that a malformed
     # value there is named first
     for section in ("grid", "scheme"):
@@ -297,9 +305,10 @@ def validate_config(cfg: dict) -> ExperimentConfig:
 
 def _kind(default):
     """Parser of a gate or param value, chosen by the type of its default: a
-    :class:`OneOf` takes one of its values, a tuple is a ``(lo, hi)`` range,
-    a list takes any number of floats, and None stands for an optional float."""
-    if isinstance(default, OneOf):
+    :class:`OneOf` takes one of its values, a :class:`Within` checks its
+    domain, a tuple is a ``(lo, hi)`` range, a list takes any number of
+    floats, and None stands for an optional float."""
+    if isinstance(default, (OneOf, Within)):
         return default
     if isinstance(default, bool):
         return _bool

@@ -53,7 +53,7 @@ from ..symbols import (
     seminorm,
     tabulate,
 )
-from .config import ExperimentConfig, OneOf
+from .config import ExperimentConfig, OneOf, Within
 
 __all__ = ["EXPERIMENTS", "Experiment", "ExperimentResult", "run_experiment"]
 
@@ -73,7 +73,8 @@ class Experiment:
     map each key a config may set in those sections to its default; the
     type of a default sets how a configured value is parsed (see
     ``config._kind``; a ``OneOf`` lists the allowed values, its first the
-    default), and ``cfg.gates``/``cfg.params`` hold every key.
+    default, and a ``Within`` declares the default with the interval its
+    value lies in), and ``cfg.gates``/``cfg.params`` hold every key.
     ``needs`` names the config section the experiment requires (``"grid"``,
     ``"scheme"`` or None); ``two_d`` says it runs at ``model.dimension: 2``;
     ``constant_coefficients`` that it needs sigma and b constant on the grid.
@@ -409,47 +410,53 @@ EXPERIMENTS = {
     ),
     "semigroup": Experiment(
         run_semigroup, {"rel_error_max": 1e-6}, "grid", constant_coefficients=True,
-        params={"times": [0.1, 1.0], "seed": 3},
+        params={"times": Within([0.1, 1.0], "(0, inf)"), "seed": 3},
         csv="semigroup.csv", columns=("t", "rel_error", "residual"),
     ),
     "smoothing": Experiment(
         run_smoothing, {"slope_range": (-1.0, -0.7), "doubled_slope_range": (-2.0, -1.4)},
         "grid",
-        params={"gamma": 1.5, "delta": 1.5, "p": 2.0, "q": 2.0,
-                "times": [1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125], "seed": 11},
+        params={"gamma": Within(1.5, "(-inf, inf)"), "delta": Within(1.5, "(-inf, inf)"),
+                "p": Within(2.0, "[1, inf]"), "q": Within(2.0, "[1, inf]"),
+                "times": Within([1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125], "(0, inf)", 4),
+                "seed": 11},
         csv="smoothing.csv", columns=("t", "besov_gamma", "besov_gamma_plus_delta"),
     ),
     "analyticity": Experiment(
         run_analyticity, {"max_over_min": 10.0}, "grid",
-        params={"times": [2.0**-k for k in range(0, 11)], "seed": 4},
+        params={"times": Within([2.0**-k for k in range(0, 11)], "(0, inf)"), "seed": 4},
         csv="analyticity.csv", columns=("t", "value", "residual"),
     ),
     "weak-error": Experiment(
         run_weak_error, {"slope_range": (0.25, 0.75), "monotone": True}, "scheme",
-        params={"t": 1.0, "x0": 0.0, "eps_list": [0.4, 0.2, 0.1, 0.05],
+        params={"t": Within(1.0, "(0, inf)"), "x0": Within(0.0, "(-inf, inf)"),
+                "eps_list": Within([0.4, 0.2, 0.1, 0.05], "(0, 1)", 4),
                 "reference": OneOf("spectral", "exact-stable")},
         csv="weak_error.csv", columns=("eps", "error", "stderr"),
     ),
     "strong-feller": Experiment(
         run_strong_feller, {"max_jump_ratio": 10.0}, "scheme",
-        params={"t": 1.0, "threshold": 0.0, "span": 4.0, "x_points": 33},
+        params={"t": Within(1.0, "(0, inf)"), "threshold": Within(0.0, "(-inf, inf)"),
+                "span": Within(4.0, "(0, inf)"), "x_points": 33},
         csv="strong_feller.csv", columns=("x", "probability", "stderr"),
     ),
     "density": Experiment(
         run_density,
         {"integral_tol": 0.01, "growth_exponent_max": None},  # None: 2/alpha + 0.5
         "scheme",
-        params={"times": [1.0, 0.5, 0.25, 0.125, 0.0625], "x0": 0.0,
+        params={"times": Within([1.0, 0.5, 0.25, 0.125, 0.0625], "(0, inf)", 4),
+                "x0": Within(0.0, "(-inf, inf)"),
                 "mode": OneOf("exact-stable", "truncated", "truncated+gaussian")},
         csv="density.csv", columns=("t", "sup_density_slope", "bandwidth"),
     ),
     "jump-split": Experiment(
-        run_jump_split, {}, "scheme", params={"t": 1.0, "x0": 0.0},
+        run_jump_split, {}, "scheme",
+        params={"t": Within(1.0, "(0, inf)"), "x0": Within(0.0, "(-inf, inf)")},
         csv="jump_split.csv", columns=("payoff", "abs_difference", "stderr"),
     ),
     "composition": Experiment(
         run_composition, {"zero_tol": 1e-10, "slope_range": (-1.3, -0.7)}, "grid",
-        params={"probe_mode": 5, "frequencies": [8, 16, 32]},
+        params={"probe_mode": 5, "frequencies": Within([8, 16, 32], "(0, inf)", 2)},
         csv="composition.csv", columns=("frequency", "defect_ratio", "residual"),
     ),
 }

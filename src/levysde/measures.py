@@ -238,8 +238,10 @@ class StableMeasure:
         return out[0] if scalar else out
 
     def tail_mass(self, eps: float) -> float:
-        """nu(|z| > eps), per-axis sum in d=2."""
-        return sum(2.0 * w * eps ** (-self.alpha) / self.alpha for w in self.axis_coeffs)
+        """nu(|z| > eps), per-axis sum in d=2; infinite where ``eps^-alpha`` overflows."""
+        with np.errstate(over="ignore"):
+            power = np.float64(eps) ** -self.alpha
+        return float(sum(2.0 * w * power / self.alpha for w in self.axis_coeffs))
 
     def small_jump_variance(self, eps: float) -> np.ndarray:
         s = [2.0 * w * eps ** (2.0 - self.alpha) / (2.0 - self.alpha) for w in self.axis_coeffs]

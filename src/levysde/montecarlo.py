@@ -63,12 +63,12 @@ __all__ = [
     "bump_payoff",
     "hat_payoff",
     "indicator_payoff",
-    "payoff_from_grid",
 ]
 
 _BATCH = 1 << 16
-# Jumps one batch of weak_error_table may expect to hold in its block (512 MiB
-# of float64); validate_config refuses a truncation sweep and horizon beyond.
+# Floats one batch of _BATCH paths may hold (512 MiB of float64): its jump
+# block, or its increments over the Euler steps; validate_config refuses a
+# scheme experiment beyond.
 JUMP_BLOCK_CAP = 1 << 26
 # Kernel-density window half-width in bandwidths.  A dropped term has
 # exp(-c^2/2) <= 2^-52 of the kernel's peak, below its double rounding, which
@@ -103,6 +103,8 @@ class SimScheme:
             raise ConfigError(f"step must be positive and finite, got {self.tau}", field="tau")
         if self.paths < 1:
             raise ConfigError("path count must be positive", field="paths")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}", field="seed")
 
     @property
     def mode(self) -> str:
@@ -220,20 +222,6 @@ def terminal_samples(
     return np.concatenate(_map_batches(run, scheme.paths, scheme.seed, stream))
 
 
-def payoff_from_grid(gf: GridFunction):
-    """Periodic linear interpolant of a real grid function, usable as a payoff."""
-    grid = gf.grid
-    if grid.dimension != 1:
-        raise NotImplementedError("grid payoffs are 1-d")
-    xs = np.concatenate([grid.x, [grid.period]])
-    ys = np.concatenate([gf.values.real, [gf.values.real[0]]])
-
-    def f(X):
-        return np.interp(np.asarray(X, dtype=float) % grid.period, xs, ys)
-
-    return f
-
-
 def mc_semigroup(
     f,
     model: SdeModel,
@@ -243,13 +231,7 @@ def mc_semigroup(
     mode: str = None,
     stream: int = 0,
 ) -> McEstimate:
-    """Monte Carlo estimate of ``P_t f(x0) = E f(X(t))``.
-
-    ``f`` is a bounded payoff: a vectorized callable or a grid function
-    (interpreted periodically).
-    """
-    if isinstance(f, GridFunction):
-        f = payoff_from_grid(f)
+    """Monte Carlo estimate of ``P_t f(x0) = E f(X(t))`` for a bounded vectorized payoff ``f``."""
     X = terminal_samples(model, x0, t, scheme, mode=mode, stream=stream)
     vals = np.asarray(f(X), dtype=float)
     mean = float(vals.mean())

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import stdtrit
 
+from .errors import ConfigError
+
 __all__ = ["RateFit", "fit_rate"]
 
 
@@ -28,21 +30,22 @@ class RateFit:
 def fit_rate(points) -> RateFit:
     """Fit ``value ~ C * abscissa^slope`` from (abscissa, value[, weight]) rows.
 
-    Requires at least 4 points with positive abscissae and values.  The 95%
+    Refuses fewer than 4 points, or an abscissa, value or weight that is not
+    positive and finite, with a ``ConfigError`` naming ``points``.  The 95%
     confidence interval comes from the t-statistic of the slope; for an exact
     two-parameter fit through duplicated data the interval degenerates to the
     slope itself.
     """
     rows = [tuple(p) for p in points]
     if len(rows) < 4:
-        raise ValueError(f"rate fitting needs at least 4 points, got {len(rows)}")
+        raise ConfigError(f"rate fitting needs at least 4 points, got {len(rows)}", field="points")
     xs = np.array([r[0] for r in rows], dtype=float)
     ys = np.array([r[1] for r in rows], dtype=float)
     ws = np.array([r[2] if len(r) > 2 else 1.0 for r in rows], dtype=float)
-    if np.any(xs <= 0) or np.any(ys <= 0):
-        raise ValueError("abscissae and values must be positive for log-log fitting")
-    if np.any(ws <= 0):
-        raise ValueError("weights must be positive")
+    for name, a in (("abscissa", xs), ("value", ys), ("weight", ws)):
+        if not np.all((a > 0) & (a < np.inf)):
+            raise ConfigError(f"every {name} of a log-log fit must be positive and finite, "
+                              f"got {a.tolist()}", field="points")
     lx, ly = np.log(xs), np.log(ys)
     W = np.diag(ws)
     A = np.column_stack([lx, np.ones_like(lx)])

@@ -12,12 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import levysde as lv
-from levysde.errors import ConfigError
+from levysde.errors import ConfigError, LevySdeError
 from levysde.harness import config_hash, load_config, run_experiment, validate_config
 from levysde.harness.cli import main as cli_main
-from levysde.harness.config import OneOf
+from levysde.harness.config import OneOf, Within, _default
 from levysde.harness.experiments import EXPERIMENTS
 
 from conftest import counting_solves
@@ -75,6 +76,19 @@ class TestFitRate:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             lv.fit_rate([(1.0, 1.0), (2.0, -2.0), (3.0, 3.0), (4.0, 4.0)])
+
+    @pytest.mark.parametrize("points", [
+        [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)],
+        [(1.0, 1.0), (2.0, -2.0), (3.0, 3.0), (4.0, 4.0)],
+        [(1.0, 1.0), (2.0, np.inf), (3.0, 3.0), (4.0, 4.0)],
+        [(np.nan, 1.0), (2.0, 2.0), (3.0, 3.0), (4.0, 4.0)],
+        [(1.0, 1.0, 1.0), (2.0, 2.0, np.inf), (3.0, 3.0, 1.0), (4.0, 4.0, 1.0)],
+    ], ids=["three-points", "negative-value", "infinite-value", "nan-abscissa",
+            "infinite-weight"])
+    def test_refusal_names_points(self, points):
+        with pytest.raises(ConfigError) as err:
+            lv.fit_rate(points)
+        assert err.value.field == "points"
 
     @pytest.mark.parametrize("n", [4, 5, 9, 41])
     def test_confidence_half_width_is_students_t(self, n):
@@ -155,14 +169,25 @@ class TestConfig:
         declared = {name: (e.csv, e.columns) for name, e in EXPERIMENTS.items() if e.csv}
         assert documented == declared
         params = {
-            name: {k: v for item in re.findall(r"`([^`]+)`", cell)
+            name: {k: (v, domain.strip())
+                   for item, domain in re.findall(r"`([^`]+)`([^`]*?)(?:, (?=`)|$)", cell.strip())
                    for k, v in yaml.safe_load(item).items()}
-            for name, cell in re.findall(r"^\| (\S+) +\| ((?:`[^`]+`(?:, )?)+|none) *\|$",
+            for name, cell in re.findall(r"^\| (\S+) +\| ((?:`[^`|]+`[^`|]*)+|none) *\|$",
                                          text, flags=re.MULTILINE)
         }
-        # a OneOf is documented as the list of its values, the default first
+
+        def domain(v):
+            if not isinstance(v, Within):
+                return ""
+            each = "each " if isinstance(v.default, list) else ""
+            least = f", {v.distinct} distinct" if v.distinct > 1 else ""
+            return f"{each}in {v.interval}{least}"
+
+        # defaults unwrapped as _declared unwraps them, each followed by its
+        # domain; a OneOf is documented as the list of its values, the default first
         assert params == {
-            name: {k: list(v) if isinstance(v, OneOf) else v for k, v in e.params.items()}
+            name: {k: (list(v) if isinstance(v, OneOf) else _default(v), domain(v))
+                   for k, v in e.params.items()}
             for name, e in EXPERIMENTS.items()
         }
 
@@ -215,6 +240,9 @@ class TestConfig:
             lv.TorusGrid(n=60)
         assert err.value.field == "n"
         assert isinstance(err.value, ValueError)  # callers catching ValueError still do
+        with pytest.raises(ConfigError) as err:
+            lv.SimScheme(eps=0.4, tau=1.0, gaussian_compensation=True, paths=10, seed=-1)
+        assert err.value.field == "seed"
 
     def test_measure_and_model_builders(self):
         from levysde.harness.config import build_measure, build_model
@@ -721,6 +749,31 @@ class TestCli:
             pytest.param({"experiment": "weak-error",
                           "scheme": {**WEAK_SCHEME, "tau": float("nan")}}, "scheme.tau",
                          id="scheme-nan-tau"),
+            # each value below passed validation and then crashed untyped or
+            # allocated without bound
+            *[pytest.param({"experiment": "smoothing", "params": {key: value}},
+                           f"params.{key}", id=f"smoothing-{key}-{value}")
+              for key, value in [("p", 0.5), ("q", -1.0), ("gamma", float("nan")),
+                                 ("delta", float("inf"))]],
+            *[pytest.param({"experiment": experiment,
+                            "scheme": {**WEAK_SCHEME, **scheme}, "params": params}, field,
+                           id=f"{experiment}-{field}")
+              for experiment, scheme, params, field in [
+                  ("jump-split", {}, {"t": 1.0e12}, "params.t"),
+                  ("jump-split", {"eps": 1.0e-9}, {}, "scheme.eps"),
+                  ("strong-feller", {"eps": 1.0e-9}, {}, "scheme.eps"),
+                  ("strong-feller", {"tau": 1.0e-9}, {}, "scheme.tau"),
+                  ("strong-feller", {}, {"x_points": 10**12}, "params.x_points"),
+                  ("strong-feller", {}, {"t": 1.0e12}, "params.t"),
+                  ("strong-feller", {}, {"threshold": float("nan")}, "params.threshold"),
+                  ("density", {}, {"times": [1.0e12, 0.5, 0.25, 0.125]}, "params.times"),
+                  ("density", {"tau": 1.0e-9}, {}, "scheme.tau"),
+              ]],
+            pytest.param({"experiment": "semigroup", "params": {"times": []}}, "params.times",
+                         id="semigroup-no-times"),
+            *[pytest.param({"experiment": experiment, "scheme": {**WEAK_SCHEME, "seed": -1}},
+                           "scheme.seed", id=f"{experiment}-negative-seed")
+              for experiment in ("weak-error", "strong-feller", "density", "jump-split")],
         ],
     )
     def test_malformed_value_names_field(self, tmp_path, capsys, change, field):
@@ -749,6 +802,29 @@ class TestCli:
             with pytest.raises(ConfigError, match="cap") as err:
                 validate_config({**tree, "params": {**tree["params"], "t": t}})
             assert err.value.field == "params.t"
+
+    def test_overflowing_smoothing_norm_ends_typed(self, tmp_path, capsys):
+        # gamma = 200 lies in its domain, but the weights 2^(200 j) overflow the
+        # Besov norms, which the rate fit refuses
+        cfg = {"experiment": "smoothing", "output": str(tmp_path / "out"),
+               "model": base_model(), "grid": {"n": 64, "length_factor": 4},
+               "params": {"gamma": 200.0}}
+        path = write_config(tmp_path, "overflow.yaml", cfg)
+        assert cli_main(["run", str(path)]) == 3
+        assert "log-log fit" in capsys.readouterr().err
+
+    def test_tail_mass_failing_its_quadrature_is_refused(self, tmp_path, capsys):
+        # the batch bound reads the tail mass beyond eps, which this coarse
+        # table fails to integrate: validation ends with exit 2, not a traceback
+        model = {k: v for k, v in base_model().items() if k not in ("alpha", "scale")}
+        cfg = {"experiment": "density", "output": str(tmp_path / "out"),
+               "model": {**model, "kind": "tabulated", "radii": [0.1, 1.0, 10.0],
+                         "density": [300.0, 1.0, 0.01]},
+               "scheme": {**WEAK_SCHEME, "eps": 0.05}, "params": {"mode": "truncated"},
+               "gates": {"growth_exponent_max": 5.0}}
+        path = write_config(tmp_path, "tabulated.yaml", cfg)
+        assert cli_main(["validate", str(path)]) == 2
+        assert "quadrature did not converge" in capsys.readouterr().err
 
     def test_validate_creates_nothing(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -784,3 +860,85 @@ class TestCli:
         }
         path = write_config(tmp_path, "fail.yaml", cfg)
         assert cli_main(["run", str(path)]) == 1
+
+
+# The config fuzzer: every experiment at a small size, with one or two of its
+# params, gates and scheme fields drawn from the declared type plus the edges.
+VARIABLE_MODEL = base_model(sigma_expr={"preset": "2+sin", "offset": 2.0, "amplitude": 0.2},
+                            sigma_lower_bound=1.5)
+FUZZ_SCHEME = {"eps": 0.1, "tau": 1.0, "gaussian_compensation": True, "paths": 2000, "seed": 3}
+FUZZ_BASES = {
+    "symbol": {"grid": {"n": 32, "length_factor": 4}},
+    "bgindex": {},
+    "sector": {"grid": {"n": 64, "length_factor": 4}},
+    "invert": {"model": VARIABLE_MODEL, "grid": {"n": 64, "length_factor": 1}},
+    "resolvent": {"model": VARIABLE_MODEL, "grid": {"n": 64, "length_factor": 4}},
+    "semigroup": {"grid": {"n": 64, "length_factor": 4}},
+    "smoothing": {"grid": {"n": 64, "length_factor": 4}},
+    "analyticity": {"model": VARIABLE_MODEL, "grid": {"n": 64, "length_factor": 4}},
+    "weak-error": {"scheme": FUZZ_SCHEME},
+    "strong-feller": {"scheme": FUZZ_SCHEME},
+    "density": {"scheme": FUZZ_SCHEME},
+    "jump-split": {"scheme": FUZZ_SCHEME},
+    "composition": {"model": VARIABLE_MODEL, "grid": {"n": 256, "length_factor": 1}},
+}
+FUZZ_EDGES = [0, -1, float("nan"), float("inf"), -float("inf"), 1.0e12, 1.0e-9]
+
+
+def _drawn(declared, key):
+    """Values of the declared type of ``declared``, and the edges."""
+    edges = st.sampled_from(FUZZ_EDGES)
+    default = _default(declared)
+    if isinstance(declared, OneOf):
+        return st.sampled_from(list(declared)) | edges
+    if isinstance(default, bool):
+        return st.booleans() | edges
+    if isinstance(default, int):
+        if key == "paths":  # a huge path count is a long run, not a fault
+            return st.integers(1, 2000) | st.sampled_from([e for e in FUZZ_EDGES if e != 1.0e12])
+        return st.integers(1, 64) | edges
+    floats = st.floats(-10.0, 10.0) | edges
+    if isinstance(default, tuple):
+        return st.lists(floats, min_size=2, max_size=2) | edges
+    if isinstance(default, list):
+        entries = st.floats(1e-3, 10.0) | floats
+        return st.lists(entries, max_size=6) | edges
+    return floats
+
+
+@st.composite
+def _fuzzed_config(draw):
+    experiment = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    entry = EXPERIMENTS[experiment]
+    tree = {"experiment": experiment, "model": base_model(), **FUZZ_BASES[experiment]}
+    fields = [("params", k, v) for k, v in entry.params.items()]
+    fields += [("gates", k, v) for k, v in entry.gates.items()]
+    fields += [("scheme", k, v) for k, v in tree.get("scheme", {}).items()]
+    if not fields:
+        return tree
+    for section, key, declared in draw(st.lists(st.sampled_from(fields), min_size=1, max_size=2,
+                                                unique_by=lambda f: f[:2])):
+        tree[section] = {**tree.get(section, {}), key: draw(_drawn(declared, key))}
+    return tree
+
+
+class TestConfigFuzz:
+    @settings(max_examples=2000, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow])
+    @given(tree=_fuzzed_config())
+    def test_config_is_refused_or_runs_typed(self, tree, tmp_path, monkeypatch):
+        # every drawn config is refused naming a field, runs to PASS or FAIL,
+        # or ends in a typed error; a huge value is refused before it allocates
+        monkeypatch.setenv("LEVYSDE_THREADS", "1")
+        tree = {**tree, "output": str(tmp_path / "out")}
+        try:
+            cfg = validate_config(tree)
+        except ConfigError as exc:
+            assert exc.field, exc
+            return
+        try:
+            result = run_experiment(cfg)
+        except LevySdeError:
+            return
+        assert result.ok in (True, False)

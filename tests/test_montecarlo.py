@@ -120,25 +120,15 @@ class TestMcSemigroup:
         # the exact multiplier semigroup evaluated at the start node vs Monte Carlo
         grid = lv.TorusGrid(n=1024, dimension=1, length_factor=4.0)
         sym = lv.tabulate(constant_model, grid)
-        gf = lv.GridFunction.from_callable(
-            grid, lv.bump_payoff(center=0.0, width=2.0, period=grid.period)
-        )
+        payoff = lv.bump_payoff(center=0.0, width=2.0, period=grid.period)
         t = 1.0
-        pt = lv.semigroup_apply(t, sym, gf)
+        pt = lv.semigroup_apply(t, sym, lv.GridFunction.from_callable(grid, payoff))
         ref = float(pt.values[0].real)  # x0 = 0 is grid node 0
         scheme = lv.SimScheme(
             eps=0.1, tau=1.0, gaussian_compensation=False, paths=200_000, seed=31
         )
-        est = lv.mc_semigroup(gf, constant_model, 0.0, t, scheme, mode="exact-stable")
+        est = lv.mc_semigroup(payoff, constant_model, 0.0, t, scheme, mode="exact-stable")
         assert abs(est.mean - ref) <= 4 * est.stderr
-
-    def test_grid_payoff_interpolant(self, constant_model):
-        grid = lv.TorusGrid(n=512, dimension=1, length_factor=4.0)
-        fn = lv.hat_payoff(center=2.0, width=1.5, period=grid.period)
-        gf = lv.GridFunction.from_callable(grid, fn)
-        interp = lv.payoff_from_grid(gf)
-        probe = np.linspace(-30.0, 30.0, 501)
-        assert np.abs(interp(probe) - fn(probe)).max() <= 0.01
 
     def test_reproducibility_bit_identical(self, constant_model, scheme_small):
         payoff = lv.bump_payoff(center=0.0, width=2.0, period=PERIOD)
