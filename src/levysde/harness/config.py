@@ -19,6 +19,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from ..errors import ConfigError
@@ -127,15 +128,21 @@ class OneOf(tuple):
 
 class Within:
     """A default declared with its domain: the ``interval`` that the value, or
-    each entry of a list value, lies in (``"(0, inf)"``; a square bracket
-    closes its end), and for a list its fewest ``distinct`` entries; called on
-    a configured value, it returns the value parsed by the type of the default."""
+    each entry of a list or ``(lo, hi)`` range, lies in (``"(0, inf)"``; a
+    square bracket closes its end), and for a list its fewest ``distinct``
+    entries; called on a configured value, it returns the value parsed by the
+    type of the default.  A range needs ``lo <= hi``; an optional float's None
+    is admitted."""
 
     def __init__(self, default, interval: str, distinct: int = 1):
         self.default, self.interval, self.distinct = default, interval, distinct
 
     def __call__(self, value):
         value = _kind(self.default)(value)
+        if value is None:
+            return value
+        if isinstance(self.default, tuple) and value[0] > value[1]:
+            raise ValueError("must be a range (lo, hi) with lo <= hi")
         entries = value if isinstance(value, tuple) else (value,)
         lo, hi = (float(end) for end in self.interval[1:-1].split(","))
         left, right = self.interval[0] == "[", self.interval[-1] == "]"
@@ -174,7 +181,7 @@ def _build(cls, where: str, renamed=(), **kwargs):
 def validate_config(cfg: dict) -> ExperimentConfig:
     """Check structure and referenced sections; returns the typed config with
     its model, grid and scheme built."""
-    from .experiments import EXPERIMENTS  # experiments imports ExperimentConfig from here
+    from .experiments import EXPERIMENTS, _rough_decay  # experiments imports this module
 
     for section in cfg:
         if section not in SECTIONS:
@@ -244,14 +251,15 @@ def validate_config(cfg: dict) -> ExperimentConfig:
     if scheme is not None:
         # the floats one batch of _BATCH paths holds: its jumps beyond the
         # smallest level over the horizon, one increment per path and Euler
-        # step, and the profile points; the refusal names the field of the
-        # largest term, the horizon in place of the level or step above one
+        # step (one step when the experiment does not step), and the profile
+        # points; the refusal names the field of the largest term, the
+        # horizon in place of the level or step above one
         t, horizon = ((params["t"], "params.t") if "t" in params
                       else (max(params["times"]), "params.times"))
         eps = min(params.get("eps_list", [scheme.eps]))
         loads = {"params.eps_list" if "eps_list" in params else "scheme.eps":
                  jump_block(model.measure.tail_mass(eps) * t),
-                 "scheme.tau": max(1.0, t / scheme.tau) * _BATCH,
+                 "scheme.tau": (max(1.0, t / scheme.tau) if entry.steps else 1.0) * _BATCH,
                  "params.x_points": params.get("x_points", 0)}
         if not sum(loads.values()) <= JUMP_BLOCK_CAP:
             field = max(loads, key=loads.get)
@@ -260,6 +268,19 @@ def validate_config(cfg: dict) -> ExperimentConfig:
             raise ConfigError(f"one batch of {_BATCH} paths would hold more floats than the cap "
                               f"of {JUMP_BLOCK_CAP} at t = {t:g}, eps = {eps:g} ({terms}); "
                               f"change {field}", field=field)
+    if experiment == "smoothing":
+        # the rough input's spectrum <xi>^-decay (random_rough_function) must
+        # be finite and nonzero on the grid, or NaNs reach the Besov norms
+        decay = _rough_decay(params["gamma"], params["delta"], grid.dimension)
+        with np.errstate(over="ignore"):
+            amplitudes = (1.0 + grid.xi_norm() ** 2) ** (-decay / 2.0)
+        if not np.all((amplitudes > 0.0) & np.isfinite(amplitudes)):
+            raise ConfigError(
+                f"params.gamma = {params['gamma']:g} with delta = {params['delta']:g} gives the "
+                f"rough input the spectral decay {decay:g}, whose amplitudes are not finite and "
+                "positive on the grid",
+                field="params.gamma",
+            )
     if experiment == "composition":
         # each entry probes its nearest lattice mode, which composition_defect
         # needs in (0, Nyquist/4]; the rate fit takes the log of the entry

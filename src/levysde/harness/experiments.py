@@ -76,7 +76,9 @@ class Experiment:
     default, and a ``Within`` declares the default with the interval its
     value lies in), and ``cfg.gates``/``cfg.params`` hold every key.
     ``needs`` names the config section the experiment requires (``"grid"``,
-    ``"scheme"`` or None); ``two_d`` says it runs at ``model.dimension: 2``;
+    ``"scheme"`` or None); ``steps`` says its paths take ``scheme.tau`` Euler
+    steps (not so ``jump-split``, which draws its horizon in one);
+    ``two_d`` says it runs at ``model.dimension: 2``;
     ``constant_coefficients`` that it needs sigma and b constant on the grid.
     ``rows`` go to ``csv`` under ``columns``; without a ``csv`` only
     ``summary.json`` is written.  ``records`` are JSON files the runner writes
@@ -87,6 +89,7 @@ class Experiment:
     gates: dict
     needs: str = None
     params: dict = field(default_factory=dict)
+    steps: bool = False
     two_d: bool = False
     constant_coefficients: bool = False
     csv: str = None
@@ -246,9 +249,8 @@ def run_smoothing(cfg: ExperimentConfig):
     grid = cfg.grid
     gamma, delta, p, q, times = (cfg.params[k] for k in ("gamma", "delta", "p", "q", "times"))
     sym = tabulate(cfg.model, grid)
-    rough = random_rough_function(
-        grid, (gamma - delta) + grid.dimension / 2.0 + 0.01, seed=cfg.params["seed"]
-    )
+    rough = random_rough_function(grid, _rough_decay(gamma, delta, grid.dimension),
+                                  seed=cfg.params["seed"])
     part = DyadicPartition(grid)
     rep = smoothing_gauge(sym, rough, gamma, delta, times, p=p, q=q, partition=part)
     doubled = smoothing_gauge(sym, rough, gamma + delta, delta, times, p=p, q=q, partition=part)
@@ -262,6 +264,12 @@ def run_smoothing(cfg: ExperimentConfig):
         "doubled_c_fit": doubled.c_fit,
     }
     return ok, summary, list(zip(rep.times, rep.norms, doubled.norms))
+
+
+def _rough_decay(gamma: float, delta: float, d: int) -> float:
+    """Spectral decay of the smoothing gauge's rough input, which lies in
+    ``B^(gamma - delta)`` and in nothing better."""
+    return (gamma - delta) + d / 2.0 + 0.01
 
 
 def run_analyticity(cfg: ExperimentConfig):
@@ -355,9 +363,8 @@ def run_composition(cfg: ExperimentConfig):
     model, grid = cfg.model, cfg.grid
     sym = tabulate(model, grid)
     # differential sanity case: a1 = i xi, a2 = sigma(x) i xi is exact at order 1
-    xi_row = grid.xi[None, :]
-    sig_vals = np.asarray(model.sigma(grid.x))[:, None]
-    a_sig = SymbolGrid(grid, sig_vals * (1j * xi_row), 1.0)
+    sig = np.asarray(model.sigma(grid.x), dtype=complex)
+    a_sig = SymbolGrid.from_factors(grid, sig[None], (1j * grid.xi)[None], 1.0)
     a_dx = SymbolGrid(grid, np.broadcast_to(1j * grid.xi, (grid.n, grid.n)), 1.0)
     coeffs0 = np.zeros(grid.shape, dtype=complex)
     coeffs0[np.argmin(np.abs(grid.xi - cfg.params["probe_mode"]))] = 1.0
@@ -392,29 +399,32 @@ EXPERIMENTS = {
         records=("seminorms.json",),
     ),
     "bgindex": Experiment(
-        run_bgindex, {"tolerance": 0.05}, two_d=True,
+        run_bgindex, {"tolerance": Within(0.05, "(0, inf]")}, two_d=True,
         # None: k = 2 and expected = alpha for a stable measure, else 0 and 0
         params={"k": OneOf(None, 0, 1, 2, 3, 4), "expected": None},
     ),
     "sector": Experiment(run_sector, {"expect_sectorial": True}, "grid"),
     "invert": Experiment(
         run_invert,
-        {"contraction_max": 5.0 / 6.0, "residual_rel": 1e-8, "max_iterations": 40,
-         "dense_rel": 1e-6},
+        {"contraction_max": Within(5.0 / 6.0, "(0, 1]"), "residual_rel": Within(1e-8, "(0, 1)"),
+         "max_iterations": 40, "dense_rel": Within(1e-6, "(0, inf]")},
         "grid", params={"kappa": None, "seed": 5},  # kappa None: the symbol's order
         csv="invert.csv", columns=("iteration", "residual", "residual_rel"),
     ),
     "resolvent": Experiment(
-        run_resolvent, {"variation_max": 2.0}, "grid",
+        run_resolvent, {"variation_max": Within(2.0, "[1, inf]")}, "grid",
         csv="resolvent.csv", columns=("magnitude", "product", "residual"),
     ),
     "semigroup": Experiment(
-        run_semigroup, {"rel_error_max": 1e-6}, "grid", constant_coefficients=True,
+        run_semigroup, {"rel_error_max": Within(1e-6, "(0, inf]")}, "grid",
+        constant_coefficients=True,
         params={"times": Within([0.1, 1.0], "(0, inf)"), "seed": 3},
         csv="semigroup.csv", columns=("t", "rel_error", "residual"),
     ),
     "smoothing": Experiment(
-        run_smoothing, {"slope_range": (-1.0, -0.7), "doubled_slope_range": (-2.0, -1.4)},
+        run_smoothing,
+        {"slope_range": Within((-1.0, -0.7), "[-inf, inf]"),
+         "doubled_slope_range": Within((-2.0, -1.4), "[-inf, inf]")},
         "grid",
         params={"gamma": Within(1.5, "(-inf, inf)"), "delta": Within(1.5, "(-inf, inf)"),
                 "p": Within(2.0, "[1, inf]"), "q": Within(2.0, "[1, inf]"),
@@ -423,27 +433,30 @@ EXPERIMENTS = {
         csv="smoothing.csv", columns=("t", "besov_gamma", "besov_gamma_plus_delta"),
     ),
     "analyticity": Experiment(
-        run_analyticity, {"max_over_min": 10.0}, "grid",
+        run_analyticity, {"max_over_min": Within(10.0, "[1, inf]")}, "grid",
         params={"times": Within([2.0**-k for k in range(0, 11)], "(0, inf)"), "seed": 4},
         csv="analyticity.csv", columns=("t", "value", "residual"),
     ),
     "weak-error": Experiment(
-        run_weak_error, {"slope_range": (0.25, 0.75), "monotone": True}, "scheme",
+        run_weak_error, {"slope_range": Within((0.25, 0.75), "[-inf, inf]"), "monotone": True},
+        "scheme", steps=True,
         params={"t": Within(1.0, "(0, inf)"), "x0": Within(0.0, "(-inf, inf)"),
                 "eps_list": Within([0.4, 0.2, 0.1, 0.05], "(0, 1)", 4),
                 "reference": OneOf("spectral", "exact-stable")},
         csv="weak_error.csv", columns=("eps", "error", "stderr"),
     ),
     "strong-feller": Experiment(
-        run_strong_feller, {"max_jump_ratio": 10.0}, "scheme",
+        run_strong_feller, {"max_jump_ratio": Within(10.0, "(0, inf]")}, "scheme", steps=True,
         params={"t": Within(1.0, "(0, inf)"), "threshold": Within(0.0, "(-inf, inf)"),
                 "span": Within(4.0, "(0, inf)"), "x_points": 33},
         csv="strong_feller.csv", columns=("x", "probability", "stderr"),
     ),
     "density": Experiment(
         run_density,
-        {"integral_tol": 0.01, "growth_exponent_max": None},  # None: 2/alpha + 0.5
-        "scheme",
+        # growth_exponent_max None: 2/alpha + 0.5
+        {"integral_tol": Within(0.01, "(0, inf]"),
+         "growth_exponent_max": Within(None, "(-inf, inf]")},
+        "scheme", steps=True,
         params={"times": Within([1.0, 0.5, 0.25, 0.125, 0.0625], "(0, inf)", 4),
                 "x0": Within(0.0, "(-inf, inf)"),
                 "mode": OneOf("exact-stable", "truncated", "truncated+gaussian")},
@@ -455,7 +468,10 @@ EXPERIMENTS = {
         csv="jump_split.csv", columns=("payoff", "abs_difference", "stderr"),
     ),
     "composition": Experiment(
-        run_composition, {"zero_tol": 1e-10, "slope_range": (-1.3, -0.7)}, "grid",
+        run_composition,
+        {"zero_tol": Within(1e-10, "(0, inf]"),
+         "slope_range": Within((-1.3, -0.7), "[-inf, inf]")},
+        "grid",
         params={"probe_mode": 5, "frequencies": Within([8, 16, 32], "(0, inf)", 2)},
         csv="composition.csv", columns=("frequency", "defect_ratio", "residual"),
     ),

@@ -53,6 +53,9 @@ def apply_symbol(s: SymbolGrid, u: GridFunction) -> GridFunction:
     table's factors ``s ~ sum_r f_r(x) g_r(xi)`` (:attr:`SymbolGrid.factors`,
     whose recorded ``error`` bounds every entry of the dropped remainder by
     1e-13 of max|s|; an incompressible table is split exactly at rank M).
+    A broadcast row and a table built from its factors (a d = 1 stable symbol
+    with x-dependent coefficients, :func:`symbols.tabulate`) are applied
+    through those factors at error 0, with no cross approximation.
     """
     if u.grid != s.grid:
         raise ValueError("grid mismatch between symbol and function")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ContractionError, EllipticityError
 from .grids import GridFunction, TorusGrid
-from .measures import _FD_STENCILS, StableMeasure
+from .measures import _FD_STENCILS, StableMeasure, levy_exponent
 from .models import X_INDEPENDENT_RTOL, SdeModel, constant_value, state_symbol
 from .besov import raised_cosine_profile
 
@@ -50,7 +50,12 @@ _FACTOR_BLOCK = 1 << 16  # table entries per block of a residual pass (1 MB of c
 class LowRank:
     """Factors ``a(x, xi) ~ sum_r f[r](x) g[r](xi)`` over the flattened lattice
     (``f`` and ``g`` of shape (rank, M), M = n^d), with ``error`` the largest
-    entry of ``|a - sum_r f[r] g[r]|`` over the whole table, relative to max|a|."""
+    entry of ``|a - sum_r f[r] g[r]|`` over the whole table, relative to max|a|.
+
+    ``error`` is 0 for a table built from its factors (a broadcast row, and
+    :meth:`SymbolGrid.from_factors`, which :func:`tabulate` uses for a d = 1
+    stable symbol with x-dependent coefficients): such a table is by
+    construction the rounded sum of its factors' products."""
 
     f: np.ndarray
     g: np.ndarray
@@ -125,7 +130,7 @@ class SymbolGrid:
     :attr:`x_independent` reads it off the strides.  ``factors``,
     ``x_mean``, ``range_box``, ``sector``, ``sector_angle`` and
     ``real_operator`` are derived from the distinct entries on first use and
-    cached.
+    cached; :meth:`from_factors` builds a table whose ``factors`` are known.
     """
 
     grid: TorusGrid
@@ -133,6 +138,18 @@ class SymbolGrid:
     order: float
 
     CSV_COLUMNS = ("x_index", "xi_index", "re", "im")
+
+    @classmethod
+    def from_factors(cls, grid: TorusGrid, f: np.ndarray, g: np.ndarray, order: float):
+        """The table ``sum_r f[r](x) g[r](xi)`` of the complex factor rows ``f``
+        and ``g`` (shape (rank, M), M = n^d), evaluated entry by entry into the
+        one table-sized array, with ``factors`` set to these rows at error 0:
+        the table is their rounded product by construction, so no cross
+        approximation runs on it."""
+        values = np.einsum("ri,rk->ik", f, g)
+        sym = cls(grid, values.reshape(grid.shape + grid.shape), order)
+        sym.__dict__["factors"] = LowRank(f, g, 0.0)  # seeds the cached property
+        return sym
 
     def __post_init__(self):
         expected = self.grid.shape + self.grid.shape
@@ -164,8 +181,9 @@ class SymbolGrid:
     @functools.cached_property
     def factors(self) -> LowRank:
         """Low-rank factors of the table (:class:`LowRank`, built on first use).
-        A broadcast row takes the exact rank-1 split ``f = 1``, ``g = row``
-        (rank 0 when the row is zero); any other table goes to
+        A table built by :meth:`from_factors` arrives with its factors, at
+        error 0.  A broadcast row takes the exact rank-1 split ``f = 1``,
+        ``g = row`` (rank 0 when the row is zero); any other table goes to
         :func:`_cross_factors`.  A table that does not compress to
         ``FACTOR_RTOL`` below the break-even rank ``M / (2 log2 M)``, where r
         inverse FFTs of size M cost about one dense (M x M) apply, gets the
@@ -273,7 +291,13 @@ def tabulate(model: SdeModel, grid: TorusGrid) -> SymbolGrid:
     When ``sigma`` and ``b`` are constant on the grid
     (:func:`models.constant_value`), the symbol is evaluated at the first
     grid point only and ``values`` is that row broadcast over x, a read-only
-    view (:attr:`SymbolGrid.x_independent`)."""
+    view (:attr:`SymbolGrid.x_independent`).  Otherwise a d = 1 stable
+    symbol is built from its exact split
+    ``psi(sigma(x) xi) - i b(x) xi = |sigma(x)|^alpha psi(xi) - i b(x) xi``
+    (:meth:`SymbolGrid.from_factors`: rank 1, or 2 with a drift, error 0);
+    its imaginary part is ``-b xi`` as :func:`models.state_symbol` rounds it,
+    its real part within a few ulps of ``psi`` at ``sigma xi``.  Every other
+    symbol is :func:`models.state_symbol` at every lattice point."""
     if model.dimension != grid.dimension:
         raise ValueError("model and grid dimensions differ")
     if grid.dimension == 1:
@@ -283,14 +307,22 @@ def tabulate(model: SdeModel, grid: TorusGrid) -> SymbolGrid:
             raise ValueError("2-d symbol grids are capped at 32 points per axis")
         x = np.stack(grid.x_mesh(), axis=-1).reshape(-1, 2)  # (M, 2)
         xi = np.stack(grid.xi_mesh(), axis=-1).reshape(-1, 2)
-    shape = grid.shape + grid.shape
-    if constant_value(model.sigma, x) is None or constant_value(model.drift, x) is None:
-        vals = state_symbol(model, x[:, None], xi[None]).reshape(shape)
-    else:
+    shape, order = grid.shape + grid.shape, _declared_order(model)
+    if constant_value(model.sigma, x) is not None and constant_value(model.drift, x) is not None:
         # complex before broadcasting, so that SymbolGrid keeps the view
         row = np.asarray(state_symbol(model, x[:1], xi), dtype=complex)
-        vals = np.broadcast_to(row.reshape(grid.shape), shape)
-    return SymbolGrid(grid, vals, order=_declared_order(model))
+        return SymbolGrid(grid, np.broadcast_to(row.reshape(grid.shape), shape), order)
+    if grid.dimension == 1 and isinstance(model.measure, StableMeasure):
+        # psi(s xi) = |s|^alpha psi(xi) for the symmetric stable exponent
+        f = [np.abs(model.sigma_at(x)) ** model.measure.alpha]
+        g = [levy_exponent(model.measure, xi)]
+        drift = np.broadcast_to(model.drift_at(x), x.shape)
+        if drift.any():
+            f.append(drift)
+            g.append(-1j * xi)
+        return SymbolGrid.from_factors(grid, np.array(f, dtype=complex),
+                                       np.array(g, dtype=complex), order)
+    return SymbolGrid(grid, state_symbol(model, x[:, None], xi[None]).reshape(shape), order)
 
 
 def _declared_order(model: SdeModel) -> float:

@@ -168,28 +168,36 @@ class TestConfig:
         }
         declared = {name: (e.csv, e.columns) for name, e in EXPERIMENTS.items() if e.csv}
         assert documented == declared
-        params = {
-            name: {k: (v, domain.strip())
-                   for item, domain in re.findall(r"`([^`]+)`([^`]*?)(?:, (?=`)|$)", cell.strip())
-                   for k, v in yaml.safe_load(item).items()}
-            for name, cell in re.findall(r"^\| (\S+) +\| ((?:`[^`|]+`[^`|]*)+|none) *\|$",
-                                         text, flags=re.MULTILINE)
-        }
+        def documented_table(part):
+            return {
+                name: {k: (v, domain.strip())
+                       for item, domain in re.findall(r"`([^`]+)`([^`]*?)(?:, (?=`)|$)",
+                                                      cell.strip())
+                       for k, v in yaml.safe_load(item).items()}
+                for name, cell in re.findall(r"^\| (\S+) +\| ((?:`[^`|]+`[^`|]*)+|none) *\|$",
+                                             part, flags=re.MULTILINE)
+            }
 
         def domain(v):
             if not isinstance(v, Within):
                 return ""
-            each = "each " if isinstance(v.default, list) else ""
+            each = {list: "each ", tuple: "range "}.get(type(v.default), "")
             least = f", {v.distinct} distinct" if v.distinct > 1 else ""
             return f"{each}in {v.interval}{least}"
 
+        def value(v):
+            v = list(v) if isinstance(v, OneOf) else _default(v)
+            return list(v) if isinstance(v, tuple) else v
+
         # defaults unwrapped as _declared unwraps them, each followed by its
-        # domain; a OneOf is documented as the list of its values, the default first
-        assert params == {
-            name: {k: (list(v) if isinstance(v, OneOf) else _default(v), domain(v))
-                   for k, v in e.params.items()}
-            for name, e in EXPERIMENTS.items()
-        }
+        # domain; a OneOf is documented as the list of its values, the default
+        # first, and a range as its [lo, hi] pair
+        params_part, gates_part = text.split("## Experiment gates")
+        for part, section in ((params_part, "params"), (gates_part, "gates")):
+            assert documented_table(part) == {
+                name: {k: (value(v), domain(v)) for k, v in getattr(e, section).items()}
+                for name, e in EXPERIMENTS.items()
+            }, section
 
     def test_benchmark_workload_configs_validate(self, tmp_path, monkeypatch):
         # the benchmark validates every config its workloads build during set-up
@@ -771,6 +779,20 @@ class TestCli:
               ]],
             pytest.param({"experiment": "semigroup", "params": {"times": []}}, "params.times",
                          id="semigroup-no-times"),
+            # gates a run can never pass
+            pytest.param({"experiment": "composition", "grid": {"n": 256, "length_factor": 4},
+                          "params": {"frequencies": [4, 8]}, "gates": {"zero_tol": float("nan")}},
+                         "gates.zero_tol", id="composition-nan-zero-tol"),
+            pytest.param({"experiment": "semigroup", "gates": {"rel_error_max": -1.0}},
+                         "gates.rel_error_max", id="semigroup-negative-error-gate"),
+            pytest.param({"experiment": "smoothing", "gates": {"slope_range": [-0.7, -1.0]}},
+                         "gates.slope_range", id="smoothing-reversed-range"),
+            pytest.param({"experiment": "analyticity", "gates": {"max_over_min": 0.5}},
+                         "gates.max_over_min", id="analyticity-ratio-below-one"),
+            # a smoothing exponent whose rough input overflows, or vanishes, on the grid
+            *[pytest.param({"experiment": "smoothing", "params": {"gamma": gamma}},
+                           "params.gamma", id=f"smoothing-gamma-{gamma:g}")
+              for gamma in (-1.0e12, 1.0e12)],
             *[pytest.param({"experiment": experiment, "scheme": {**WEAK_SCHEME, "seed": -1}},
                            "scheme.seed", id=f"{experiment}-negative-seed")
               for experiment in ("weak-error", "strong-feller", "density", "jump-split")],
@@ -802,6 +824,16 @@ class TestCli:
             with pytest.raises(ConfigError, match="cap") as err:
                 validate_config({**tree, "params": {**tree["params"], "t": t}})
             assert err.value.field == "params.t"
+
+    def test_jump_split_reads_no_euler_step(self, tmp_path, monkeypatch):
+        # jump-split draws its horizon in one step, so a tiny scheme.tau adds
+        # no increments to the batch bound and the config runs
+        monkeypatch.setenv("LEVYSDE_THREADS", "1")
+        cfg = validate_config({"experiment": "jump-split", "output": str(tmp_path / "out"),
+                               "model": base_model(),
+                               "scheme": {**WEAK_SCHEME, "tau": 1.0e-9, "paths": 2000}})
+        assert cfg.scheme.tau == 1.0e-9
+        assert run_experiment(cfg).ok
 
     def test_overflowing_smoothing_norm_ends_typed(self, tmp_path, capsys):
         # gamma = 200 lies in its domain, but the weights 2^(200 j) overflow the

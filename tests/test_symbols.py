@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import levysde as lv
+from levysde.harness import run_experiment, validate_config
 from levysde.models import X_INDEPENDENT_RTOL
 from levysde.symbols import FACTOR_RTOL, AClass, HypClass, _mixed_derivative, _multi_indices
 
@@ -306,6 +307,72 @@ class TestBroadcastRow:
         exact = lv.GridFunction.from_coeffs(grid, np.exp(-t * table[(0,) * d]) * u.coeffs)
         pt = lv.semigroup_apply(t, sym, u)
         assert (pt - exact).norm_l2() <= 1e-15 * exact.norm_l2()
+
+
+def _refuse_cross(*args):
+    raise AssertionError("the cross approximation ran")
+
+
+class TestStableSplit:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.sampled_from([16, 64, 256]),
+        L=st.sampled_from([1.0, 4.0]),
+        alpha=st.floats(0.3, 1.9),
+        amp=st.floats(0.05, 1.0),
+        drift=st.just(0.0) | st.floats(0.1, 3.0) | st.floats(-3.0, -0.1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_split_reads_like_the_pointwise_table(self, n, L, alpha, amp, drift, seed):
+        # |sigma(x)|^alpha psi(xi) - i b(x) xi: the imaginary part is state_symbol's
+        # -b xi bit for bit, the real part a few ulps from psi(sigma xi)
+        model = swept_model(1, alpha, amp, drift)
+        grid = lv.TorusGrid(n=n, dimension=1, length_factor=L)
+        sym = lv.tabulate(model, grid)
+        table = lv.state_symbol(model, grid.x[:, None], grid.xi[None])
+        assert np.array_equal(sym.values.imag, table.imag)
+        assert np.array_equal(np.signbit(sym.values.imag), np.signbit(table.imag))
+        gap = np.abs(sym.values.real - table.real)
+        assert np.all(gap <= 8 * 2.0**-52 * np.abs(table.real))
+        assert sym.factors.rank == (1 if drift == 0.0 else 2) and sym.factors.error == 0.0
+
+        rng = np.random.default_rng(seed)
+        u = lv.GridFunction(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        want = lv.dense_symbol_matrix(sym) @ u.values
+        assert np.abs(lv.apply_symbol(sym, u).values - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_stable_variable_tables_skip_the_cross(self, tmp_path, monkeypatch, grid256):
+        monkeypatch.setattr(lv.symbols, "_cross_factors", _refuse_cross)
+        model = {"dimension": 1, "kind": "stable", "alpha": 1.5, "scale": "normalized",
+                 "sigma_expr": {"preset": "2+sin", "offset": 2.0, "amplitude": 0.2},
+                 "drift_expr": {"preset": "constant", "value": 0.0}, "sigma_lower_bound": 1.5}
+        cfg = validate_config({"experiment": "composition", "model": model,
+                               "grid": {"n": 1024, "length_factor": 4},
+                               "output": str(tmp_path / "out")})
+        assert run_experiment(cfg).ok
+        sym = lv.tabulate(swept_model(1, 1.5, 0.2, 1.0), grid256)
+        v = lv.random_rough_function(grid256, 0.51, seed=2)
+        assert np.isfinite(lv.apply_symbol(sym, v).values).all()
+        u = lv.resolvent_apply(10.0, sym, v)
+        assert ((10.0 * u + lv.apply_symbol(sym, u)) - v).norm_l2() <= 1e-9 * v.norm_l2()
+
+    @pytest.mark.parametrize("case", ["tabulated", "d2"])
+    def test_other_tables_reach_the_cross(self, monkeypatch, case):
+        calls, cross = [], lv.symbols._cross_factors
+        monkeypatch.setattr(lv.symbols, "_cross_factors",
+                            lambda *args: calls.append(args) or cross(*args))
+        if case == "d2":
+            model, grid = swept_model(2, 1.5, 0.2, 1.0), lv.TorusGrid(n=16, dimension=2)
+        else:
+            r = np.geomspace(0.01, 10.0, 30)
+            model = lv.SdeModel(sigma=lv.coefficient_preset("2+sin", offset=2.0, amplitude=0.2),
+                                drift=lv.coefficient_preset("constant", value=0.0),
+                                measure=lv.TabulatedMeasure(radii=tuple(r),
+                                                            density=tuple(r**-2.5)),
+                                sigma_lower_bound=1.5)
+            grid = lv.TorusGrid(n=16, dimension=1)
+        lv.tabulate(model, grid).factors
+        assert len(calls) == 1
 
 
 class TestSeminorm:
