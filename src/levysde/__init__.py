@@ -71,7 +71,6 @@ from .symbols import (
     choose_R,
     composition_defect,
     cutoff_split,
-    recompute_witness,
     seminorm,
     tabulate,
 )

@@ -59,6 +59,9 @@ _QUAD_RTOL = 1e-10
 # The composite rule's Gauss-Legendre nodes: 12 per cell, and the 6-point
 # companion that estimates its error.
 _GAUSS_LEGENDRE = tuple(np.polynomial.legendre.leggauss(n) for n in (12, 6))
+# Largest radius ratio of a cell away from 0: a steep density segment is cut
+# into geometric cells, on which the 12-point rule resolves its power law.
+_CELL_RATIO = 1.3
 # Entries of one block of the (magnitudes x nodes) kernel matrix of a batched
 # tabulated exponent: bounds its memory at any batch size.
 _KERNEL_BLOCK = 1 << 15
@@ -433,9 +436,18 @@ class TabulatedMeasure:
         return True
 
     def _cells(self, lo: float, hi: float, osc_scale: float) -> np.ndarray:
-        """Integration cell boundaries aligned with density breakpoints and
-        refined so each cell sees at most a quarter oscillation."""
+        """Integration cell boundaries aligned with density breakpoints, each
+        segment away from 0 cut into geometric cells of radius ratio at most
+        ``_CELL_RATIO``, and refined so each cell sees at most a quarter
+        oscillation."""
         pts = np.array([lo] + [r for r in self.radii if lo < r < hi] + [hi])
+        first = int(lo == 0.0)  # [0, pts[1]] is refined toward 0 below
+        lefts, rights = pts[first:-1], pts[first + 1:]
+        n_geo = np.ceil(np.log(rights / lefts) / math.log(_CELL_RATIO)).astype(int)
+        seg = np.repeat(np.arange(lefts.size), n_geo)
+        t = (np.arange(1, seg.size + 1) - np.repeat(np.cumsum(n_geo) - n_geo, n_geo)) / n_geo[seg]
+        ends = np.where(t == 1.0, rights[seg], lefts[seg] * (rights[seg] / lefts[seg]) ** t)
+        pts = np.concatenate([pts[:first + 1], ends])
         # geometric refinement toward the (possibly singular) left endpoint
         if lo == 0.0:
             pts = np.concatenate([[0.0], pts[1] * 0.5 ** np.arange(46.0, 0.0, -1.0), pts[1:]])

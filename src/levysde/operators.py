@@ -54,8 +54,9 @@ def apply_symbol(s: SymbolGrid, u: GridFunction) -> GridFunction:
     whose recorded ``error`` bounds every entry of the dropped remainder by
     1e-13 of max|s|; an incompressible table is split exactly at rank M).
     A broadcast row and a table built from its factors (a d = 1 stable symbol
-    with x-dependent coefficients, :func:`symbols.tabulate`) are applied
-    through those factors at error 0, with no cross approximation.
+    with x-dependent coefficients, :func:`symbols.tabulate`, and the parts of
+    its :func:`symbols.cutoff_split`) are applied through those factors at
+    error 0, with no cross approximation and no table formed.
     """
     if u.grid != s.grid:
         raise ValueError("grid mismatch between symbol and function")
@@ -463,8 +464,10 @@ def contour_for_time(
 
 def semigroup_apply(t: float, a: SymbolGrid, u: GridFunction, tol: float = 1e-8) -> GridFunction:
     """Evaluate ``P_t u``: an x-independent table (:attr:`SymbolGrid.x_independent`)
-    is the multiplier ``exp(-t a(xi))`` on the lattice, real when the operator
-    (:attr:`SymbolGrid.real_operator`) and ``u`` are; any other table goes to
+    is the multiplier ``m = exp(-t a(xi))`` on the lattice, real when ``u`` is
+    and ``m(-xi) = conj m(xi)`` to rounding (so the imaginary part it drops
+    is at most ``eps |u|_2``, not the ``X_INDEPENDENT_RTOL`` asymmetry
+    :attr:`SymbolGrid.real_operator` allows); any other table goes to
     :func:`contour_semigroup` at ``tol``.  A table of either form that is not
     sectorial is refused by :attr:`SymbolGrid.sector_angle`
     (:class:`EllipticityError`), and ``t`` must be positive and finite."""
@@ -473,8 +476,12 @@ def semigroup_apply(t: float, a: SymbolGrid, u: GridFunction, tol: float = 1e-8)
     a.sector_angle  # refuses a table that is not sectorial, of either form
     if not a.x_independent:
         return contour_semigroup(t, a, u, tol)
-    values = GridFunction.from_coeffs(u.grid, np.exp(-t * a.x_mean) * u.coeffs).values
-    return GridFunction(u.grid, values.real if a.real_operator and _is_real(u) else values)
+    mult = np.exp(-t * a.x_mean)
+    mirror = (-np.arange(u.grid.n)) % u.grid.n  # -xi on the lattice, along each axis
+    skew = np.abs(mult - mult[np.ix_(*[mirror] * a.dimension)].conj()).max()
+    values = GridFunction.from_coeffs(u.grid, mult * u.coeffs).values
+    real = skew <= np.finfo(float).eps and _is_real(u)
+    return GridFunction(u.grid, values.real if real else values)
 
 
 def _is_real(u: GridFunction) -> bool:

@@ -34,7 +34,6 @@ __all__ = [
     "HypClass",
     "SeminormReport",
     "seminorm",
-    "recompute_witness",
     "choose_R",
     "CutoffSplit",
     "cutoff_split",
@@ -43,6 +42,7 @@ __all__ = [
 ]
 
 FACTOR_RTOL = 1e-13  # max-norm truncation error of SymbolGrid.factors, relative to max|a|
+_FINITE_BOUND = np.finfo(float).max / 16  # factor-product bound that keeps a formed table finite
 _FACTOR_BLOCK = 1 << 16  # table entries per block of a residual pass (1 MB of complex)
 
 
@@ -54,8 +54,10 @@ class LowRank:
 
     ``error`` is 0 for a table built from its factors (a broadcast row, and
     :meth:`SymbolGrid.from_factors`, which :func:`tabulate` uses for a d = 1
-    stable symbol with x-dependent coefficients): such a table is by
-    construction the rounded sum of its factors' products."""
+    stable symbol with x-dependent coefficients and :func:`cutoff_split` for
+    the parts of such a symbol): such a table is by construction the rounded
+    sum of its factors' products, and is kept as these rows until a reader
+    asks for its entries."""
 
     f: np.ndarray
     g: np.ndarray
@@ -119,7 +121,6 @@ class SectorReport:
         return math.atan(1.0 / max(self.ratio_sup, 1e-300))
 
 
-@dataclass(frozen=True)
 class SymbolGrid:
     """Complex symbol samples on (space grid) x (frequency lattice).
 
@@ -127,38 +128,47 @@ class SymbolGrid:
     xi-axes in FFT order.  ``order`` is the declared growth exponent.
     ``values`` may be a read-only broadcast row, whose x-axes have stride 0:
     :func:`tabulate` builds that form from constant coefficients, and
-    :attr:`x_independent` reads it off the strides.  ``factors``,
-    ``x_mean``, ``range_box``, ``sector``, ``sector_angle`` and
-    ``real_operator`` are derived from the distinct entries on first use and
-    cached; :meth:`from_factors` builds a table whose ``factors`` are known.
+    :attr:`x_independent` reads it off the strides.  A table built by
+    :meth:`from_factors` keeps its factor rows and forms ``values`` on the
+    first read.  ``factors``, ``x_mean``, ``range_box``, ``sector``,
+    ``sector_angle`` and ``real_operator`` are derived from the distinct
+    entries on first use and cached.
     """
 
-    grid: TorusGrid
-    values: np.ndarray
-    order: float
-
     CSV_COLUMNS = ("x_index", "xi_index", "re", "im")
+
+    def __init__(self, grid: TorusGrid, values: np.ndarray, order: float):
+        expected = grid.shape + grid.shape
+        vals = np.asarray(values, dtype=complex)
+        if vals.shape != expected:
+            raise ValueError(f"symbol values must have shape {expected}, got {vals.shape}")
+        self.grid, self.order, self._split = grid, order, None
+        self.values = vals  # shadows the cached property: a given table is never formed
+        if not np.all(np.isfinite(self._distinct)):
+            raise ValueError("symbol values must be finite")
 
     @classmethod
     def from_factors(cls, grid: TorusGrid, f: np.ndarray, g: np.ndarray, order: float):
         """The table ``sum_r f[r](x) g[r](xi)`` of the complex factor rows ``f``
-        and ``g`` (shape (rank, M), M = n^d), evaluated entry by entry into the
-        one table-sized array, with ``factors`` set to these rows at error 0:
-        the table is their rounded product by construction, so no cross
-        approximation runs on it."""
-        values = np.einsum("ri,rk->ik", f, g)
-        sym = cls(grid, values.reshape(grid.shape + grid.shape), order)
-        sym.__dict__["factors"] = LowRank(f, g, 0.0)  # seeds the cached property
+        and ``g`` (shape (rank, M), M = n^d), kept as these rows: ``factors``
+        are them at error 0, since the table is their rounded product by
+        construction, so no cross approximation runs on it, and ``values`` is
+        formed on its first read.  The table is finite when
+        ``sum_r max|f[r]| max|g[r]|`` lies below ``_FINITE_BOUND`` (NaN or inf
+        rows fail that); otherwise it is formed and checked entry by entry."""
+        sym = cls.__new__(cls)
+        sym.grid, sym.order, sym._split = grid, order, LowRank(f, g, 0.0)
+        bound = float(np.sum(np.abs(f).max(axis=1) * np.abs(g).max(axis=1)))
+        if not bound < _FINITE_BOUND and not np.all(np.isfinite(sym.values)):
+            raise ValueError("symbol values must be finite")
         return sym
 
-    def __post_init__(self):
-        expected = self.grid.shape + self.grid.shape
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != expected:
-            raise ValueError(f"symbol values must have shape {expected}, got {vals.shape}")
-        object.__setattr__(self, "values", vals)
-        if not np.all(np.isfinite(self._distinct)):
-            raise ValueError("symbol values must be finite")
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """The table of a :meth:`from_factors` symbol, formed entry by entry
+        from its factor rows (one ``einsum``, no other table-sized array)."""
+        split = self._split
+        return np.einsum("ri,rk->ik", split.f, split.g).reshape(self.grid.shape + self.grid.shape)
 
     @property
     def dimension(self) -> int:
@@ -175,13 +185,14 @@ class SymbolGrid:
     @property
     def x_independent(self) -> bool:
         """True when ``values`` is a broadcast row (every x-stride is 0), so
-        ``s(x, D)`` is the Fourier multiplier of that row by construction."""
-        return not any(self.values.strides[:self.dimension])
+        ``s(x, D)`` is the Fourier multiplier of that row by construction.
+        A table kept as factor rows is not one, and is not formed to say so."""
+        return self._split is None and not any(self.values.strides[:self.dimension])
 
     @functools.cached_property
     def factors(self) -> LowRank:
         """Low-rank factors of the table (:class:`LowRank`, built on first use).
-        A table built by :meth:`from_factors` arrives with its factors, at
+        A table built by :meth:`from_factors` returns its factor rows, at
         error 0.  A broadcast row takes the exact rank-1 split ``f = 1``,
         ``g = row`` (rank 0 when the row is zero); any other table goes to
         :func:`_cross_factors`.  A table that does not compress to
@@ -191,6 +202,8 @@ class SymbolGrid:
 
         A derived view: ``values`` stays the table every other reader uses.
         """
+        if self._split is not None:
+            return self._split
         M = math.prod(self.grid.shape)
         if self.x_independent:
             row = self._distinct.reshape(1, M)
@@ -406,8 +419,9 @@ def _mixed_derivative(grid: TorusGrid, table: np.ndarray, alpha: tuple, beta: tu
 
 def _seminorm_field(grid: TorusGrid, table: np.ndarray, spec, alpha: tuple, beta: tuple):
     """``|d_xi^alpha d_x^beta table| <xi>^w`` in stored order, -inf at the
-    masked seam, outside ``|xi| >= radius`` and where not finite: the one
-    array both :func:`seminorm` and :func:`recompute_witness` read."""
+    masked seam, outside ``|xi| >= radius`` and where not finite: the array
+    :func:`seminorm` maximizes, so its reported value is this array at the
+    witness."""
     deriv, valid = _mixed_derivative(grid, table, alpha, beta)
     mags = grid.xi_norm()
     m = spec.m if isinstance(spec, HypClass) else -spec.m
@@ -516,16 +530,6 @@ def seminorm(sym: SymbolGrid, spec) -> SeminormReport:
     return SeminormReport(spec=spec, value=best, witness=best_witness)
 
 
-def recompute_witness(sym: SymbolGrid, report: SeminormReport) -> float:
-    """Re-evaluate the reported witness derivative at its stored lattice
-    indices; reproduces ``report.value`` exactly, because it indexes the same
-    weighted array :func:`seminorm` maximizes."""
-    x_idx, xi_idx, alpha, beta = report.witness
-    table = _seminorm_table(sym, report.spec)
-    field = _seminorm_field(sym.grid, table, report.spec, alpha, beta)
-    return float(field[tuple(x_idx) + tuple(xi_idx)])
-
-
 # ---------------------------------------------------------------------------
 # cutoff radius selection and splitting
 # ---------------------------------------------------------------------------
@@ -615,7 +619,9 @@ class CutoffSplit:
     """High/low frequency splitting of a symbol at cutoff radius R.
 
     ``p_high + b_low = a`` pointwise; ``q * a = chi`` wherever ``chi > 0``;
-    ``b_low`` is supported in ``{|xi| <= 2R}``.
+    ``b_low`` is supported in ``{|xi| <= 2R}``.  For a symbol whose factors
+    its form gives exactly, ``p_high`` and ``b_low`` are kept as factor rows
+    (:meth:`SymbolGrid.from_factors`), and so is ``q`` at rank 1.
     """
 
     R: float
@@ -629,7 +635,17 @@ def cutoff_split(a: SymbolGrid, R: float) -> CutoffSplit:
     """Split ``a`` as ``a chi_R + a (1 - chi_R)`` with the parametrix ``chi_R / a``.
 
     ``chi_R`` vanishes for ``|xi| <= R``, equals one for ``|xi| >= 2R``, with a
-    raised-cosine transition (the same profile as the dyadic blocks).
+    raised-cosine transition (the same profile as the dyadic blocks).  Raises
+    :class:`EllipticityError` at the first lattice point inside the support
+    of ``chi_R`` where ``a`` vanishes for some x.
+
+    The form of ``a`` decides how the parts are built, and no factors are
+    computed to decide it.  When ``a`` is kept as factor rows
+    ``sum_r f_r(x) g_r(xi)`` (:meth:`SymbolGrid.from_factors`) or is a
+    broadcast row (``f = 1``), ``p_high = f (x) g chi`` and
+    ``b_low = f (x) g (1 - chi)`` are built from the factors at any rank, and
+    ``q = (1 / f) (x) (chi / g)``, 0 off the support, at rank 1.  Every
+    other part is the table ``a chi``, ``a (1 - chi)`` or ``chi / a``.
     """
     grid = a.grid
     mags = grid.xi_norm()
@@ -642,10 +658,19 @@ def cutoff_split(a: SymbolGrid, R: float) -> CutoffSplit:
             "symbol vanishes inside the cutoff support; parametrix undefined",
             point=np.unravel_index(flat, bad.shape),
         )
-    p_high = SymbolGrid(grid, a.values * chi, a.order)
-    b_low = SymbolGrid(grid, a.values * (1.0 - chi), a.order)
-    qvals = np.where(supported, chi / np.where(supported, a.values, 1.0), 0.0)
-    q = SymbolGrid(grid, qvals, -a.order)
+    exact = a._split is not None or a.x_independent  # the form gives the factors
+    if exact:
+        f, g = a.factors.f, a.factors.g
+        p_high, b_low = (SymbolGrid.from_factors(grid, f, g * w.ravel(), a.order)
+                         for w in (chi, 1.0 - chi))
+    else:
+        p_high, b_low = (SymbolGrid(grid, a.values * w, a.order) for w in (chi, 1.0 - chi))
+    if exact and len(f) == 1:
+        inv = np.where(supported, chi / np.where(supported, g[0].reshape(grid.shape), 1.0), 0.0)
+        q = SymbolGrid.from_factors(grid, 1.0 / f, inv.reshape(1, -1), -a.order)
+    else:
+        qvals = np.where(supported, chi / np.where(supported, a.values, 1.0), 0.0)
+        q = SymbolGrid(grid, qvals, -a.order)
     return CutoffSplit(R=float(R), chi=chi, p_high=p_high, b_low=b_low, q=q)
 
 

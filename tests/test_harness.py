@@ -846,12 +846,13 @@ class TestCli:
         assert "log-log fit" in capsys.readouterr().err
 
     def test_tail_mass_failing_its_quadrature_is_refused(self, tmp_path, capsys):
-        # the batch bound reads the tail mass beyond eps, which this coarse
-        # table fails to integrate: validation ends with exit 2, not a traceback
+        # the batch bound reads the tail mass beyond eps, which this table
+        # (an r^-60 segment) fails to integrate: validation ends with exit 2,
+        # not a traceback
         model = {k: v for k, v in base_model().items() if k not in ("alpha", "scale")}
         cfg = {"experiment": "density", "output": str(tmp_path / "out"),
                "model": {**model, "kind": "tabulated", "radii": [0.1, 1.0, 10.0],
-                         "density": [300.0, 1.0, 0.01]},
+                         "density": [300.0, 1.0, 1e-60]},
                "scheme": {**WEAK_SCHEME, "eps": 0.05}, "params": {"mode": "truncated"},
                "gates": {"growth_exponent_max": 5.0}}
         path = write_config(tmp_path, "tabulated.yaml", cfg)

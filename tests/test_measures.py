@@ -128,6 +128,31 @@ def segmentwise_quad_exponent(radii, density, m):
     return total
 
 
+def oscillatory_quad_exponent(radii, density, m):
+    """psi(m) of a 1-d tabulated density for large m (test oracle).  Below the
+    first node the power law ``r^-(1 + a)`` gives ``m^a`` times the whole-line
+    integral ``pi / (2 Gamma(1 + a) sin(pi a / 2))`` less its tail beyond
+    ``m radii[0]``; each segment is its closed-form mass less QUADPACK's
+    cosine-weighted (QAWO/QAWF) integral, which resolves any number of
+    oscillations."""
+    a = -1.0 - math.log(density[1] / density[0]) / math.log(radii[1] / radii[0])
+    whole = math.pi / (2.0 * math.gamma(1.0 + a) * math.sin(0.5 * math.pi * a))
+    edge = m * radii[0]
+    tail = edge**-a / a - integrate.quad(lambda u: u ** (-1.0 - a), edge, np.inf,
+                                         weight="cos", wvar=1.0)[0]
+    total = density[0] * radii[0] ** (1.0 + a) * m**a * (whole - tail)
+    for r0, r1, g0, g1 in zip(radii[:-1], radii[1:], density[:-1], density[1:]):
+        s = math.log(g1 / g0) / math.log(r1 / r0)
+        total += power_mass(g0, r0, s, r0, r1) - integrate.quad(
+            lambda x, g0=g0, r0=r0, s=s: g0 * (x / r0) ** s, r0, r1, weight="cos", wvar=m)[0]
+    return 2.0 * total
+
+
+def power_mass(g0, r0, s, lo, hi):
+    """``int_lo^hi g0 (r / r0)^s dr`` (s != -1)."""
+    return g0 * r0 * ((hi / r0) ** (s + 1.0) - (lo / r0) ** (s + 1.0)) / (s + 1.0)
+
+
 class TestTabulatedExponent:
     R25 = np.geomspace(0.01, 10.0, 30)
 
@@ -140,15 +165,41 @@ class TestTabulatedExponent:
         assert lv.levy_exponent(tab, m) == pytest.approx(ref, rel=1e-8)
 
     def test_failure_names_magnitude_residual_and_tolerance(self):
-        # 4,096 cells per segment cannot resolve a quarter oscillation here
+        # 4,096 subdivisions of a geometric cell cannot resolve a quarter oscillation here
         r = np.geomspace(0.5, 10.0, 5)
         tab = lv.TabulatedMeasure(radii=tuple(r), density=tuple(r**-2.5))
         with pytest.raises(lv.QuadratureError) as info:
-            tab.exponent(np.array([1.2e4, 1.0, 1e4]))
+            tab.exponent(np.array([1.2e5, 1.0, 1e5]))
         err = info.value
-        assert err.magnitude == 1e4  # the smallest failing magnitude of its band
+        assert err.magnitude == 1e5  # the smallest failing magnitude of its band
         assert err.residual > err.tolerance > 0.0
-        assert "|xi| = 10000" in str(err)
+        assert "|xi| = 100000" in str(err)
+
+    def test_sparse_radii_resolve_high_frequency(self):
+        # the radius ratio 2.1 of this table is cut into geometric cells, so
+        # |xi| = 1e4 stays inside the cell cap
+        r = np.geomspace(0.5, 10.0, 5)
+        tab = lv.TabulatedMeasure(radii=tuple(r), density=tuple(r**-2.5))
+        ref = oscillatory_quad_exponent(r, r**-2.5, 1e4)
+        assert tab.exponent(1e4).real == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [0.01, 0.03, 0.1, 0.3, 1.0, 2.0])
+    def test_steep_density_drop(self, m):
+        # a 300x drop over one decade: one Gauss-Legendre cell per decade
+        # missed its own error test at every |xi| up to 2
+        r, g = (0.1, 1.0, 10.0), (300.0, 1.0, 0.01)
+        tab = lv.TabulatedMeasure(radii=r, density=g)
+        ref = segmentwise_quad_exponent(np.array(r), np.array(g), m)
+        assert tab.exponent(m).real == pytest.approx(ref, rel=1e-13)
+
+    def test_steep_density_tail_mass(self):
+        # 2 int_0.05^10 g: each segment's power law integrates in closed form,
+        # the first segment's below 0.1
+        r, g = (0.1, 1.0, 10.0), (300.0, 1.0, 0.01)
+        tab = lv.TabulatedMeasure(radii=r, density=g)
+        s = [math.log(g1 / g0) / math.log(r1 / r0) for r0, r1, g0, g1 in zip(r, r[1:], g, g[1:])]
+        ref = 2.0 * (power_mass(g[0], r[0], s[0], 0.05, 1.0) + power_mass(g[1], r[1], s[1], 1.0, 10.0))
+        assert tab.tail_mass(0.05) == pytest.approx(ref, rel=1e-13)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -259,10 +310,10 @@ class TestTabulatedExponent:
         errors = []
         for _ in range(2):
             with pytest.raises(lv.QuadratureError) as info:
-                tab.exponent(1e4)
+                tab.exponent(1e5)
             errors.append(info.value)
         first, second = [(e.magnitude, e.residual, e.tolerance) for e in errors]
-        assert first == second and first[0] == 1e4
+        assert first == second and first[0] == 1e5
 
 
 # Exact octave edges 2^k, |xi| <= 1 and general magnitudes.

@@ -1,15 +1,19 @@
 """Symbol tabulation, seminorms, cutoff splitting, and composition defects."""
 
 import math
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import levysde as lv
-from levysde.harness import run_experiment, validate_config
+from levysde.harness import load_config, run_experiment, validate_config
 from levysde.models import X_INDEPENDENT_RTOL
-from levysde.symbols import FACTOR_RTOL, AClass, HypClass, _mixed_derivative, _multi_indices
+from levysde.symbols import (FACTOR_RTOL, AClass, HypClass, _mixed_derivative, _multi_indices,
+                             _seminorm_field, _seminorm_table)
 
 from conftest import constant_coefficient_model, make_mode, swept_model, swept_symbols
 
@@ -88,6 +92,14 @@ def composition_cases():
         "random-first": (rand, sym, u),
         "random-second": (sym, rand, u),
     }
+
+
+def witness_value(sym, rep):
+    """The weighted derivative array :func:`lv.seminorm` maximizes, read at
+    the reported witness's stored lattice indices."""
+    x_idx, xi_idx, alpha, beta = rep.witness
+    field = _seminorm_field(sym.grid, _seminorm_table(sym, rep.spec), rep.spec, alpha, beta)
+    return float(field[tuple(x_idx) + tuple(xi_idx)])
 
 
 def gathered_real_operator(sym):
@@ -313,6 +325,19 @@ def _refuse_cross(*args):
     raise AssertionError("the cross approximation ran")
 
 
+REPO = Path(__file__).resolve().parent.parent
+
+
+def composition_config(tmp_path):
+    """The composition experiment at N = 1024 on sigma = 2 + 0.2 sin x."""
+    model = {"dimension": 1, "kind": "stable", "alpha": 1.5, "scale": "normalized",
+             "sigma_expr": {"preset": "2+sin", "offset": 2.0, "amplitude": 0.2},
+             "drift_expr": {"preset": "constant", "value": 0.0}, "sigma_lower_bound": 1.5}
+    return validate_config({"experiment": "composition", "model": model,
+                            "grid": {"n": 1024, "length_factor": 4},
+                            "output": str(tmp_path / "out")})
+
+
 class TestStableSplit:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -343,18 +368,86 @@ class TestStableSplit:
 
     def test_stable_variable_tables_skip_the_cross(self, tmp_path, monkeypatch, grid256):
         monkeypatch.setattr(lv.symbols, "_cross_factors", _refuse_cross)
-        model = {"dimension": 1, "kind": "stable", "alpha": 1.5, "scale": "normalized",
-                 "sigma_expr": {"preset": "2+sin", "offset": 2.0, "amplitude": 0.2},
-                 "drift_expr": {"preset": "constant", "value": 0.0}, "sigma_lower_bound": 1.5}
-        cfg = validate_config({"experiment": "composition", "model": model,
-                               "grid": {"n": 1024, "length_factor": 4},
-                               "output": str(tmp_path / "out")})
-        assert run_experiment(cfg).ok
+        assert run_experiment(composition_config(tmp_path)).ok
+        # invert: the split parts at each radius choose_R probes, and the solve's
+        invert = load_config(REPO / "configs" / "invert.yaml")
+        assert run_experiment(validate_config({**invert, "output": str(tmp_path / "inv")})).ok
         sym = lv.tabulate(swept_model(1, 1.5, 0.2, 1.0), grid256)
         v = lv.random_rough_function(grid256, 0.51, seed=2)
         assert np.isfinite(lv.apply_symbol(sym, v).values).all()
         u = lv.resolvent_apply(10.0, sym, v)
         assert ((10.0 * u + lv.apply_symbol(sym, u)) - v).norm_l2() <= 1e-9 * v.norm_l2()
+
+    def test_composition_forms_no_table(self, tmp_path):
+        # both N = 1024 symbols are applied through their factor rows: forming
+        # either table would take 16 MB
+        cfg = composition_config(tmp_path)
+        tracemalloc.start()
+        try:
+            assert run_experiment(cfg).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.sampled_from([16, 64, 256]),
+        L=st.sampled_from([1.0, 4.0]),
+        alpha=st.floats(0.3, 1.9),
+        amp=st.floats(0.05, 1.0),
+        drift=st.just(0.0) | st.floats(0.1, 3.0) | st.floats(-3.0, -0.1),
+    )
+    def test_split_parts_read_like_the_table(self, n, L, alpha, amp, drift):
+        # a chi and a (1 - chi) from the factor rows, a few ulps from the table
+        # products; chi / a as (1 / f) (x) (chi / g) at rank 1 only
+        grid = lv.TorusGrid(n=n, dimension=1, length_factor=L)
+        sym = lv.tabulate(swept_model(1, alpha, amp, drift), grid)
+        R = grid.xi_nyquist / 8.0
+        with mock.patch.object(lv.symbols, "_cross_factors",
+                               wraps=lv.symbols._cross_factors) as cross:
+            split = lv.cutoff_split(sym, R)
+            for part, w in ((split.p_high, split.chi), (split.b_low, 1.0 - split.chi)):
+                assert part.factors.rank == sym.factors.rank and part.factors.error == 0.0
+                want = sym.values * w
+                assert np.all(np.abs(part.values - want) <= 4 * np.finfo(float).eps * np.abs(want))
+            assert cross.call_count == 0
+            split.q.factors
+            assert cross.call_count == (drift != 0.0)
+        plateau = grid.xi_norm() >= 2.0 * R
+        assert np.abs(split.q.values * sym.values - 1.0)[:, plateau].max() <= 1e-12
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        L=st.sampled_from([1.0, 4.0]),
+        alpha=st.floats(1.3, 1.8),
+        amp=st.floats(0.05, 0.2),
+        drift=st.just(0.0) | st.floats(0.1, 2.0) | st.floats(-2.0, -0.1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_parametrix_on_the_factored_split_matches_dense(self, L, alpha, amp, drift, seed):
+        # the solve's gates on the range where choose_R's radius contracts
+        # (below alpha = 1.3 an accepted radius can stall the solve)
+        grid = lv.TorusGrid(n=256, dimension=1, length_factor=L)
+        sym = lv.tabulate(swept_model(1, alpha, amp, drift), grid)
+        try:
+            R = lv.choose_R(sym, sym.order)
+        except lv.ContractionError:
+            assume(False)  # no radius contracts on this lattice
+        mags = grid.xi_norm()
+        band = (mags >= 4.0 * R) & (mags <= 0.75 * mags.max())
+        rng = np.random.default_rng(seed)
+        coeffs = np.zeros(grid.shape, dtype=complex)
+        coeffs[band] = rng.standard_normal(band.sum()) + 1j * rng.standard_normal(band.sum())
+        with mock.patch.object(lv.symbols, "_cross_factors",
+                               wraps=lv.symbols._cross_factors) as cross:
+            split = lv.cutoff_split(sym, R)
+            f = lv.apply_symbol(split.p_high, lv.GridFunction.from_coeffs(grid, coeffs))
+            u, _ = lv.parametrix_solve(sym, f, R, tol=1e-8, maxit=40)
+        assert cross.call_count == (drift != 0.0)  # the solve's own q, at rank 2
+        f_high = lv.GridFunction.from_coeffs(grid, f.coeffs * (split.chi > 0))
+        u_dense, *_ = np.linalg.lstsq(lv.dense_symbol_matrix(split.p_high), f_high.values, rcond=None)
+        assert np.linalg.norm(u.values - u_dense) <= 1e-6 * np.linalg.norm(u_dense)
 
     @pytest.mark.parametrize("case", ["tabulated", "d2"])
     def test_other_tables_reach_the_cross(self, monkeypatch, case):
@@ -410,11 +503,11 @@ class TestSeminorm:
 
     def test_witness_reproducible(self, symbol_var_256):
         rep = lv.seminorm(symbol_var_256, AClass(m=1.5, k1=2, k2=2))
-        assert lv.recompute_witness(symbol_var_256, rep) == rep.value
+        assert witness_value(symbol_var_256, rep) == rep.value
 
     def test_hyp_witness_reproducible(self, symbol_var_256):
         rep = lv.seminorm(symbol_var_256, HypClass(m=1.5, k1=2, k2=1, radius=4.0))
-        assert lv.recompute_witness(symbol_var_256, rep) == rep.value
+        assert witness_value(symbol_var_256, rep) == rep.value
 
     def test_ellipticity_violation_names_point(self, grid256):
         vals = np.tile(np.abs(grid256.xi) ** 1.5, (256, 1)).astype(complex)
@@ -432,7 +525,7 @@ class TestSeminorm:
     def test_witness_reproduces_value(self, case):
         s, spec = case
         rep = lv.seminorm(s, spec)
-        assert lv.recompute_witness(s, rep) == rep.value
+        assert witness_value(s, rep) == rep.value
 
     @settings(max_examples=40, deadline=None)
     @given(case=seminorm_cases())
