@@ -32,6 +32,7 @@ from .symbols import SymbolGrid, cutoff_split
 __all__ = [
     "apply_symbol",
     "dense_symbol_matrix",
+    "dense_range_solve",
     "SolveReport",
     "parametrix_solve",
     "parametrix_probe_contraction",
@@ -74,21 +75,48 @@ def _apply_factors(grid, f: np.ndarray, g: np.ndarray, coeffs: np.ndarray) -> np
     return M * np.einsum("rk,...rk->...k", f, grid.ifft(spectra).reshape(batch + (r, M)))
 
 
+def _phases(grid, cols=slice(None)) -> np.ndarray:
+    """Columns ``cols`` of the synthesis phases ``P = exp(i <x_i, xi_k>)``
+    over the flattened lattice (the Kronecker power of the axis table), so
+    ``(P * S)[:, cols]`` maps synthesis coefficients on those frequencies to
+    the values of ``s(x, D)`` applied to them.  Memory is quadratic in the
+    total grid size (small-grid cross-checks only)."""
+    if math.prod(grid.shape) > 4096:
+        raise ValueError("dense operator matrices are a small-grid test oracle")
+    axis = np.exp(1j * np.outer(grid.x, grid.xi))
+    return functools.reduce(np.kron, [axis] * grid.dimension)[:, cols]
+
+
 def dense_symbol_matrix(s: SymbolGrid) -> np.ndarray:
     """Dense matrix of ``s(x, D)`` acting on flattened value vectors (test
-    oracle only): ``(P * S) @ P^H / M`` with ``P`` the synthesis phases
-    ``exp(i <x_i, xi_k>)`` over the flattened lattice, the Kronecker power of
-    the axis table.
+    oracle only): ``(P * S) @ P^H / M`` with ``P`` the phases
+    (:func:`_phases`) and ``S`` the flattened table, intended for
+    cross-checks at N <= 256 in one dimension."""
+    P = _phases(s.grid)
+    return (P * s._block()) @ P.conj().T / math.prod(s.grid.shape)
 
-    Cost and memory are quadratic in the total grid size; intended for
-    cross-checks at N <= 256 in one dimension.
+
+def dense_range_solve(s: SymbolGrid, cols: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The minimum-norm least-squares solution of
+    ``dense_symbol_matrix(s) u = rhs`` for a table that vanishes off the
+    frequencies ``cols`` (a boolean mask over the lattice), as values of
+    shape ``grid.shape``.
+
+    That matrix is ``B P_K^H / M`` with ``B = (P * S)[:, K]``
+    (:func:`_phases`), so its minimum-norm solution is ``u = P_K c`` with
+    ``c`` the least-squares solution of ``B c = rhs``, unique when ``B`` has
+    full column rank.  ``c`` is read off a Householder QR of ``[B | rhs]``
+    (``R11 c = r``, by back substitution): no M x M product, no SVD, no
+    singular-value cutoff, and only the columns K of the table are formed.
     """
-    M = math.prod(s.grid.shape)
-    if M > 4096:
-        raise ValueError("dense operator matrices are a small-grid test oracle")
-    axis = np.exp(1j * np.outer(s.grid.x, s.grid.xi))
-    P = functools.reduce(np.kron, [axis] * s.grid.dimension)
-    return (P * s.values.reshape(M, M)) @ P.conj().T / M
+    cols = np.ravel(cols)
+    P = _phases(s.grid, cols)
+    k = P.shape[1]
+    R = np.linalg.qr(np.column_stack([P * s._block(cols=cols), np.ravel(rhs)]), mode="r")
+    c = np.zeros(k, dtype=complex)
+    for i in range(k - 1, -1, -1):
+        c[i] = (R[i, k] - R[i, i + 1:k] @ c[i + 1:]) / R[i, i]
+    return (P @ c).reshape(s.grid.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +453,12 @@ def _hyperbola_params(alpha, theta: float):
     return L, 2.0 * math.pi * (2.0 * alpha - theta) / L, 2.0 * math.pi * (theta - alpha) / L
 
 
+@functools.lru_cache(maxsize=256)
 def _hyperbola_optimum(theta: float):
     """``(alpha, n h, mu t / n, rate)`` of :func:`_hyperbola_params` at the
-    angle of fastest convergence (alpha = 1.1721 for theta = pi/2)."""
+    angle of fastest convergence (alpha = 1.1721 for theta = pi/2), found by
+    a 2001-point scan and kept per ``theta``: every contour for one symbol
+    reads the same optimum."""
     alpha = np.linspace(theta / 2.0, theta, 2001)[1:-1]
     L, mu_t, rate = _hyperbola_params(alpha, theta)
     k = int(np.argmax(rate))

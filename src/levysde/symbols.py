@@ -170,6 +170,16 @@ class SymbolGrid:
         split = self._split
         return np.einsum("ri,rk->ik", split.f, split.g).reshape(self.grid.shape + self.grid.shape)
 
+    def _block(self, rows=slice(None), cols=slice(None)) -> np.ndarray:
+        """Entries ``rows`` x ``cols`` of the flattened (M, M) table, as
+        ``values`` holds them, without forming a table kept as factor rows:
+        ``values``' own ``einsum`` on those factor entries computes each
+        entry from its two factor rows alone."""
+        if self._split is None:
+            M = math.prod(self.grid.shape)
+            return self.values.reshape(M, M)[rows][:, cols]
+        return np.einsum("ri,rk->ik", self._split.f[:, rows], self._split.g[:, cols])
+
     @property
     def dimension(self) -> int:
         return self.grid.dimension
@@ -342,6 +352,20 @@ def _declared_order(model: SdeModel) -> float:
     return float(model.measure.alpha) if isinstance(model.measure, StableMeasure) else 0.0
 
 
+def _exact_factors(a: SymbolGrid):
+    """The factor rows ``a``'s form gives exactly, read off the form and never
+    computed: a :meth:`SymbolGrid.from_factors` table's rows, or a broadcast
+    row's ``f = 1``, ``g = row``; None for any other table."""
+    return a.factors if a._split is not None or a.x_independent else None
+
+
+def _rank_one(a: SymbolGrid):
+    """``(f, g)``, the two rows of ``a = f (x) g`` when :func:`_exact_factors`
+    gives one pair, else None."""
+    exact = _exact_factors(a)
+    return (exact.f[0], exact.g[0]) if exact is not None and exact.rank == 1 else None
+
+
 # ---------------------------------------------------------------------------
 # finite differences on the product lattice
 # ---------------------------------------------------------------------------
@@ -369,17 +393,19 @@ def _fd_axis(values: np.ndarray, axis: int, order: int, h: float) -> np.ndarray:
     return out
 
 
-def _seminorm_table(sym: SymbolGrid, spec):
-    """The table a seminorm differentiates, in stored order.
+def _seminorm_table(sym: SymbolGrid, spec, values: np.ndarray = None):
+    """The table a seminorm differentiates, in stored order, made from
+    ``values`` (the symbol's table, or some of its x-rows in d = 1).
 
     For :class:`AClass` the symbol itself; for :class:`HypClass` its
     reciprocal, NaN where ``|s| < spec.floor``.  Raises
     :class:`EllipticityError` at the first stored lattice point where that
     happens inside the region ``|xi| >= spec.radius``.
     """
+    values = sym.values if values is None else values
     if not isinstance(spec, HypClass):
-        return sym.values
-    low = np.abs(sym.values) < spec.floor
+        return values
+    low = np.abs(values) < spec.floor
     bad = low & (sym.grid.xi_norm() >= spec.radius)
     if np.any(bad):
         raise EllipticityError(
@@ -387,13 +413,14 @@ def _seminorm_table(sym: SymbolGrid, spec):
             "ellipticity violated",
             point=np.unravel_index(int(np.argmax(bad)), bad.shape),
         )
-    table = 1.0 / np.where(low, 1.0, sym.values)
+    table = 1.0 / np.where(low, 1.0, values)
     table[low] = np.nan
     return table
 
 
 def _mixed_derivative(grid: TorusGrid, table: np.ndarray, alpha: tuple, beta: tuple):
-    """FD derivative d_xi^alpha d_x^beta of a table in stored (FFT) order.
+    """FD derivative d_xi^alpha d_x^beta of a table in stored (FFT) order,
+    x-axes first and xi-axes last (any axes between are carried along).
 
     Returns (derivative, validity mask over the xi-axes).  The xi-stencils
     wrap across the Nyquist seam (indices n/2 - 1, n/2), so each
@@ -408,7 +435,7 @@ def _mixed_derivative(grid: TorusGrid, table: np.ndarray, alpha: tuple, beta: tu
         out = _fd_axis(out, ax, beta[ax], hx)
     mask = np.ones(grid.shape, dtype=bool)
     for ax in range(d):
-        out = _fd_axis(out, d + ax, alpha[ax], hxi)
+        out = _fd_axis(out, out.ndim - d + ax, alpha[ax], hxi)
         if alpha[ax]:
             reach = _FD_STENCILS[alpha[ax]][1]
             idx = [slice(None)] * d
@@ -423,11 +450,99 @@ def _seminorm_field(grid: TorusGrid, table: np.ndarray, spec, alpha: tuple, beta
     :func:`seminorm` maximizes, so its reported value is this array at the
     witness."""
     deriv, valid = _mixed_derivative(grid, table, alpha, beta)
-    mags = grid.xi_norm()
-    m = spec.m if isinstance(spec, HypClass) else -spec.m
-    field = np.abs(deriv) * np.sqrt(1.0 + mags**2) ** (spec.rho * sum(alpha) + m)
-    keep = (mags >= getattr(spec, "radius", 0.0)) & valid & np.isfinite(field)
+    field = np.abs(deriv) * _weight(grid, spec, alpha)
+    keep = (grid.xi_norm() >= getattr(spec, "radius", 0.0)) & valid & np.isfinite(field)
     return np.where(keep, field, -np.inf)
+
+
+def _weight(grid: TorusGrid, spec, alpha: tuple) -> np.ndarray:
+    """The seminorm weight ``<xi>^{rho |alpha| + m}`` (Hyp) or
+    ``<xi>^{rho |alpha| - m}`` (A) on the lattice."""
+    m = spec.m if isinstance(spec, HypClass) else -spec.m
+    return np.sqrt(1.0 + grid.xi_norm() ** 2) ** (spec.rho * sum(alpha) + m)
+
+
+# Rounding of the field of a rank-1 table against the product of its row
+# fields, per unit of the product of the two stencil masses: a few ulps from
+# the entry, the two stencil sums, the modulus and the weight; 64 leaves room.
+_ROW_NOISE = 64 * np.finfo(float).eps
+
+
+def _stencil_mass(v: np.ndarray, order: int, h: float) -> np.ndarray:
+    """``sum_j |c_j| |v[i + j]| / h^order`` along a 1-d row (periodic): the
+    size of the terms :func:`_fd_axis` sums at ``i``, which bounds its
+    rounding."""
+    mag = np.abs(v)
+    if order == 0:
+        return mag
+    coeffs, reach = _FD_STENCILS[order]
+    return sum(abs(c) * np.roll(mag, -off) for c, off in zip(coeffs, range(-reach, reach + 1))) / h**order
+
+
+def _row_factors(sym: SymbolGrid, spec):
+    """``(fw, gw)`` with the table a seminorm differentiates equal to
+    ``fw(x) gw(xi)`` up to rounding, for a d = 1 table its form gives as one
+    exact product ``f (x) g`` (:func:`_rank_one`): ``(f, g)`` for
+    :class:`AClass`, ``(1 / f, 1 / g)`` for :class:`HypClass` with ``gw``
+    NaN on the xi where every entry lies below the floor.  None for any other
+    table, and for a Hyp table with an entry below the floor in the region,
+    or one whose entries at some xi lie below it for some x only: the table
+    rule decides those (and raises its :class:`EllipticityError` at the same
+    point)."""
+    one = _rank_one(sym) if sym.dimension == 1 else None
+    if one is None or not isinstance(spec, HypClass):
+        return one
+    f, g = one
+    mag, fmag = np.abs(g), np.abs(f)
+    every = mag * fmag.max() < spec.floor / 2.0  # |f(x) g| < floor at every x
+    mixed = ~every & (mag * fmag.min() < 2.0 * spec.floor)
+    if np.any(mixed | (every & (sym.grid.xi_norm() >= spec.radius))):
+        return None
+    return 1.0 / f, np.where(every, np.nan, 1.0 / np.where(every, 1.0, g))
+
+
+def _candidate_rows(grid: TorusGrid, spec, fw, gw, alpha: tuple, beta: tuple):
+    """The x-rows, ascending, that can hold the maximum of the field of the
+    table ``fw (x) gw`` (:func:`_seminorm_field`); None when the rounding
+    bound below is near overflow, or when so many rows can that forming
+    them costs as much as the whole table.
+
+    That field is ``a(x) b(xi)``, with ``a = |d_x^beta fw|`` and
+    ``b = |d_xi^alpha gw| <xi>^w``, up to rounding below ``noise``
+    everywhere: ``_ROW_NOISE`` times the largest stencil masses of the two
+    rows.  When their product is far from overflow, no field entry
+    overflows, so the field is masked where ``b`` is (the radius, the seam
+    and the NaN columns of ``gw``) in every row.  Then row x holds at most
+    ``a(x) b* + noise``, the row of ``a*`` at least ``a* b* - noise``, and
+    only rows with ``a(x) b* >= a* b* - 2 noise`` can reach the maximum or
+    tie it.  Equal rows have equal fields, so row 0 stands for them all."""
+    if np.all(fw == fw[0]):
+        return np.zeros(1, dtype=int)
+    hx, hxi = grid.period / grid.n, 1.0 / grid.length_factor
+    mass = _stencil_mass(gw, alpha[0], hxi) * _weight(grid, spec, alpha)
+    scale = _stencil_mass(fw, beta[0], hx).max() * np.max(mass, where=~np.isnan(mass), initial=0.0)
+    if not scale < _FINITE_BOUND:
+        return None
+    b = _seminorm_field(grid, gw[None], spec, alpha, (0,))[0]
+    if not np.any(b > -np.inf):  # every entry is masked, in every row
+        return np.zeros(1, dtype=int)
+    a, b_top = np.abs(_fd_axis(fw, 0, beta[0], hx)), b.max()
+    rows = np.flatnonzero(a * b_top >= a.max() * b_top - 2.0 * _ROW_NOISE * scale)
+    reach = _FD_STENCILS[beta[0]][1] if beta[0] else 0
+    return rows if len(rows) * (2 * reach + 1) <= grid.n else None
+
+
+def _row_fields(sym: SymbolGrid, spec, rows: np.ndarray, alpha: tuple, beta: tuple):
+    """The field :func:`_seminorm_field` of ``sym``'s d = 1 table on the
+    x-rows ``rows``, shape ``(len(rows), n)``, bit for bit: the table rows
+    each x-stencil reaches (:meth:`SymbolGrid._block`) are stacked along a
+    first axis of length ``2 reach + 1``, whose middle entry :func:`_fd_axis`
+    sums from the same terms in the same order as on the whole table."""
+    n = sym.grid.n
+    reach = _FD_STENCILS[beta[0]][1] if beta[0] else 0
+    span = np.arange(-reach, reach + 1)
+    work = _seminorm_table(sym, spec, sym._block((span[:, None] + rows).ravel() % n))
+    return _seminorm_field(sym.grid, work.reshape(len(span), len(rows), n), spec, alpha, beta)[reach]
 
 
 def _multi_indices(total_max: int, d: int):
@@ -503,13 +618,21 @@ def seminorm(sym: SymbolGrid, spec) -> SeminormReport:
     masked.  The witness is the first (alpha, beta) attaining the supremum
     and its first maximizer in ascending-xi order, given (as the point of an
     :class:`EllipticityError`) in stored lattice indices.
+
+    A d = 1 table whose form gives it as one exact product ``f (x) g`` (a
+    :meth:`SymbolGrid.from_factors` table at rank 1, or a broadcast row) is
+    not formed: each field is ``|d^beta f| (x) |d^alpha g| <xi>^w`` up to
+    rounding, so only the x-rows that can hold its maximum
+    (:func:`_candidate_rows`) are formed and differentiated, and the value
+    and witness are the whole table's, bit for bit.
     """
     grid = sym.grid
     d = grid.dimension
     if isinstance(spec, AClass) and spec.delta != 0.0:
         raise ValueError("x-weights (delta != 0) are not meaningful on the torus")
 
-    work = _seminorm_table(sym, spec)
+    factors = _row_factors(sym, spec)
+    work = _seminorm_table(sym, spec) if factors is None else None
     alphas = [a for a in _multi_indices(spec.k1, d) if sum(a) >= spec.min_alpha]
     half = grid.n // 2
 
@@ -517,16 +640,23 @@ def seminorm(sym: SymbolGrid, spec) -> SeminormReport:
     best_witness = None
     for alpha in alphas:
         for beta in _multi_indices(spec.k2, d):
-            field = _seminorm_field(grid, work, spec, alpha, beta)
+            rows = None if factors is None else _candidate_rows(grid, spec, *factors, alpha, beta)
+            if rows is None:
+                work = _seminorm_table(sym, spec) if work is None else work
+                field = _seminorm_field(grid, work, spec, alpha, beta)
+            else:
+                field = _row_fields(sym, spec, rows, alpha, beta)
             val = float(field.max())
             if val > best:
                 best = val
                 # ascending xi is the stored order rolled by n/2: the first
                 # maximizer there keeps the tie rule of an ascending lattice
-                rolled = np.roll(field, half, axis=tuple(range(d, 2 * d)))
+                xi_axes = tuple(range(field.ndim - d, field.ndim))
+                rolled = np.roll(field, half, axis=xi_axes)
                 idx = np.unravel_index(int(np.argmax(rolled)), field.shape)
-                xi_idx = tuple(int(i + half) % grid.n for i in idx[d:])
-                best_witness = (idx[:d], xi_idx, alpha, beta)
+                xi_idx = tuple(int(idx[ax] + half) % grid.n for ax in xi_axes)
+                x_idx = idx[:d] if rows is None else (int(rows[idx[0]]),)
+                best_witness = (x_idx, xi_idx, alpha, beta)
     return SeminormReport(spec=spec, value=best, witness=best_witness)
 
 
@@ -658,16 +788,16 @@ def cutoff_split(a: SymbolGrid, R: float) -> CutoffSplit:
             "symbol vanishes inside the cutoff support; parametrix undefined",
             point=np.unravel_index(flat, bad.shape),
         )
-    exact = a._split is not None or a.x_independent  # the form gives the factors
-    if exact:
-        f, g = a.factors.f, a.factors.g
-        p_high, b_low = (SymbolGrid.from_factors(grid, f, g * w.ravel(), a.order)
+    exact, one = _exact_factors(a), _rank_one(a)
+    if exact is not None:
+        p_high, b_low = (SymbolGrid.from_factors(grid, exact.f, exact.g * w.ravel(), a.order)
                          for w in (chi, 1.0 - chi))
     else:
         p_high, b_low = (SymbolGrid(grid, a.values * w, a.order) for w in (chi, 1.0 - chi))
-    if exact and len(f) == 1:
-        inv = np.where(supported, chi / np.where(supported, g[0].reshape(grid.shape), 1.0), 0.0)
-        q = SymbolGrid.from_factors(grid, 1.0 / f, inv.reshape(1, -1), -a.order)
+    if one is not None:
+        f, g = one
+        inv = np.where(supported, chi / np.where(supported, g.reshape(grid.shape), 1.0), 0.0)
+        q = SymbolGrid.from_factors(grid, (1.0 / f)[None], inv.reshape(1, -1), -a.order)
     else:
         qvals = np.where(supported, chi / np.where(supported, a.values, 1.0), 0.0)
         q = SymbolGrid(grid, qvals, -a.order)

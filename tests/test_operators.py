@@ -5,6 +5,8 @@ import itertools
 import math
 import re
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,12 +14,15 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 import levysde as lv
+from levysde.harness import experiments, load_config, run_experiment, validate_config
 from levysde.operators import (
     _ANDERSON_DEPTH,
     _hyperbola_optimum,
     _hyperbola_params,
+    _phases,
     build_contour,
     contour_for_time,
+    dense_range_solve,
     parametrix_probe_contraction,
     write_gauge_csv,
 )
@@ -427,6 +432,21 @@ class TestContour:
         with pytest.raises(lv.ContractionError, match="too narrow"):
             contour_for_time(1.0, theta=0.01)
 
+    def test_optimum_is_scanned_once_per_angle(self):
+        # the cached optimum gives the contours a fresh scan gives, bit for bit
+        thetas, times = (math.pi / 2.0, 1.0, 0.5), (2.0**-10, 0.25, 1.0, 8.0)
+        _hyperbola_optimum.cache_clear()
+        cached = [contour_for_time(t, theta) for theta in thetas for t in times]
+        assert _hyperbola_optimum.cache_info().misses == len(thetas)
+        fresh = []
+        for theta in thetas:
+            for t in times:
+                _hyperbola_optimum.cache_clear()
+                fresh.append(contour_for_time(t, theta))
+        for a, b in zip(cached, fresh):
+            assert (a.alpha, a.mu, a.h, a.residue_error) == (b.alpha, b.mu, b.h, b.residue_error)
+            assert np.array_equal(a.nodes, b.nodes) and np.array_equal(a.weights, b.weights)
+
     def test_failed_self_test_raises(self):
         with pytest.raises(lv.ContractionError, match="residue self-test"):
             build_contour(alpha=1.17, mu=4.49 * 3, h=1.08 / 3, n=3)
@@ -736,3 +756,39 @@ class TestGaugeCsv:
         path = tmp_path / "rows.csv"
         write_gauge_csv(path, iter(rows), "note", columns)
         assert path.read_text() == literal(rows, columns)
+
+
+class TestDenseRangeSolve:
+    """``run_invert``'s dense check against the full-matrix ``lstsq`` oracle."""
+
+    @pytest.mark.parametrize("seed", [5, 11])  # 5 is configs/invert.yaml's
+    def test_invert_check_matches_full_lstsq(self, tmp_path, seed):
+        calls = []
+
+        def recording(s, cols, rhs):
+            calls.append((s, cols, rhs, dense_range_solve(s, cols, rhs)))
+            return calls[-1][-1]
+
+        tree = load_config(Path(__file__).resolve().parent.parent / "configs" / "invert.yaml")
+        tree = {**tree, "params": {**tree["params"], "seed": seed}, "output": str(tmp_path)}
+        with mock.patch.object(experiments, "dense_range_solve", recording):
+            assert run_experiment(validate_config(tree)).ok
+        (p_high, support, rhs, u_qr), = calls
+        B = _phases(p_high.grid) * p_high.values
+        assert not B[:, ~support].any()  # p_high vanishes off supp chi, exactly
+        u_ls, *_ = np.linalg.lstsq(lv.dense_symbol_matrix(p_high), rhs, rcond=None)
+        assert np.linalg.norm(u_qr - u_ls) <= 1e-10 * np.linalg.norm(u_ls)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_min_norm_on_a_column_subset(self, d):
+        # a table vanishing off a frequency set: the range solve is the
+        # minimum-norm least-squares solution, also for an inconsistent rhs
+        grid = lv.TorusGrid(n=64 if d == 1 else 16, dimension=d, length_factor=1.0)
+        sym = lv.tabulate(swept_model(d, 1.5, 0.3, 1.0), grid)
+        split = lv.cutoff_split(sym, grid.xi_nyquist / 4.0)
+        support = split.chi > 0
+        rhs = random_function(grid, 3).values
+        u = dense_range_solve(split.p_high, support, rhs)
+        u_ls, *_ = np.linalg.lstsq(lv.dense_symbol_matrix(split.p_high), rhs.ravel(), rcond=None)
+        assert u.shape == grid.shape
+        assert np.linalg.norm(u.ravel() - u_ls) <= 1e-10 * np.linalg.norm(u_ls)

@@ -561,6 +561,90 @@ class TestSeminorm:
         assert max(vals) / min(vals) <= 3.0
 
 
+def choose_R_specs(sym):
+    """The two seminorms :func:`lv.choose_R` reads, at the symbol's order."""
+    radius = min(4.0, float(sym.grid.xi_norm().max()) / 4.0)
+    return (AClass(m=sym.order, k1=1, k2=1, min_alpha=1),
+            HypClass(m=sym.order, k1=1, k2=0, radius=radius))
+
+
+def chosen_radius(sym):
+    """:func:`lv.choose_R` at the symbol's order, None when no radius contracts."""
+    try:
+        return lv.choose_R(sym, sym.order)
+    except lv.ContractionError:
+        return None
+
+
+def as_table(sym):
+    """The same entries as a plain table, which the seminorm reads whole."""
+    return lv.SymbolGrid(sym.grid, np.array(sym.values), sym.order)
+
+
+class TestRankOneSeminorm:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from([64, 128, 256]),
+        L=st.sampled_from([2.0, 4.0, 8.0]),
+        alpha=st.floats(0.5, 1.95),
+        amp=st.floats(0.0, 0.5) | st.sampled_from([1e-15, 3e-14, 1e-12, 1e-9]),
+        spec=st.sampled_from(["choose_R", "other"]),
+        k1=st.integers(1, 4),
+        k2=st.integers(0, 2),
+        frac=st.floats(0.1, 0.5),
+    )
+    def test_rows_read_like_the_table(self, n, L, alpha, amp, spec, k1, k2, frac):
+        # a rank-1 (drift-free) or broadcast (amp = 0) table: the seminorm
+        # forms only the rows that can hold the maximum, and reads the
+        # table rule's value and witness
+        grid = lv.TorusGrid(n=n, dimension=1, length_factor=L)
+        sym = lv.tabulate(swept_model(1, alpha, amp, 0.0), grid)
+        assert sym.factors.rank == 1
+        if spec == "choose_R":
+            specs = choose_R_specs(sym)
+        else:
+            specs = (AClass(m=sym.order, k1=k1, k2=k2),
+                     HypClass(m=sym.order, k1=k1, k2=k2, radius=frac * grid.xi_nyquist))
+        reps = [lv.seminorm(sym, sp) for sp in specs]
+        if amp >= 1e-6:
+            # no table was formed (a broadcast row holds its view from the
+            # start); below that amplitude the rows differ by less than their
+            # rounding, any of them can hold the maximum, and the table is read
+            assert "values" not in sym.__dict__
+        table = as_table(sym)
+        for sp, rep in zip(specs, reps):
+            want = lv.seminorm(table, sp)
+            assert (rep.value, rep.witness) == (want.value, want.witness)
+        if spec == "choose_R":
+            assert chosen_radius(sym) == chosen_radius(table)
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.5])
+    def test_drift_table_keeps_the_table_rule(self, alpha, grid256):
+        # rank 2: the rows rule does not apply and the table is read whole
+        sym = lv.tabulate(swept_model(1, alpha, 0.3, 1.5), grid256)
+        assert sym.factors.rank == 2
+        with mock.patch.object(lv.symbols, "_row_fields") as rows:
+            reps = [lv.seminorm(sym, sp) for sp in choose_R_specs(sym)]
+        assert rows.call_count == 0 and "values" in sym.__dict__
+        for sp, rep in zip(choose_R_specs(sym), reps):
+            want = lv.seminorm(as_table(sym), sp)
+            assert (rep.value, rep.witness) == (want.value, want.witness)
+
+    def test_floor_in_the_region_raises_from_the_table(self, grid256):
+        # an entry below the floor inside the Hyp region: the table rule
+        # raises its EllipticityError at the same point
+        f = np.ones((1, 256), dtype=complex)
+        g = (1.0 + grid256.xi**2).astype(complex)[None] ** 0.75
+        g[0, 100] = 0.0
+        sym = lv.SymbolGrid.from_factors(grid256, f * (2.0 + np.sin(grid256.x)), g, 1.5)
+        spec = HypClass(m=1.5, k1=1, k2=0, radius=4.0)
+        with pytest.raises(lv.EllipticityError) as got:
+            lv.seminorm(sym, spec)
+        with pytest.raises(lv.EllipticityError) as want:
+            lv.seminorm(as_table(sym), spec)
+        assert tuple(got.value.point) == tuple(want.value.point)
+
+
 class TestChooseR:
     def test_constant_symbol_small_radius(self, symbol_const_256):
         R = lv.choose_R(symbol_const_256, 1.5)
