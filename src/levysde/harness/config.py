@@ -26,7 +26,7 @@ from ..errors import ConfigError
 from ..grids import TorusGrid
 from ..measures import AtomicMeasure, StableMeasure, TabulatedMeasure
 from ..models import PRESETS, SdeModel, coefficient_preset, constant_value
-from ..montecarlo import _BATCH, JUMP_BLOCK_CAP, SPECTRAL_GRID, SimScheme, jump_block
+from ..montecarlo import _BATCH, JUMP_BLOCK_CAP, SimScheme, jump_block, x_independent
 
 __all__ = [
     "ExperimentConfig",
@@ -232,15 +232,13 @@ def validate_config(cfg: dict) -> ExperimentConfig:
             f"model.kind is {raw_model.get('kind')!r}; choose 'truncated' or 'truncated+gaussian'",
             field="params.mode",
         )
-    if params.get("reference") == "spectral":
-        for key, coefficient in (("sigma_expr", model.sigma), ("drift_expr", model.drift)):
-            if constant_value(coefficient, SPECTRAL_GRID.x) is None:
-                raise ConfigError(
-                    f"params.reference 'spectral' is the exact multiplier and needs "
-                    f"x-independent coefficients, but model.{key} varies; use "
-                    "reference: exact-stable",
-                    field="params.reference",
-                )
+    if experiment == "weak-error" and not stable and not x_independent(model):
+        raise ConfigError(
+            f"weak-error takes the exact-stable reference for x-dependent coefficients, but "
+            f"model.kind is {raw_model.get('kind')!r}; choose a stable measure or constant "
+            "sigma_expr and drift_expr",
+            field="model.kind",
+        )
     gates = _declared(cfg.get("gates"), "gates", entry.gates)
     if experiment == "density" and gates["growth_exponent_max"] is None and not stable:
         raise ConfigError(

@@ -297,8 +297,7 @@ def run_weak_error(cfg: ExperimentConfig):
     x0 = cfg.params["x0"]
     payoff = bump_payoff(center=x0, width=2.0, period=2 * np.pi * 4.0)
     table = weak_error_table(
-        cfg.model, payoff, x0, cfg.params["t"], cfg.params["eps_list"], cfg.scheme,
-        reference=cfg.params["reference"],
+        cfg.model, payoff, x0, cfg.params["t"], cfg.params["eps_list"], cfg.scheme
     )
     rows = [(e, err, se) for e, err, se in table.rows]
     if table.noise_dominated:
@@ -442,8 +441,7 @@ EXPERIMENTS = {
         run_weak_error, {"slope_range": Within((0.25, 0.75), "[-inf, inf]"), "monotone": True},
         "scheme", steps=True,
         params={"t": Within(1.0, "(0, inf)"), "x0": Within(0.0, "(-inf, inf)"),
-                "eps_list": Within([0.4, 0.2, 0.1, 0.05], "(0, 1)", 4),
-                "reference": OneOf("spectral", "exact-stable")},
+                "eps_list": Within([0.4, 0.2, 0.1, 0.05], "(0, 1)", 4)},
         csv="weak_error.csv", columns=("eps", "error", "stderr"),
     ),
     "strong-feller": Experiment(

@@ -33,13 +33,13 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .grids import GridFunction, TorusGrid
-from .measures import jump_stream, path_sums, sample_increment
+from .measures import StableMeasure, jump_stream, path_sums, sample_increment
 from .models import SdeModel, constant_value
 from .operators import semigroup_apply
 from .ratefit import RateFit, fit_rate
@@ -239,11 +239,18 @@ def mc_semigroup(
     return McEstimate(mean=mean, stderr=stderr, paths_used=int(vals.size))
 
 
+def x_independent(model: SdeModel) -> bool:
+    """Whether ``sigma`` and ``b`` are constant on ``SPECTRAL_GRID``
+    (:func:`models.constant_value`)."""
+    x = SPECTRAL_GRID.x
+    return constant_value(model.sigma, x) is not None and constant_value(model.drift, x) is not None
+
+
 def spectral_reference(model: SdeModel, f, x0, t: float):
     """Exact ``P_t f(x0)``: :func:`semigroup_apply` on the payoff periodized on
     ``SPECTRAL_GRID``, for coefficients checked x-independent before tabulating."""
     grid = SPECTRAL_GRID
-    if constant_value(model.sigma, grid.x) is None or constant_value(model.drift, grid.x) is None:
+    if not x_independent(model):
         raise ValueError("spectral reference requires x-independent coefficients")
     pt = semigroup_apply(t, tabulate(model, grid), GridFunction(grid, f(grid.x)))
     return float(np.real(np.sum(pt.coeffs * np.exp(1j * grid.xi * (x0 % grid.period)))))
@@ -269,82 +276,73 @@ def weak_error_table(
     t: float,
     eps_list,
     scheme_base: SimScheme,
-    reference: str = "spectral",
 ) -> WeakErrorTable:
     """Weak errors ``|P_t f(x0) - P^eps_t f(x0)|`` over a truncation sweep.
 
-    With x-independent coefficients all truncation levels are driven by one
-    master jump stream at the smallest level (a run at level ``eps`` keeps
-    exactly the jumps with ``|z| > eps``) plus one shared normal per path, so
-    the errors are coupled by common random numbers and decrease
-    monotonically in the truncation level up to noise.
-
-    ``reference`` is ``"spectral"`` (exact multiplier; x-independent
-    coefficients) or ``"exact-stable"`` (CMS simulation with the base seed).
-    When every error falls below four standard errors the table is flagged
-    noise-dominated and no rate is fitted.
+    One driver couples every level: each Euler step draws its jumps once, at
+    the smallest level (and, when compensated, one normal per path), and the
+    level ``eps`` keeps the jumps with ``|z| > eps`` (a compound Poisson
+    stream from ``nu`` restricted to ``|z| > eps``, so each level keeps its
+    law).  x-independent coefficients take one exact step and the
+    :func:`spectral_reference`; any other take the Euler steps of
+    ``scheme_base`` and, as the reference, its exact-stable (CMS) simulation,
+    which needs a stable measure.  When every error falls below four standard
+    errors the table is flagged noise-dominated and no rate is fitted.
     """
     eps_list = sorted(float(e) for e in eps_list)
     if not 0.0 < eps_list[0] <= eps_list[-1] < 1.0:
         raise ConfigError(f"truncation levels must lie in (0,1), got {eps_list}", field="eps_list")
     if model.dimension != 1:
         raise NotImplementedError("weak-error tables are 1-d")
-    if reference == "spectral":
-        ref = spectral_reference(model, f, x0, t)
-    elif reference == "exact-stable":
+    measure = model.measure
+    if x_independent(model):
+        ref, n_steps = spectral_reference(model, f, x0, t), 1
+    elif isinstance(measure, StableMeasure):
         ref = mc_semigroup(f, model, x0, t, scheme_base, mode="exact-stable", stream=999).mean
+        n_steps = _euler_steps(t, scheme_base.tau)
     else:
-        raise ValueError("reference must be 'spectral' or 'exact-stable'")
+        raise ConfigError("x-dependent coefficients take the exact-stable reference, which "
+                          "needs a stable measure", field="model")
 
-    x = SPECTRAL_GRID.x  # sampled where spectral_reference samples
-    sig0, drf0 = constant_value(model.sigma, x), constant_value(model.drift, x)
+    n_total, n_levels = scheme_base.paths, len(eps_list)
+    dt = t / n_steps
+    rate = measure.tail_mass(eps_list[0]) * dt
+    shifts = [measure.compensator_drift(e)[0] * dt for e in eps_list]
+    scales = None
+    if scheme_base.gaussian_compensation:
+        scales = [math.sqrt(measure.small_jump_variance(e)[0, 0] * dt) for e in eps_list]
+    # every step of every batch draws its jumps into a block of one size, so
+    # the block a step frees fits the next one and the memory peak does not
+    # depend on the thread timing
+    room = int(jump_block(rate)) + 1
 
-    n_total = scheme_base.paths
-    if sig0 is not None and drf0 is not None:
-        n_levels = len(eps_list)
-        measure = model.measure
-        rate = measure.tail_mass(eps_list[0]) * t
-        shifts = [measure.compensator_drift(e)[0] * t for e in eps_list]
-        scales = None
-        if scheme_base.gaussian_compensation:
-            scales = [math.sqrt(measure.small_jump_variance(e)[0, 0] * t) for e in eps_list]
-        # every batch draws its jumps into a block of one size, so the block a
-        # batch frees fits the next one and the memory peak does not depend on
-        # the thread timing
-        room = int(jump_block(rate)) + 1
-
-        def batch(nb, rng):
-            """Payoff sums and sums of squares, shape ``(2, levels)``."""
+    def batch(nb, rng):
+        """Payoff sums and sums of squares, shape ``(2, levels)``."""
+        draw = lambda k: measure.sample_tail(eps_list[0], k, rng, buf if k <= room else None)
+        states = [x0] * n_levels  # one per level, each kept only between steps
+        out = np.empty((2, n_levels))
+        for step in range(n_steps, 0, -1):
             buf = np.empty(room)
-            draw = lambda k: measure.sample_tail(eps_list[0], k, rng, buf if k <= room else None)
             counts, jumps = jump_stream(rate, nb, draw, rng)
-            z = rng.standard_normal(nb)
+            z = rng.standard_normal(nb) if scales else None
             # a jump's band counts the higher levels it clears, so level k
             # keeps exactly the bands >= k
             per_band = path_sums(counts, jumps, nb, cuts=eps_list[1:])
             del counts, jumps, buf
             levels = per_band[:, ::-1].cumsum(axis=1)[:, ::-1]
-            out = np.empty((2, n_levels))
             for k in range(n_levels):
                 dL = levels[:, k] - shifts[k]
                 if scales:
                     dL = dL + scales[k] * z
-                X = x0 + drf0 * t + sig0 * dL
-                vals = np.asarray(f(X), dtype=float)
-                out[:, k] = vals.sum(), (vals**2).sum()
-            return out
+                X = _advance(model, states[k], dt, dL)
+                if step > 1:
+                    states[k] = X
+                else:
+                    vals = np.asarray(f(X), dtype=float)
+                    out[:, k] = vals.sum(), (vals**2).sum()
+        return out
 
-        sums, sums2 = sum(_map_batches(batch, n_total, scheme_base.seed, 7))
-    else:
-        sums = np.zeros(len(eps_list))
-        sums2 = np.zeros(len(eps_list))
-        for k, e in enumerate(eps_list):
-            scheme = replace(scheme_base, eps=e)
-            X = terminal_samples(model, x0, t, scheme, stream=7)
-            vals = np.asarray(f(X), dtype=float)
-            sums[k] = vals.sum()
-            sums2[k] = (vals**2).sum()
-
+    sums, sums2 = sum(_map_batches(batch, n_total, scheme_base.seed, 7))
     means, variances = _mean_var(sums, sums2, n_total)
     rows = [
         (e, float(abs(mean - ref)), math.sqrt(var / n_total))
@@ -466,7 +464,11 @@ def density_probe(
         iqr = q3 - q1
         spread = min(float(np.std(X)), iqr / 1.34) if iqr > 0 else float(np.std(X))
         h = 0.9 * spread * scheme.paths ** (-0.2)
-        ys = np.linspace(lo - 6 * h, hi + 6 * h, 401)
+        if not h > 0.0:  # every sample equal, or one not finite
+            raise ConfigError(f"the {X.size} terminal samples at t = {t:g} do not spread "
+                              f"(bandwidth {h:g}); choose times at which paths move, or more "
+                              "paths", field="times")
+        ys =np.linspace(lo - 6 * h, hi + 6 * h, 401)
         dens, slope = _kde(xs, ys, h)
         integral = float(np.trapezoid(dens, ys))
         mode_y = ys[int(np.argmax(dens))]

@@ -49,6 +49,12 @@ def base_model(**overrides):
     return model
 
 
+ATOMIC_MODEL = {**{k: v for k, v in base_model().items() if k not in ("alpha", "scale")},
+                "kind": "atomic", "atoms": [[0.5, 1.0], [-0.5, 1.0]]}
+VARIABLE_MODEL = base_model(sigma_expr={"preset": "2+sin", "offset": 2.0, "amplitude": 0.2},
+                            sigma_lower_bound=1.5)
+
+
 class TestFitRate:
     def test_exact_square_law(self):
         pts = [(x, x**2) for x in (1.0, 2.0, 3.0, 4.0, 5.0)]
@@ -635,9 +641,7 @@ class TestCli:
                          "model.sigma_expr", id="unknown-preset-parameter"),
             pytest.param({"experiment": "density", "scheme": WEAK_SCHEME,
                           "params": {"mode": "truncated"},
-                          "model": {k: v for k, v in base_model(
-                              kind="atomic", atoms=[[0.5, 1.0], [-0.5, 1.0]]).items()
-                              if k not in ("alpha", "scale")}},
+                          "model": ATOMIC_MODEL},
                          "gates.growth_exponent_max", id="density-growth-gate-without-alpha"),
             pytest.param({"scheme": {"pathz": "many", "eps": 7}}, "scheme",
                          id="unused-scheme-section"),
@@ -646,6 +650,11 @@ class TestCli:
             pytest.param({"experiment": "weak-error", "scheme": WEAK_SCHEME,
                           "params": {"eps_list": [0.4, 0.2, 0.1]}}, "params.eps_list",
                          id="three-truncation-levels"),
+            # x-dependent coefficients take the exact-stable reference
+            pytest.param({"experiment": "weak-error", "scheme": WEAK_SCHEME,
+                          "model": {**ATOMIC_MODEL, "sigma_expr": VARIABLE_MODEL["sigma_expr"],
+                                    "sigma_lower_bound": 1.5}},
+                         "model.kind", id="weak-error-variable-sigma-atomic"),
             pytest.param({"experiment": "composition", "params": {"frequencies": [8]}},
                          "params.frequencies", id="one-composition-frequency"),
             *[pytest.param({"experiment": "composition", "grid": {"n": 1024, "length_factor": 4},
@@ -715,13 +724,8 @@ class TestCli:
             pytest.param({"experiment": "density", "scheme": WEAK_SCHEME,
                           "params": {"mode": "exact"}}, "params.mode", id="density-mode-typo"),
             pytest.param({"experiment": "density", "scheme": WEAK_SCHEME,
-                          "model": {k: v for k, v in base_model(
-                              kind="atomic", atoms=[[0.5, 1.0], [-0.5, 1.0]]).items()
-                              if k not in ("alpha", "scale")}},
+                          "model": ATOMIC_MODEL},
                          "params.mode", id="density-exact-stable-atomic"),
-            pytest.param({"experiment": "weak-error", "scheme": WEAK_SCHEME,
-                          "model": base_model(sigma_expr={"preset": "2+sin", "amplitude": 0.2})},
-                         "params.reference", id="spectral-reference-variable-sigma"),
             pytest.param({"experiment": "bgindex", "params": {"k": 2.5}}, "params.k",
                          id="bgindex-fractional-k"),
             pytest.param({"experiment": "bgindex", "params": {"k": 7}}, "params.k",
@@ -897,8 +901,11 @@ class TestCli:
 
 # The config fuzzer: every experiment at a small size, with one or two of its
 # params, gates and scheme fields drawn from the declared type plus the edges.
-VARIABLE_MODEL = base_model(sigma_expr={"preset": "2+sin", "offset": 2.0, "amplitude": 0.2},
-                            sigma_lower_bound=1.5)
+# weak-error draws its measure and its sigma: the reference follows from both
+WEAK_MODELS = [{**measure, "sigma_expr": sigma["sigma_expr"],
+                "sigma_lower_bound": sigma["sigma_lower_bound"]}
+               for measure in (base_model(), ATOMIC_MODEL)
+               for sigma in (base_model(), VARIABLE_MODEL)]
 FUZZ_SCHEME = {"eps": 0.1, "tau": 1.0, "gaussian_compensation": True, "paths": 2000, "seed": 3}
 FUZZ_BASES = {
     "symbol": {"grid": {"n": 32, "length_factor": 4}},
@@ -944,6 +951,8 @@ def _fuzzed_config(draw):
     experiment = draw(st.sampled_from(sorted(FUZZ_BASES)))
     entry = EXPERIMENTS[experiment]
     tree = {"experiment": experiment, "model": base_model(), **FUZZ_BASES[experiment]}
+    if experiment == "weak-error":
+        tree["model"] = draw(st.sampled_from(WEAK_MODELS))
     fields = [("params", k, v) for k, v in entry.params.items()]
     fields += [("gates", k, v) for k, v in entry.gates.items()]
     fields += [("scheme", k, v) for k, v in tree.get("scheme", {}).items()]

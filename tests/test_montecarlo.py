@@ -237,6 +237,19 @@ class TestPeriodicWrap:
         self.assert_same_bits(X, center, width)
 
 
+def spy_advance(monkeypatch):
+    """The step ``dt`` of every ``montecarlo._advance`` call, in call order."""
+    steps = []
+    real = montecarlo._advance
+
+    def spy(model, X, dt, dL):
+        steps.append(dt)
+        return real(model, X, dt, dL)
+
+    monkeypatch.setattr(montecarlo, "_advance", spy)
+    return steps
+
+
 class TestWeakError:
     def test_constant_payoff_all_zero(self, constant_model):
         scheme = lv.SimScheme(eps=0.4, tau=1.0, gaussian_compensation=False, paths=4000, seed=2)
@@ -284,61 +297,61 @@ class TestWeakError:
             assert err1 <= err2 + 2.0 * math.hypot(se1, se2)
 
     def test_exact_stable_reference_consistent(self, constant_model):
-        # the simulation-based reference lands on the spectral one
+        # the CMS simulation that variable coefficients take as their
+        # reference lands on the exact multiplier
         payoff = lv.bump_payoff(center=0.0, width=2.0, period=PERIOD)
         scheme = lv.SimScheme(
             eps=0.4, tau=1.0, gaussian_compensation=False, paths=150_000, seed=29
         )
-        t_spec = lv.weak_error_table(
-            constant_model, payoff, 0.0, 1.0, [0.4, 0.2], scheme, reference="spectral"
-        )
-        t_mc = lv.weak_error_table(
-            constant_model, payoff, 0.0, 1.0, [0.4, 0.2], scheme, reference="exact-stable"
-        )
-        assert abs(t_mc.reference - t_spec.reference) <= 0.005
-        for (_, e1, s1), (_, e2, s2) in zip(sorted(t_spec.rows), sorted(t_mc.rows)):
-            assert abs(e1 - e2) <= 4 * math.hypot(s1, s2) + 0.005
+        exact = lv.spectral_reference(constant_model, payoff, 0.0, 1.0)
+        est = lv.mc_semigroup(payoff, constant_model, 0.0, 1.0, scheme, mode="exact-stable",
+                              stream=999)
+        assert abs(est.mean - exact) <= 4 * est.stderr
 
-    def test_variable_sigma_runs_fall_back_to_stepping(self):
-        # x-dependent coefficients: per-level runs share the seed instead of
-        # the single-step master-stream coupling
-        model = lv.SdeModel(
-            sigma=lv.coefficient_preset("2+sin", offset=2.0, amplitude=0.2),
-            drift=lv.coefficient_preset("constant", value=0.0),
-            measure=lv.StableMeasure.normalized(1.5),
-            sigma_lower_bound=1.5,
-        )
+    def test_variable_sigma_runs_fall_back_to_stepping(self, variable_model, monkeypatch):
+        # x-dependent coefficients: every level takes the scheme's Euler steps
+        # through _advance, against the exact-stable reference of the base scheme
         payoff = lv.bump_payoff(center=0.0, width=2.0, period=PERIOD)
         scheme = lv.SimScheme(
             eps=0.4, tau=0.25, gaussian_compensation=True, paths=20_000, seed=3
         )
-        table = lv.weak_error_table(
-            model, payoff, 0.0, 1.0, [0.4, 0.1], scheme, reference="exact-stable"
-        )
+        steps = spy_advance(monkeypatch)
+        table = lv.weak_error_table(variable_model, payoff, 0.0, 1.0, [0.4, 0.1], scheme)
+        # two levels and the reference, four steps each
+        assert steps == [0.25] * 12
+        ref = lv.mc_semigroup(payoff, variable_model, 0.0, 1.0, scheme, mode="exact-stable",
+                              stream=999)
+        assert table.reference == ref.mean
         assert len(table.rows) == 2
         assert all(np.isfinite(err) for _, err, _ in table.rows)
 
     def test_coefficients_sampled_over_the_torus(self, monkeypatch):
         # sin(pi x) vanishes at the integers but not on the torus: the table
-        # must step the SDE per level, not reuse the constant-sigma coupling
+        # must step the SDE, not take the frozen one-step rule
         model = lv.SdeModel(
             sigma=lv.coefficient_preset("2+sin", offset=2.0, amplitude=0.2, frequency=math.pi),
             drift=lv.coefficient_preset("constant", value=0.0),
             measure=lv.StableMeasure.normalized(1.5),
             sigma_lower_bound=1.5,
         )
-        streams = []
-        real = lv.montecarlo.terminal_samples
-
-        def spy(*args, **kwargs):
-            streams.append(kwargs.get("stream"))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(lv.montecarlo, "terminal_samples", spy)
+        steps = spy_advance(monkeypatch)
         payoff = lv.bump_payoff(center=0.0, width=2.0, period=PERIOD)
-        scheme = lv.SimScheme(eps=0.4, tau=1.0, gaussian_compensation=True, paths=2000, seed=3)
-        lv.weak_error_table(model, payoff, 0.0, 1.0, [0.4, 0.2], scheme, reference="exact-stable")
-        assert streams.count(7) == 2  # one stepped run per truncation level
+        scheme = lv.SimScheme(eps=0.4, tau=0.5, gaussian_compensation=True, paths=2000, seed=3)
+        lv.weak_error_table(model, payoff, 0.0, 1.0, [0.4, 0.2], scheme)
+        assert steps == [0.5] * 6  # two levels and the reference, two steps each
+
+    def test_variable_sigma_without_stable_measure_refused(self):
+        # x-dependent coefficients take the exact-stable reference
+        model = lv.SdeModel(
+            sigma=lv.coefficient_preset("2+sin", offset=2.0, amplitude=0.2),
+            drift=lv.coefficient_preset("constant", value=0.0),
+            measure=lv.AtomicMeasure(atoms=((0.5, 1.0), (-0.5, 1.0))),
+            sigma_lower_bound=1.5,
+        )
+        scheme = lv.SimScheme(eps=0.4, tau=1.0, gaussian_compensation=False, paths=100, seed=2)
+        with pytest.raises(lv.ConfigError, match="stable measure") as info:
+            lv.weak_error_table(model, lambda X: X, 0.0, 1.0, [0.4, 0.2], scheme)
+        assert info.value.field == "model"
 
     def test_compensated_smooth_payoff_noise_dominated(self, constant_model):
         # Gaussian compensation wipes out the smooth-payoff truncation bias;
@@ -355,20 +368,21 @@ class TestWeakError:
 
 
     @pytest.mark.parametrize("compensation", [False, True])
-    def test_rows_bit_identical_across_thread_counts(self, constant_model, monkeypatch,
-                                                     compensation):
+    def test_rows_bit_identical_across_thread_counts(self, constant_model, variable_model,
+                                                     monkeypatch, compensation):
         payoff = lv.bump_payoff(center=0.0, width=2.0, period=PERIOD)
-        # three batches, the last one partial
+        # three batches, the last one partial; the variable model takes four
+        # Euler steps
         scheme = lv.SimScheme(
             eps=0.4, tau=1.0, gaussian_compensation=compensation, paths=140_000, seed=5
         )
-        tables = []
-        for threads in ("1", "2", "4"):
-            monkeypatch.setenv("LEVYSDE_THREADS", threads)
-            tables.append(
-                lv.weak_error_table(constant_model, payoff, 0.0, 1.0, [0.4, 0.2, 0.1], scheme)
-            )
-        assert tables[0].rows == tables[1].rows == tables[2].rows
+        for model, tau in ((constant_model, 1.0), (variable_model, 0.25)):
+            tables = []
+            for threads in ("1", "2", "4"):
+                monkeypatch.setenv("LEVYSDE_THREADS", threads)
+                tables.append(lv.weak_error_table(model, payoff, 0.0, 1.0, [0.4, 0.2, 0.1],
+                                                  replace(scheme, tau=tau)))
+            assert tables[0] == tables[1] == tables[2]
 
     @pytest.mark.parametrize("compensation", [False, True])
     def test_rows_match_per_level_oracle(self, constant_model, stable_measure, compensation):
@@ -406,6 +420,54 @@ class TestWeakError:
         for (_, err, se), mean, oracle_se in zip(table.rows, means, stderrs):
             assert abs(err - abs(mean - table.reference)) <= 1e-12 * abs(mean)
             assert se == pytest.approx(oracle_se, rel=1e-12)
+
+
+    @pytest.mark.parametrize("compensation", [False, True])
+    def test_stepped_rows_match_per_level_oracle(self, variable_model, stable_measure,
+                                                 compensation):
+        # literal per-level Euler runs on the same batch streams: each step
+        # draws its jumps once, at the smallest level, and level k keeps the
+        # jumps that clear it; they are summed band by band (band b clears
+        # exactly b of the higher levels), from the top band down
+        payoff = lv.bump_payoff(center=0.5, width=2.0, period=PERIOD)
+        levels = [0.05, 0.1, 0.3]
+        n_steps, dt = 4, 0.25
+        scheme = lv.SimScheme(
+            eps=0.4, tau=dt, gaussian_compensation=compensation, paths=70_000, seed=23
+        )
+        table = lv.weak_error_table(variable_model, payoff, 0.5, 1.0, levels[::-1], scheme)
+
+        def batch(nb, rng):
+            X = [0.5] * len(levels)
+            for _ in range(n_steps):
+                draw = lambda k: stable_measure.sample_tail(levels[0], k, rng)
+                counts, jumps = jump_stream(stable_measure.tail_mass(levels[0]) * dt, nb, draw,
+                                            rng)
+                z = rng.standard_normal(nb) if compensation else None
+                band = sum(np.abs(jumps) > e for e in levels[1:])
+                bands = [path_sums(counts, np.where(band == b, jumps, 0.0), nb)
+                         for b in range(len(levels))]
+                for k, e in enumerate(levels):
+                    dL = bands[-1]
+                    for b in range(len(levels) - 2, k - 1, -1):
+                        dL = dL + bands[b]
+                    dL = dL - stable_measure.compensator_drift(e)[0] * dt
+                    if compensation:
+                        dL = dL + math.sqrt(stable_measure.small_jump_variance(e)[0, 0] * dt) * z
+                    X[k] = montecarlo._advance(variable_model, X[k], dt, dL)
+            vals = [payoff(x) for x in X]
+            return np.array([[v.sum() for v in vals], [(v**2).sum() for v in vals]])
+
+        sums = sum(montecarlo._map_batches(batch, scheme.paths, scheme.seed, 7))
+        means = sums[0] / scheme.paths
+        variances = np.maximum(sums[1] / scheme.paths - means**2, 0.0)
+        ref = lv.mc_semigroup(payoff, variable_model, 0.5, 1.0, scheme, mode="exact-stable",
+                              stream=999).mean
+        assert table.reference == ref
+        assert table.rows == tuple(
+            (e, float(abs(mean - ref)), math.sqrt(var / scheme.paths))
+            for e, mean, var in zip(levels, means, variances)
+        )
 
 
 class TestStrongFeller:
@@ -504,6 +566,20 @@ class TestDensityProbe:
             monkeypatch.setenv("LEVYSDE_THREADS", threads)
             reports.append(lv.density_probe(constant_model, 0.0, [1.0, 0.5, 0.25, 0.125], scheme))
         assert reports[0] == reports[1] == reports[2]
+
+    def test_samples_without_spread_refused(self):
+        # two atoms of rate 1e-9 beyond the level: no path jumps, every sample
+        # is the start point and the bandwidth is 0
+        model = lv.SdeModel(
+            sigma=lv.coefficient_preset("constant", value=1.0),
+            drift=lv.coefficient_preset("constant", value=0.0),
+            measure=lv.AtomicMeasure(atoms=((1.0, 1e-9), (-1.0, 1e-9))),
+            sigma_lower_bound=0.5,
+        )
+        scheme = lv.SimScheme(eps=0.5, tau=1.0, gaussian_compensation=False, paths=2000, seed=3)
+        with pytest.raises(lv.ConfigError, match="t = 0.5 ") as info:
+            lv.density_probe(model, 0.0, [0.5, 0.25, 0.125, 0.0625], scheme, mode="truncated")
+        assert info.value.field == "times"
 
     def test_bandwidth_flagging(self, constant_model):
         scheme = lv.SimScheme(
